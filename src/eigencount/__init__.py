@@ -20,6 +20,7 @@ from .bounds import (
     BoundReport,
     ExteriorDisk,
     Point,
+    Prepared,
     RegionSpec,
     count_bound_disk,
     count_bound_disk_simple,
@@ -29,10 +30,11 @@ from .bounds import (
     moment_bound,
     phi_p,
     phi_p_envelope,
+    prepare,
     pseudospectral_epsilon,
     t_star,
 )
-from .config import DEFAULT, THREADS_ENV, Tolerances, thread_cap
+from .config import DEFAULT, Tolerances
 from .determinants import (
     DetSample,
     GammaP,
@@ -117,7 +119,8 @@ __all__ = [
     "det_regularized_log", "scalar_factor_log", "gamma_p_upper",
     "perturbation_determinant", "det_bound_rhs",
     # bounds
-    "BoundReport", "RegionSpec", "ExteriorDisk", "Point", "lambert_w",
+    "BoundReport", "Prepared", "prepare", "RegionSpec", "ExteriorDisk",
+    "Point", "lambert_w",
     "phi_p", "phi_p_envelope", "t_star", "count_bound_disk",
     "count_bound_disk_simple", "count_bound_region", "koenig_count_bound",
     "moment_bound", "pseudospectral_epsilon",
@@ -130,7 +133,7 @@ __all__ = [
     "CorpusEntry", "SuiteResult", "regression_corpus", "soundness_sweep",
     "sweep_radii", "run_suites",
     # config and errors
-    "Tolerances", "DEFAULT", "thread_cap", "THREADS_ENV",
+    "Tolerances", "DEFAULT",
     "EigencountError", "MatrixError", "EigenvalueError",
     "SingularResolventError", "SpecFormatError", "AdmissibilityError",
     "ContourError", "NormalizationError",

@@ -33,6 +33,8 @@ __all__ = [
     "Point",
     "RegionSpec",
     "BoundReport",
+    "Prepared",
+    "prepare",
     "lambert_w",
     "phi_p",
     "phi_p_envelope",
@@ -141,7 +143,8 @@ class Point:
 class RegionSpec:
     """An intermediate circle radius t and a target inside the exterior region.
 
-    t may be None, in which case the bounds optimize it themselves.
+    t may be None, in which case each rank N uses its closed-form
+    optimum t_star.
     """
 
     target: ExteriorDisk | Point
@@ -218,11 +221,37 @@ class BoundReport:
 # --- shared plumbing -------------------------------------------------------
 
 
-def _prepared(model: OperatorModel, tol: Tolerances):
+@dataclass(frozen=True)
+class Prepared:
+    """A model analyzed once: its matrices, ||L0|| and the alpha sequence.
+
+    Every bound accepts a Prepared in place of an OperatorModel, so one
+    analysis can serve several bounds without repeating the norm and
+    approximation-number work; their tol argument then goes unused.
+    """
+
+    model: OperatorModel
+    l0: np.ndarray
+    k: np.ndarray
+    norm_l0: float
+    alpha: ApproxSequence
+
+    @property
+    def norm_k(self) -> float:
+        """||K||, which is alpha_1 exactly in every norm."""
+        return self.alpha.value_at(1)
+
+
+def prepare(model: OperatorModel, tol: Tolerances = DEFAULT) -> Prepared:
+    """Materialize model and compute ||L0|| and the approximation numbers of K."""
     l0, k = materialize(model)
-    norm_l0 = induced_norm(l0, model.norm)
-    alpha = approx_numbers(k, model.norm, tol)
-    return l0, k, norm_l0, alpha
+    return Prepared(model=model, l0=l0, k=k,
+                    norm_l0=induced_norm(l0, model.norm),
+                    alpha=approx_numbers(k, model.norm, tol))
+
+
+def _as_prepared(model: OperatorModel | Prepared, tol: Tolerances) -> Prepared:
+    return model if isinstance(model, Prepared) else prepare(model, tol)
 
 
 def _alpha_mode(alpha: ApproxSequence) -> Certainty:
@@ -238,10 +267,74 @@ def _candidate_ranks(n_rank: int | None, dim: int):
     return [n_rank]
 
 
+def _circle(prep: Prepared, p: float, s: float, a_next: float,
+            t: float | None, epsilon: float | None) -> tuple[float, float]:
+    # the intermediate radius (closed-form optimum unless given) and the gap
+    if t is None:
+        t = t_star(p, prep.norm_l0 + a_next, s)
+    return t, (t - prep.norm_l0 if epsilon is None else epsilon)
+
+
+def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
+                n_rank: int | None, gamma: GammaP | None, profile,
+                t: float | None = None, epsilon: float | None = None,
+                target: complex | None = None) -> BoundReport:
+    """Bound minimizing (C_p / s^p) profile(N, alpha_{N+1}) times
+    sum_{j<=N} (alpha_{N+1} + alpha_j)^p over the rank N.
+
+    With n_rank None every N in [0, dim] is tried and an N that is
+    inadmissible (alpha_{N+1} >= s - ||L0||, or the profile raises
+    AdmissibilityError) is skipped; a fixed n_rank raises instead. The
+    report's circle is t (or t_star at the winning N) and its gap epsilon
+    (or t - ||L0||); an explicit epsilon marks the report non-certified.
+    """
+    if p <= 0:
+        raise AdmissibilityError(f"p must be positive, got {p}")
+    norm_l0 = prep.norm_l0
+    if s <= norm_l0:
+        raise AdmissibilityError(
+            f"need s > ||L0|| = {norm_l0:.12g}, got s = {s}; no exterior disk "
+            "clears the base spectrum otherwise")
+    if gamma is None:
+        gamma = gamma_p_upper(p)
+
+    best = None
+    reason = None
+    for n in _candidate_ranks(n_rank, prep.model.dim):
+        a_next = prep.alpha.value_at(n + 1)
+        try:
+            if a_next >= s - norm_l0:
+                raise AdmissibilityError(
+                    f"alpha_{n + 1} = {a_next:.12g} must stay below "
+                    f"s - ||L0|| = {s - norm_l0:.12g} for N = {n}")
+            phi = profile(n, a_next)
+        except AdmissibilityError as exc:
+            if n_rank is not None:
+                raise
+            reason = exc
+            continue
+        total = prep.alpha.head_power_sum(p, n, offset=a_next)
+        value = gamma.c_p / s ** p * phi * total
+        if best is None or value < best[0]:
+            best = (value, n, a_next, phi, total)
+    if best is None:
+        raise AdmissibilityError(
+            f"no admissible N in [0, {prep.model.dim}] for s = {s}; "
+            f"at N = {prep.model.dim}: {reason}")
+
+    value, n, a_next, phi, total = best
+    t_opt, eps = _circle(prep, p, s, a_next, t, epsilon)
+    return BoundReport(
+        kind=kind, p=p, target=complex(s) if target is None else target,
+        n_rank=n, t_star=t_opt, eps=eps, gamma_p=gamma.value, c_p=gamma.c_p,
+        phi_value=phi, alpha_sum=total, alpha_mode=_alpha_mode(prep.alpha),
+        bound=value, certified=epsilon is None)
+
+
 # --- the bounds ------------------------------------------------------------
 
 
-def count_bound_disk(model: OperatorModel, p: float, s: float,
+def count_bound_disk(model: OperatorModel | Prepared, p: float, s: float,
                      n_rank: int | None = None, gamma: GammaP | None = None,
                      tol: Tolerances = DEFAULT) -> BoundReport:
     """Optimized-profile bound on the eigenvalue count outside |lam| = s.
@@ -251,170 +344,62 @@ def count_bound_disk(model: OperatorModel, p: float, s: float,
     admissible N in [0, dim] is tried and the smallest bound wins
     (N = dim is always admissible once s > ||L0||).
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
-    l0, k, norm_l0, alpha = _prepared(model, tol)
-    if s <= norm_l0:
-        raise AdmissibilityError(
-            f"need s > ||L0|| = {norm_l0:.12g}, got s = {s}; no exterior disk "
-            "clears the base spectrum otherwise")
-    if gamma is None:
-        gamma = gamma_p_upper(p)
-
-    best = None
-    for n in _candidate_ranks(n_rank, model.dim):
-        a_next = alpha.value_at(n + 1)
-        if a_next >= s - norm_l0:
-            if n_rank is not None:
-                raise AdmissibilityError(
-                    f"alpha_{n + 1} = {a_next:.12g} must stay below "
-                    f"s - ||L0|| = {s - norm_l0:.12g} for N = {n}")
-            continue
-        phi = phi_p(p, (norm_l0 + a_next) / s)
-        total = alpha.head_power_sum(p, n, offset=a_next)
-        value = gamma.c_p / s ** p * phi * total
-        if best is None or value < best[0]:
-            best = (value, n, a_next, phi, total)
-    if best is None:
-        raise AdmissibilityError(
-            f"no admissible N for s = {s} (this cannot happen once s > ||L0||)")
-
-    value, n, a_next, phi, total = best
-    t_opt = t_star(p, norm_l0 + a_next, s)
-    return BoundReport(
-        kind="disk_phi", p=p, target=complex(s), n_rank=n, t_star=t_opt,
-        eps=t_opt - norm_l0, gamma_p=gamma.value, c_p=gamma.c_p, phi_value=phi,
-        alpha_sum=total, alpha_mode=_alpha_mode(alpha), bound=value)
+    prep = _as_prepared(model, tol)
+    return _rank_sweep(
+        "disk_phi", prep, p, s, n_rank, gamma,
+        lambda n, a_next: phi_p(p, (prep.norm_l0 + a_next) / s))
 
 
-def count_bound_disk_simple(model: OperatorModel, p: float, s: float,
+def count_bound_disk_simple(model: OperatorModel | Prepared, p: float, s: float,
                             n_rank: int | None = None, gamma: GammaP | None = None,
                             tol: Tolerances = DEFAULT) -> BoundReport:
     """Power-law bound C_p (p+1)^{p+1}/p^p s / (s - ||L0|| - alpha_{N+1})^{p+1}
     times the alpha power sum; always at least count_bound_disk."""
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
-    l0, k, norm_l0, alpha = _prepared(model, tol)
-    if s <= norm_l0:
-        raise AdmissibilityError(
-            f"need s > ||L0|| = {norm_l0:.12g}, got s = {s}")
-    if gamma is None:
-        gamma = gamma_p_upper(p)
-
-    best = None
-    for n in _candidate_ranks(n_rank, model.dim):
-        a_next = alpha.value_at(n + 1)
-        if a_next >= s - norm_l0:
-            if n_rank is not None:
-                raise AdmissibilityError(
-                    f"alpha_{n + 1} = {a_next:.12g} must stay below "
-                    f"s - ||L0|| = {s - norm_l0:.12g} for N = {n}")
-            continue
-        phi = phi_p_envelope(p, (norm_l0 + a_next) / s)
-        total = alpha.head_power_sum(p, n, offset=a_next)
-        value = gamma.c_p / s ** p * phi * total
-        if best is None or value < best[0]:
-            best = (value, n, a_next, phi, total)
-    if best is None:
-        raise AdmissibilityError(
-            f"no admissible N for s = {s} (this cannot happen once s > ||L0||)")
-
-    value, n, a_next, phi, total = best
-    t_opt = t_star(p, norm_l0 + a_next, s)
-    return BoundReport(
-        kind="disk_simple", p=p, target=complex(s), n_rank=n, t_star=t_opt,
-        eps=t_opt - norm_l0, gamma_p=gamma.value, c_p=gamma.c_p, phi_value=phi,
-        alpha_sum=total, alpha_mode=_alpha_mode(alpha), bound=value)
+    prep = _as_prepared(model, tol)
+    return _rank_sweep(
+        "disk_simple", prep, p, s, n_rank, gamma,
+        lambda n, a_next: phi_p_envelope(p, (prep.norm_l0 + a_next) / s))
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 200) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if hi - lo < 1e-13 * max(1.0, abs(hi)):
-            break
-        if fc < fd:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-        else:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-    return c if fc >= fd else d
-
-
-def count_bound_region(model: OperatorModel, p: float, region: RegionSpec,
-                       n_rank: int | None = None, gamma: GammaP | None = None,
+def count_bound_region(model: OperatorModel | Prepared, p: float,
+                       region: RegionSpec, n_rank: int | None = None,
+                       gamma: GammaP | None = None,
                        epsilon: float | None = None,
                        tol: Tolerances = DEFAULT) -> BoundReport:
-    """Bound through an explicit intermediate circle |lam| = t.
+    """Bound through an intermediate circle |lam| = t.
 
     bound = C_p / ((eps - alpha_{N+1})^p log(1/r)) sum_{j<=N}
     (alpha_{N+1} + alpha_j)^p with r = t / target_radius and, in
-    certified mode, eps = t - ||L0||. When region.t is None the product
-    (eps - alpha_{N+1})^p log(1/r) is maximized over t by golden-section
-    search. Passing an explicit epsilon (from sampling) marks the report
-    non-certified.
+    certified mode, eps = t - ||L0||. When region.t is None each N uses
+    the maximizer t_star of (t - ||L0|| - alpha_{N+1})^p log(1/r), so the
+    bound then equals count_bound_disk up to rounding. Passing an explicit
+    epsilon (from sampling) marks the report non-certified.
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
-    l0, k, norm_l0, alpha = _prepared(model, tol)
+    prep = _as_prepared(model, tol)
     s_target = region.target_radius
-    if s_target <= norm_l0:
-        raise AdmissibilityError(
-            f"target radius {s_target:.12g} must exceed ||L0|| = {norm_l0:.12g}")
-    if gamma is None:
-        gamma = gamma_p_upper(p)
 
-    best = None
-    for n in _candidate_ranks(n_rank, model.dim):
-        a_next = alpha.value_at(n + 1)
-        a = norm_l0 + a_next
-        if a >= s_target:
-            if n_rank is not None:
-                raise AdmissibilityError(
-                    f"alpha_{n + 1} = {a_next:.12g} must stay below "
-                    f"target - ||L0|| = {s_target - norm_l0:.12g} for N = {n}")
-            continue
-        if region.t is None:
-            t = _golden_max(lambda t_: (t_ - a) ** p * math.log(s_target / t_),
-                            a, s_target)
-        else:
-            t = region.t
-            if t <= a:
-                raise AdmissibilityError(
-                    f"circle radius t = {t} must exceed ||L0|| + alpha_{n + 1} "
-                    f"= {a:.12g}")
+    def profile(n: int, a_next: float) -> float:
+        t, eps = _circle(prep, p, s_target, a_next, region.t, epsilon)
+        a = prep.norm_l0 + a_next
+        if t <= a:
+            raise AdmissibilityError(
+                f"circle radius t = {t} must exceed ||L0|| + alpha_{n + 1} "
+                f"= {a:.12g}")
         r = t / s_target
         if not (0.0 < r < 1.0):
             raise AdmissibilityError(
                 f"conformal radius r = t / target = {r:.12g} is degenerate; "
                 "need 0 < r < 1")
-        eps = (t - norm_l0) if epsilon is None else epsilon
         if eps <= a_next:
             raise AdmissibilityError(
                 f"pseudospectral gap eps = {eps:.12g} must exceed "
                 f"alpha_{n + 1} = {a_next:.12g}")
-        total = alpha.head_power_sum(p, n, offset=a_next)
-        profile = s_target ** p / ((eps - a_next) ** p * math.log(1.0 / r))
-        value = gamma.c_p / s_target ** p * profile * total
-        if best is None or value < best[0]:
-            best = (value, n, t, eps, total, profile)
-    if best is None:
-        raise AdmissibilityError(
-            f"no admissible N for target radius {s_target}")
+        return s_target ** p / ((eps - a_next) ** p * math.log(1.0 / r))
 
-    value, n, t, eps, total, phi = best
-    target = (complex(s_target) if isinstance(region.target, ExteriorDisk)
-              else complex(region.target.lam0))
-    return BoundReport(
-        kind="region", p=p, target=target, n_rank=n, t_star=t, eps=eps,
-        gamma_p=gamma.value, c_p=gamma.c_p, phi_value=phi, alpha_sum=total,
-        alpha_mode=_alpha_mode(alpha), bound=value,
-        certified=epsilon is None)
+    target = (complex(region.target.lam0) if isinstance(region.target, Point)
+              else None)
+    return _rank_sweep("region", prep, p, s_target, n_rank, gamma, profile,
+                       t=region.t, epsilon=epsilon, target=target)
 
 
 def koenig_count_bound(k_matrix, p: float, s: float) -> float:
@@ -432,7 +417,7 @@ def koenig_count_bound(k_matrix, p: float, s: float) -> float:
     return koenig_constant(p) / s ** p * float(np.sum(sv ** p))
 
 
-def moment_bound(model: OperatorModel, p: float, q: float,
+def moment_bound(model: OperatorModel | Prepared, p: float, q: float,
                  gamma: GammaP | None = None, tol: Tolerances = DEFAULT) -> float:
     """Upper bound for sum over |lambda| > ||L0|| of (|lambda| - ||L0||)^q.
 
@@ -443,12 +428,12 @@ def moment_bound(model: OperatorModel, p: float, q: float,
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
-    l0, k, norm_l0, alpha = _prepared(model, tol)
-    norm_k = induced_norm(k, model.norm)
+    prep = _as_prepared(model, tol)
+    norm_l0, norm_k = prep.norm_l0, prep.norm_k
     if gamma is None:
         gamma = gamma_p_upper(p)
     envelope = (p + 1.0) ** (p + 1.0) / p ** p
-    alpha_sum = alpha.head_power_sum(p, model.dim)
+    alpha_sum = prep.alpha.head_power_sum(p, prep.model.dim)
 
     if norm_l0 == 0.0:
         if q <= p:

@@ -35,6 +35,7 @@ from .bounds import (
     count_bound_disk_simple,
     count_bound_region,
     koenig_count_bound,
+    prepare,
     pseudospectral_epsilon,
 )
 from .config import DEFAULT, Tolerances
@@ -224,36 +225,35 @@ def _cmd_bound(args) -> int:
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
     tol = DEFAULT
-    l0, k = materialize(model)
-    full = l0 + k
-    norm_l0 = induced_norm(l0, model.norm)
-    norm_k = induced_norm(k, model.norm)
+    prep = prepare(model, tol)
+    k = prep.k
+    full = prep.l0 + k
 
     reports = []
     if args.point is None:
         s = args.s
         oracle = eigen_count_outside(full, s, tol)
-        reports.append(count_bound_disk(model, args.p, s, n_rank=args.n,
-                                        tol=tol).with_oracle(oracle))
-        reports.append(count_bound_disk_simple(model, args.p, s, n_rank=args.n,
-                                               tol=tol).with_oracle(oracle))
-        region = count_bound_region(model, args.p, RegionSpec(ExteriorDisk(s)),
-                                    n_rank=args.n, tol=tol).with_oracle(oracle)
+        reports.append(count_bound_disk(prep, args.p, s, n_rank=args.n)
+                       .with_oracle(oracle))
+        reports.append(count_bound_disk_simple(prep, args.p, s, n_rank=args.n)
+                       .with_oracle(oracle))
+        region = count_bound_region(prep, args.p, RegionSpec(ExteriorDisk(s)),
+                                    n_rank=args.n).with_oracle(oracle)
         reports.append(region)
         target = ExteriorDisk(s)
     else:
         oracle = _multiplicity_at(full, args.point, tol)
-        region = count_bound_region(model, args.p, RegionSpec(Point(args.point)),
-                                    n_rank=args.n, tol=tol).with_oracle(oracle)
+        region = count_bound_region(prep, args.p, RegionSpec(Point(args.point)),
+                                    n_rank=args.n).with_oracle(oracle)
         reports.append(region)
         target = Point(args.point)
 
     if args.mode == "empirical":
         # same circle as the certified optimum, gap measured by sampling
-        eps = pseudospectral_epsilon(l0, region.t_star, model.norm, tol=tol)
+        eps = pseudospectral_epsilon(prep.l0, region.t_star, model.norm, tol=tol)
         reports.append(count_bound_region(
-            model, args.p, RegionSpec(target, t=region.t_star), n_rank=args.n,
-            epsilon=eps, tol=tol).with_oracle(oracle))
+            prep, args.p, RegionSpec(target, t=region.t_star), n_rank=args.n,
+            epsilon=eps).with_oracle(oracle))
 
     rows = [r.to_dict() for r in reports]
     if isinstance(model.base, Zero) and args.point is None:
@@ -271,8 +271,8 @@ def _cmd_bound(args) -> int:
     results = {
         "dim": model.dim,
         "norm": model.norm.value,
-        "norm_l0": norm_l0,
-        "norm_k": norm_k,
+        "norm_l0": prep.norm_l0,
+        "norm_k": prep.norm_k,
         "oracle_count": oracle,
         "bounds": rows,
         "best_bound": min(r["bound"] for r in rows if r["admissible"]),

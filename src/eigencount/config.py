@@ -1,8 +1,7 @@
-"""Central tolerance configuration and runtime limits."""
+"""Central tolerance configuration."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 
 
@@ -50,17 +49,3 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
-
-THREADS_ENV = "EIGENCOUNT_THREADS"
-
-
-def thread_cap() -> int:
-    """Parallelism ceiling, from EIGENCOUNT_THREADS (default: cpu count)."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            return 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)

@@ -10,7 +10,6 @@ the command line and the test suite share one engine.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
@@ -29,9 +28,10 @@ from .bounds import (
     moment_bound,
     phi_p,
     phi_p_envelope,
+    prepare,
     t_star,
 )
-from .config import DEFAULT, Tolerances, thread_cap
+from .config import DEFAULT, Tolerances
 from .determinants import (
     det_bound_rhs,
     det_regularized,
@@ -120,13 +120,6 @@ class _Log:
             if len(self.kept) < _FAILURE_KEEP:
                 self.kept.append({k: _json_safe(v) for k, v in info.items()})
         return bool(ok)
-
-    def merge(self, other: "_Log") -> None:
-        self.checks += other.checks
-        self.failure_count += other.failure_count
-        for item in other.kept:
-            if len(self.kept) < _FAILURE_KEEP:
-                self.kept.append(item)
 
     def result(self, name: str) -> SuiteResult:
         return SuiteResult(name=name, checks=self.checks,
@@ -466,37 +459,38 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
 
 
 def _sweep_one(entry: CorpusEntry, p_values: Sequence[float],
-               tol: Tolerances) -> _Log:
-    log = _Log()
-    l0, k = materialize(entry.model)
-    full = l0 + k
-    norm_l0 = induced_norm(l0, entry.model.norm)
-    norm_k = induced_norm(k, entry.model.norm)
+               tol: Tolerances, log: _Log) -> None:
+    prep = prepare(entry.model, tol)
+    full = prep.l0 + prep.k
     compact = isinstance(entry.model.base, Zero)
-    for s in sweep_radii(norm_l0, norm_k):
+    for s in sweep_radii(prep.norm_l0, prep.norm_k):
         oracle = eigen_count_outside(full, s, tol)
         for p in p_values:
-            phi_report = count_bound_disk(entry.model, p, s, tol=tol)
-            simple_report = count_bound_disk_simple(entry.model, p, s, tol=tol)
-            region_report = count_bound_region(
-                entry.model, p, RegionSpec(ExteriorDisk(s)), tol=tol)
-            for report in (phi_report, simple_report, region_report):
+            phi_report = count_bound_disk(prep, p, s)
+            simple_report = count_bound_disk_simple(prep, p, s)
+            # the region bound at t_star repeats disk_phi, so exercise the
+            # general formula on circles on either side of the optimum
+            a = prep.norm_l0 + prep.alpha.value_at(phi_report.n_rank + 1)
+            t_opt = phi_report.t_star
+            regions = [
+                count_bound_region(prep, p, RegionSpec(ExteriorDisk(s), t=t))
+                for t in (0.5 * (a + t_opt), 0.5 * (t_opt + s))]
+            for report in [phi_report, simple_report] + regions:
                 log.check(oracle <= report.bound + 1e-9 * max(1.0, report.bound),
                           kind="soundness", model=entry.name,
-                          bound_kind=report.kind, p=p, s=s, oracle=oracle,
-                          bound=report.bound)
+                          bound_kind=report.kind, p=p, s=s, t=report.t_star,
+                          oracle=oracle, bound=report.bound)
             log.check(
                 phi_report.bound
                 <= simple_report.bound * (1.0 + 1e-12) + 1e-12,
                 kind="dominance", model=entry.name, p=p, s=s,
                 phi_bound=phi_report.bound, simple_bound=simple_report.bound)
             if compact:
-                classical = koenig_count_bound(k, p, s)
+                classical = koenig_count_bound(prep.k, p, s)
                 log.check(oracle <= classical + 1e-9 * max(1.0, classical),
                           kind="soundness", model=entry.name,
                           bound_kind="koenig", p=p, s=s, oracle=oracle,
                           bound=classical)
-    return log
 
 
 def soundness_sweep(entries: Sequence[CorpusEntry] | None = None,
@@ -506,14 +500,8 @@ def soundness_sweep(entries: Sequence[CorpusEntry] | None = None,
     if entries is None:
         entries = regression_corpus(seed)
     log = _Log()
-    workers = min(thread_cap(), len(entries))
-    if workers <= 1:
-        for entry in entries:
-            log.merge(_sweep_one(entry, p_values, tol))
-        return log
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(lambda e: _sweep_one(e, p_values, tol), entries):
-            log.merge(part)
+    for entry in entries:
+        _sweep_one(entry, p_values, tol, log)
     return log
 
 
@@ -521,20 +509,17 @@ def suite_bounds(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
     """Soundness sweep, bound identities, optimizer checks, moment identity."""
     log = soundness_sweep(seed=seed, tol=tol)
     entries = regression_corpus(seed)
+    prepared = [prepare(entry.model, tol) for entry in entries]
     rng = np.random.default_rng(seed)
 
     # the region bound through the optimal circle reproduces the disk bound
-    for entry in entries:
-        l0, k = materialize(entry.model)
-        norm_l0 = induced_norm(l0, entry.model.norm)
-        norm_k = induced_norm(k, entry.model.norm)
-        s = norm_l0 + 0.5 * (norm_k + 1.0)
+    for entry, prep in zip(entries, prepared):
+        s = prep.norm_l0 + 0.5 * (prep.norm_k + 1.0)
         dim = entry.model.dim
-        t = t_star(1.0, norm_l0, s)
-        disk = count_bound_disk(entry.model, 1.0, s, n_rank=dim, tol=tol)
+        t = t_star(1.0, prep.norm_l0, s)
+        disk = count_bound_disk(prep, 1.0, s, n_rank=dim)
         region = count_bound_region(
-            entry.model, 1.0, RegionSpec(ExteriorDisk(s), t=t), n_rank=dim,
-            tol=tol)
+            prep, 1.0, RegionSpec(ExteriorDisk(s), t=t), n_rank=dim)
         log.check(abs(disk.bound - region.bound) <= 1e-9 * max(disk.bound, 1e-300),
                   kind="region_disk_identity", model=entry.name,
                   disk=disk.bound, region=region.bound)
@@ -561,47 +546,38 @@ def suite_bounds(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
                           t=grid_t, peak=peak, value=value)
 
     # counting measure integrates to the moment sum, piece by piece
-    for entry in entries:
-        l0, k = materialize(entry.model)
-        full = l0 + k
-        norm_l0 = induced_norm(l0, entry.model.norm)
+    for entry, prep in zip(entries, prepared):
+        full = prep.l0 + prep.k
         curve = count_curve(full, tol)
         for q in (1.5, 2.0, 3.0):
-            lhs = moment_from_curve(curve, norm_l0, q)
-            rhs = moment_sum(full, norm_l0, q, tol)
+            lhs = moment_from_curve(curve, prep.norm_l0, q)
+            rhs = moment_sum(full, prep.norm_l0, q, tol)
             log.check(abs(lhs - rhs) <= 1e-9 * max(lhs, rhs, 1e-12),
                       kind="moment_identity", model=entry.name, q=q,
                       integral=lhs, direct=rhs)
 
     # moment bound soundness on admissible exponents
-    for entry in entries:
-        l0, k = materialize(entry.model)
-        full = l0 + k
-        norm_l0 = induced_norm(l0, entry.model.norm)
-        compact = isinstance(entry.model.base, Zero)
+    for entry, prep in zip(entries, prepared):
         pairs = [(1.0, 2.5), (0.5, 2.0)]
-        if compact:
+        if isinstance(entry.model.base, Zero):
             pairs.append((1.0, 1.5))
         for p, q in pairs:
-            bound = moment_bound(entry.model, p, q, tol=tol)
-            direct = moment_sum(full, norm_l0, q, tol)
+            bound = moment_bound(prep, p, q)
+            direct = moment_sum(prep.l0 + prep.k, prep.norm_l0, q, tol)
             log.check(direct <= bound + 1e-9 * max(1.0, bound),
                       kind="moment_soundness", model=entry.name, p=p, q=q,
                       direct=direct, bound=bound)
 
     # zero base: the full-rank disk bound collapses to the classical form
-    for entry in entries:
+    for entry, prep in zip(entries, prepared):
         if not isinstance(entry.model.base, Zero):
             continue
-        l0, k = materialize(entry.model)
-        norm_k = induced_norm(k, entry.model.norm)
-        alpha = approx_numbers(k, entry.model.norm, tol)
         dim = entry.model.dim
-        s = 0.5 * (norm_k + 1.0)
+        s = 0.5 * (prep.norm_k + 1.0)
         for p in (0.5, 1.0, 2.0):
-            report = count_bound_disk(entry.model, p, s, n_rank=dim, tol=tol)
+            report = count_bound_disk(prep, p, s, n_rank=dim)
             expected = (p * math.e * gamma_p_upper(p).c_p / s ** p
-                        * alpha.head_power_sum(p, dim))
+                        * prep.alpha.head_power_sum(p, dim))
             log.check(abs(report.bound - expected) <= 1e-9 * max(expected, 1e-300),
                       kind="compact_recovery", model=entry.name, p=p, s=s,
                       bound=report.bound, expected=expected)

@@ -23,6 +23,7 @@ from eigencount import (
     moment_sum,
     phi_p,
     phi_p_envelope,
+    prepare,
     pseudospectral_epsilon,
     shift_example,
     t_star,
@@ -232,3 +233,36 @@ def test_bound_report_serialization_round_trip(materialized):
     assert set(doc) >= {"p", "n_rank", "t_star", "eps", "gamma_p", "c_p",
                         "phi_value", "alpha_sum", "alpha_mode", "bound",
                         "admissible", "certified"}
+
+
+def test_prepared_model_gives_the_same_reports(materialized):
+    for entry, _, k in materialized:
+        prep = prepare(entry.model)
+        assert prep.norm_k == induced_norm(k, entry.model.norm)
+        s = prep.norm_l0 + 0.5 * (prep.norm_k + 1.0)
+        assert (count_bound_disk(prep, 1.0, s).to_dict()
+                == count_bound_disk(entry.model, 1.0, s).to_dict())
+
+
+def test_explicit_circle_skips_inadmissible_ranks(corpus):
+    # on m02 the optimal circle of the winning rank lies inside
+    # ||L0|| + alpha_3, so ranks N <= 2 cannot use it
+    model = corpus[2].model
+    prep = prepare(model)
+    s = prep.norm_l0 + 0.5 * (prep.norm_k + 1.0)
+    t = count_bound_region(prep, 1.0, RegionSpec(ExteriorDisk(s))).t_star
+    assert t <= prep.norm_l0 + prep.alpha.value_at(3)
+    l0, k = materialize(model)
+    oracle = eigen_count_outside(l0 + k, s)
+    spec = RegionSpec(ExteriorDisk(s), t=t)
+    certified = count_bound_region(model, 1.0, spec)
+    assert certified.certified and certified.t_star == t
+    assert oracle <= certified.bound
+    assert t > prep.norm_l0 + prep.alpha.value_at(certified.n_rank + 1)
+
+    gap = count_bound_region(model, 1.0, spec, epsilon=t - prep.norm_l0)
+    assert not gap.certified
+    assert gap.bound == certified.bound
+
+    with pytest.raises(AdmissibilityError, match="alpha_3"):
+        count_bound_region(model, 1.0, spec, n_rank=2)

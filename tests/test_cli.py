@@ -2,9 +2,17 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from eigencount import SuiteResult
+from eigencount import (
+    Dense,
+    NormKind,
+    OperatorModel,
+    SuiteResult,
+    prepare,
+    serialize_spec,
+)
 from eigencount.cli import main
 
 
@@ -78,6 +86,48 @@ def test_bound_empirical_mode_adds_uncertified_row(capsys, spec_path):
     certified_region = rows[2]
     assert extra["certified"] is False
     assert extra["bound"] <= certified_region["bound"] * (1 + 1e-9)
+
+
+def test_bound_empirical_mode_on_corpus_model(capsys, tmp_path, corpus):
+    # the certified circle of m02 lies inside ||L0|| + alpha_3, so the
+    # empirical row must skip the ranks that cannot use it
+    model = corpus[2].model
+    prep = prepare(model)
+    s = prep.norm_l0 + 0.5 * (prep.norm_k + 1.0)
+    doc = tmp_path / "m02.json"
+    doc.write_text(serialize_spec(model))
+    code, out, err = _run(capsys, "bound", str(doc), "--p", "1",
+                          "--s", repr(s), "--mode", "empirical")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    rows = results["bounds"]
+    assert [row["kind"] for row in rows] == [
+        "disk_phi", "disk_simple", "region", "region"]
+    assert rows[-1]["certified"] is False
+    assert rows[-1]["t_star"] == rows[2]["t_star"]
+    assert all(results["oracle_count"] <= row["bound"] for row in rows)
+
+
+def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
+                                                     monkeypatch):
+    # ||L0|| and the approximation numbers of K need one SVD each on l2
+    rng = np.random.default_rng(3)
+    l0, k = (rng.standard_normal((2, 16, 16))
+             + 1j * rng.standard_normal((2, 16, 16)))
+    model = OperatorModel(16, NormKind.L2, Dense(0.1 * l0), Dense(k))
+    doc = tmp_path / "dense.json"
+    doc.write_text(serialize_spec(model))
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "3")
+    assert code == 0, err
+    assert len(calls) <= 2
 
 
 def test_bound_fixed_rank(capsys, spec_path):
