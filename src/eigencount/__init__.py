@@ -64,6 +64,7 @@ from .numerics import (
     induced_norm,
     numerical_rank,
     resolvent,
+    singular_value_rank,
     singular_values,
 )
 from .operators import (
@@ -107,7 +108,7 @@ __all__ = [
     # numerics
     "NormKind", "Spectrum", "as_matrix", "eigenvalues", "singular_values",
     "induced_norm",
-    "numerical_rank", "resolvent",
+    "numerical_rank", "singular_value_rank", "resolvent",
     # operators
     "OperatorModel", "Shift", "Diagonal", "Dense", "Zero", "RankOne",
     "materialize", "parse_spec", "serialize_spec",

@@ -22,7 +22,8 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .numerics import NormKind, as_matrix, eigenvalues, numerical_rank, singular_values
+from .numerics import (NormKind, as_matrix, eigenvalues, singular_value_rank,
+                       singular_values)
 
 __all__ = [
     "Certainty",
@@ -67,6 +68,11 @@ class ApproxSequence:
         return float(self.values[j - 1])
 
     @property
+    def rank(self) -> int:
+        """Number of nonzero entries; alpha_j = 0 for every j > rank."""
+        return int(np.count_nonzero(self.values))
+
+    @property
     def all_exact(self) -> bool:
         return all(c is Certainty.EXACT for c in self.certainty)
 
@@ -83,24 +89,26 @@ def approx_numbers(m, kind: NormKind, tol: Tolerances = DEFAULT) -> ApproxSequen
 
     l2: singular values, exact. l1/linf: sorted absolute column/row sums
     (ties broken towards the lower index), an upper-bound certificate;
-    the first entry equals the induced norm and is exact, and entries
-    beyond the numerical rank are exactly zero.
+    the first entry equals the induced norm and is exact. In every norm
+    the entries beyond the numerical rank (numerical_rank's rule, applied
+    to the one SVD taken here) are exactly zero.
     """
     m = as_matrix(m)
+    sv = singular_values(m)
+    rank = singular_value_rank(sv, tol)
     if kind is NormKind.L2:
-        sv = singular_values(m)
-        return ApproxSequence(sv, (Certainty.EXACT,) * len(sv), kind)
-
-    axis = 0 if kind is NormKind.L1 else 1
-    sums = np.sum(np.abs(m), axis=axis)
-    order = np.argsort(-sums, kind="stable")
-    values = sums[order].astype(float)
-    rank = numerical_rank(m, tol)
+        values = sv
+        certainty = (Certainty.EXACT,) * len(sv)
+    else:
+        axis = 0 if kind is NormKind.L1 else 1
+        sums = np.sum(np.abs(m), axis=axis)
+        order = np.argsort(-sums, kind="stable")
+        values = sums[order].astype(float)
+        certainty = tuple(
+            Certainty.EXACT if (j == 0 or j >= rank) else Certainty.UPPER_BOUND
+            for j in range(len(values))
+        )
     values[rank:] = 0.0
-    certainty = tuple(
-        Certainty.EXACT if (j == 0 or j >= rank) else Certainty.UPPER_BOUND
-        for j in range(len(values))
-    )
     return ApproxSequence(values, certainty, kind)
 
 

@@ -258,9 +258,9 @@ def _alpha_mode(alpha: ApproxSequence) -> Certainty:
     return Certainty.EXACT if alpha.all_exact else Certainty.UPPER_BOUND
 
 
-def _candidate_ranks(n_rank: int | None, dim: int):
+def _candidate_ranks(n_rank: int | None, dim: int, rank: int):
     if n_rank is None:
-        return range(0, dim + 1)
+        return range(0, rank + 1)
     if n_rank < 0 or n_rank > dim:
         raise AdmissibilityError(
             f"N must lie in [0, dim] = [0, {dim}], got {n_rank}")
@@ -282,11 +282,13 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
     """Bound minimizing (C_p / s^p) profile(N, alpha_{N+1}) times
     sum_{j<=N} (alpha_{N+1} + alpha_j)^p over the rank N.
 
-    With n_rank None every N in [0, dim] is tried and an N that is
-    inadmissible (alpha_{N+1} >= s - ||L0||, or the profile raises
-    AdmissibilityError) is skipped; a fixed n_rank raises instead. The
-    report's circle is t (or t_star at the winning N) and its gap epsilon
-    (or t - ||L0||); an explicit epsilon marks the report non-certified.
+    With n_rank None every N in [0, rank K] is tried (a larger N only
+    repeats the bound at N = rank K, having alpha_{N+1} = 0 and the same
+    alpha sum) and an N that is inadmissible (alpha_{N+1} >= s - ||L0||,
+    or the profile raises AdmissibilityError) is skipped; a fixed n_rank
+    raises instead. The report's circle is t (or t_star at the winning N)
+    and its gap epsilon (or t - ||L0||); an explicit epsilon marks the
+    report non-certified.
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
@@ -300,7 +302,8 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
 
     best = None
     reason = None
-    for n in _candidate_ranks(n_rank, prep.model.dim):
+    rank = prep.alpha.rank
+    for n in _candidate_ranks(n_rank, prep.model.dim, rank):
         a_next = prep.alpha.value_at(n + 1)
         try:
             if a_next >= s - norm_l0:
@@ -320,7 +323,8 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
     if best is None:
         raise AdmissibilityError(
             f"no admissible N in [0, {prep.model.dim}] for s = {s}; "
-            f"at N = {prep.model.dim}: {reason}")
+            f"at N = rank K = {rank}: {reason}; every larger N has the same "
+            f"alpha_{{N+1}} = 0")
 
     value, n, a_next, phi, total = best
     t_opt, eps = _circle(prep, p, s, a_next, t, epsilon)
@@ -341,8 +345,8 @@ def count_bound_disk(model: OperatorModel | Prepared, p: float, s: float,
 
     bound = (C_p / s^p) phi_p((||L0|| + alpha_{N+1}) / s)
     sum_{j<=N} (alpha_{N+1} + alpha_j)^p. With N omitted, every
-    admissible N in [0, dim] is tried and the smallest bound wins
-    (N = dim is always admissible once s > ||L0||).
+    admissible N in [0, rank K] is tried and the smallest bound wins
+    (N = rank K is always admissible once s > ||L0||).
     """
     prep = _as_prepared(model, tol)
     return _rank_sweep(

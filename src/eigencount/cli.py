@@ -34,7 +34,6 @@ from .bounds import (
     count_bound_disk,
     count_bound_disk_simple,
     count_bound_region,
-    koenig_count_bound,
     prepare,
     pseudospectral_epsilon,
 )
@@ -226,8 +225,7 @@ def _cmd_bound(args) -> int:
     model = parse_spec(raw)
     tol = DEFAULT
     prep = prepare(model, tol)
-    k = prep.k
-    full = prep.l0 + k
+    full = prep.l0 + prep.k
 
     reports = []
     if args.point is None:
@@ -257,14 +255,14 @@ def _cmd_bound(args) -> int:
 
     rows = [r.to_dict() for r in reports]
     if isinstance(model.base, Zero) and args.point is None:
-        sv = singular_values(k)
+        sv = singular_values(prep.k)
+        alpha_sum = float(np.sum(sv ** args.p))
         rows.append({
             "kind": "koenig_classical", "p": args.p,
             "target": [args.s, 0.0], "n_rank": model.dim, "t_star": None,
             "eps": None, "gamma_p": None, "c_p": koenig_constant(args.p),
-            "phi_value": 1.0, "alpha_sum": float(np.sum(sv ** args.p)),
-            "alpha_mode": "exact",
-            "bound": koenig_count_bound(k, args.p, args.s),
+            "phi_value": 1.0, "alpha_sum": alpha_sum, "alpha_mode": "exact",
+            "bound": koenig_constant(args.p) / args.s ** args.p * alpha_sum,
             "admissible": True, "certified": True, "oracle_count": oracle,
         })
 
@@ -275,7 +273,8 @@ def _cmd_bound(args) -> int:
         "norm_k": prep.norm_k,
         "oracle_count": oracle,
         "bounds": rows,
-        "best_bound": min(r["bound"] for r in rows if r["admissible"]),
+        "best_bound": min(r["bound"] for r in rows
+                          if r["admissible"] and r["certified"]),
     }
     arguments = {
         "spec": args.spec, "p": args.p, "s": args.s,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,6 @@ class Tolerances:
     contour_min_modulus: float = 1e-12
     normalization_tol: float = 1e-9
     pair_gap_rtol: float = 1e-9
-
-    def replaced(self, **kw) -> "Tolerances":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        vals.update(kw)
-        return Tolerances(**vals)
 
 
 DEFAULT = Tolerances()

@@ -24,6 +24,7 @@ __all__ = [
     "eigenvalues",
     "singular_values",
     "numerical_rank",
+    "singular_value_rank",
     "induced_norm",
     "resolvent",
 ]
@@ -139,7 +140,11 @@ def singular_values(m) -> np.ndarray:
 
 def numerical_rank(m, tol: Tolerances = DEFAULT) -> int:
     """Number of singular values above ``tol.rank_rtol * sigma_1``."""
-    sv = singular_values(m)
+    return singular_value_rank(singular_values(m), tol)
+
+
+def singular_value_rank(sv: np.ndarray, tol: Tolerances = DEFAULT) -> int:
+    """numerical_rank read off already computed non-increasing singular values."""
     if sv[0] == 0.0:
         return 0
     return int(np.sum(sv > tol.rank_rtol * sv[0]))

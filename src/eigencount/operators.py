@@ -34,15 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Shift:
     """Truncated shift: basis vector e_j maps to e_{j+1}, the last to 0."""
-
-    def __eq__(self, other):
-        return isinstance(other, Shift)
-
-    def __hash__(self):
-        return hash("shift")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,13 +61,9 @@ class Dense:
         return isinstance(other, Dense) and np.array_equal(self.entries, other.entries)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Zero:
-    def __eq__(self, other):
-        return isinstance(other, Zero)
-
-    def __hash__(self):
-        return hash("zero")
+    """The zero operator."""
 
 
 @dataclass(frozen=True, eq=False)

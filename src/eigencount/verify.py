@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .approx import approx_numbers, koenig_check, rank_n_approximant
+from .approx import koenig_check, rank_n_approximant
 from .bounds import (
     ExteriorDisk,
     RegionSpec,
@@ -44,7 +44,6 @@ from .numerics import (
     Spectrum,
     eigenvalues,
     induced_norm,
-    numerical_rank,
 )
 from .operators import Dense, Diagonal, OperatorModel, RankOne, Shift, Zero, materialize
 from .oracle import (
@@ -426,19 +425,18 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
     entries = [e for e in regression_corpus(seed)
                if e.model.norm is NormKind.L2 and e.model.dim <= 24][:4]
     for which, entry in enumerate(entries):
-        l0, k = materialize(entry.model)
-        norm_l0 = induced_norm(l0, NormKind.L2)
-        norm_k = induced_norm(k, NormKind.L2)
-        alpha = approx_numbers(k, NormKind.L2, tol)
-        rank = numerical_rank(k, tol)
+        prep = prepare(entry.model, tol)
+        l0, k = prep.l0, prep.k
+        rank = prep.alpha.rank
         p = (1.0, 2.0)[which % 2]
         for n_rank in {rank, max(0, rank - 2)}:
             f = rank_n_approximant(k, n_rank, NormKind.L2)
-            for t in (norm_l0 + norm_k + 0.25, norm_l0 + 2.0 * norm_k + 1.0):
+            for t in (prep.norm_l0 + prep.norm_k + 0.25,
+                      prep.norm_l0 + 2.0 * prep.norm_k + 1.0):
                 for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
                     lam = t * complex(math.cos(theta), math.sin(theta))
                     rhs = det_bound_rhs(l0, k, f, lam, p, 0.0, n_rank,
-                                        NormKind.L2, alpha, tol=tol)
+                                        NormKind.L2, prep.alpha, tol=tol)
                     sample = perturbation_determinant(l0 + k, f, lam, p, tol)
                     log.check(sample.log_abs <= rhs + 1e-9,
                               kind="det_bound", model=entry.name, p=p,

@@ -49,6 +49,18 @@ def test_sequence_is_nonincreasing_and_rank_padded():
         assert vals[0] == pytest.approx(induced_norm(m, kind))
 
 
+def test_entries_beyond_the_rank_are_zero_in_every_norm():
+    # on l2 the raw singular values of a rank-2 matrix end in a rounding tail
+    rng = np.random.default_rng(4)
+    u, v = rng.standard_normal((2, 12, 2)) + 1j * rng.standard_normal((2, 12, 2))
+    m = u @ v.conj().T
+    seqs = [approx_numbers(m, kind) for kind in KINDS]
+    for seq in seqs:
+        assert np.all(seq.values[2:] == 0.0)
+        assert np.all(seq.values[:2] > 0.0)
+    assert [seq.rank for seq in seqs] == [2, 2, 2]
+
+
 def test_value_at_is_one_based_and_zero_beyond():
     seq = ApproxSequence(np.array([2.0, 1.0, 0.0]),
                          (Certainty.EXACT,) * 3, NormKind.L2)

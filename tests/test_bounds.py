@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from eigencount import (
     AdmissibilityError,
+    Dense,
     ExteriorDisk,
     NormKind,
+    OperatorModel,
     Point,
     RegionSpec,
     Zero,
@@ -26,9 +28,10 @@ from eigencount import (
     prepare,
     pseudospectral_epsilon,
     shift_example,
+    sweep_radii,
     t_star,
 )
-from eigencount import materialize
+from eigencount import bounds, materialize
 
 
 def _bisect_w(x: float) -> float:
@@ -266,3 +269,48 @@ def test_explicit_circle_skips_inadmissible_ranks(corpus):
 
     with pytest.raises(AdmissibilityError, match="alpha_3"):
         count_bound_region(model, 1.0, spec, n_rank=2)
+
+
+def test_auto_rank_stops_at_the_rank_of_k(monkeypatch):
+    calls = []
+    phi = bounds.phi_p
+
+    def counting_phi(p, x):
+        calls.append(x)
+        return phi(p, x)
+
+    monkeypatch.setattr(bounds, "phi_p", counting_phi)
+    model, _ = shift_example(np.array([2.0 + 0j]), 64)
+    report = count_bound_disk(model, 1.0, 1.5)
+    assert report.n_rank <= 1
+    assert len(calls) <= 2
+
+
+def _first_minimum_over_fixed_ranks(bound, prep, p, s):
+    best = None
+    for n in range(prep.model.dim + 1):
+        try:
+            report = bound(prep, p, s, n_rank=n)
+        except AdmissibilityError:
+            continue
+        if best is None or report.bound < best.bound:
+            best = report
+    return best
+
+
+def test_auto_rank_is_the_first_minimum_over_every_fixed_rank(corpus):
+    # the corpus has no dense low-rank K on l2, so add one: its raw SVD
+    # tail is rounding noise that the sweep must not wander into
+    rng = np.random.default_rng(11)
+    g, u, v = rng.standard_normal((3, 24, 24)) + 1j * rng.standard_normal((3, 24, 24))
+    l0 = 0.5 * g / np.linalg.norm(g, 2)
+    k = u[:, :2] @ v[:, :2].conj().T / 24.0
+    models = [entry.model for entry in corpus]
+    models.append(OperatorModel(24, NormKind.L2, Dense(l0), Dense(k)))
+    for model in models:
+        prep = prepare(model)
+        for s in sweep_radii(prep.norm_l0, prep.norm_k):
+            for p in (0.5, 2.0):
+                for bound in (count_bound_disk, count_bound_disk_simple):
+                    expected = _first_minimum_over_fixed_ranks(bound, prep, p, s)
+                    assert bound(prep, p, s).to_dict() == expected.to_dict()

@@ -10,6 +10,7 @@ from eigencount import (
     NormKind,
     OperatorModel,
     SuiteResult,
+    Zero,
     prepare,
     serialize_spec,
 )
@@ -88,6 +89,18 @@ def test_bound_empirical_mode_adds_uncertified_row(capsys, spec_path):
     assert extra["bound"] <= certified_region["bound"] * (1 + 1e-9)
 
 
+def test_best_bound_is_the_best_certified_row(capsys, spec_path):
+    code, out, _ = _run(capsys, "bound", str(spec_path), "--p", "2",
+                        "--s", "1.5", "--mode", "empirical")
+    assert code == 0
+    results = json.loads(out)["results"]
+    rows = results["bounds"]
+    assert rows[-1]["certified"] is False
+    assert rows[-1]["bound"] < results["best_bound"]
+    assert results["best_bound"] == min(row["bound"] for row in rows
+                                        if row["certified"])
+
+
 def test_bound_empirical_mode_on_corpus_model(capsys, tmp_path, corpus):
     # the certified circle of m02 lies inside ||L0|| + alpha_3, so the
     # empirical row must skip the ranks that cannot use it
@@ -110,13 +123,11 @@ def test_bound_empirical_mode_on_corpus_model(capsys, tmp_path, corpus):
 
 def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
                                                      monkeypatch):
-    # ||L0|| and the approximation numbers of K need one SVD each on l2
+    # ||L0|| and the approximation numbers of K need one SVD each on l2;
+    # a zero base adds the koenig_classical row, which needs one more
     rng = np.random.default_rng(3)
     l0, k = (rng.standard_normal((2, 16, 16))
              + 1j * rng.standard_normal((2, 16, 16)))
-    model = OperatorModel(16, NormKind.L2, Dense(0.1 * l0), Dense(k))
-    doc = tmp_path / "dense.json"
-    doc.write_text(serialize_spec(model))
     calls = []
     svd = np.linalg.svd
 
@@ -125,9 +136,14 @@ def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "3")
-    assert code == 0, err
-    assert len(calls) <= 2
+    for base, most in ((Dense(0.1 * l0), 2), (Zero(), 3)):
+        doc = tmp_path / "dense.json"
+        doc.write_text(serialize_spec(OperatorModel(16, NormKind.L2, base,
+                                                    Dense(k))))
+        calls.clear()
+        code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "3")
+        assert code == 0, err
+        assert len(calls) <= most
 
 
 def test_bound_fixed_rank(capsys, spec_path):
