@@ -374,14 +374,19 @@ def _load_coefficients(path: str) -> np.ndarray:
     values = []
     for i, item in enumerate(data):
         if isinstance(item, (int, float)) and not isinstance(item, bool):
-            values.append(complex(item))
-        elif (isinstance(item, list) and len(item) == 2
-              and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                      for c in item)):
-            values.append(complex(item[0], item[1]))
-        else:
+            item = [item, 0.0]
+        elif not (isinstance(item, list) and len(item) == 2
+                  and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                          for c in item)):
             raise SpecFormatError(
                 "coefficients are numbers or [re, im] pairs", f"[{i}]")
+        try:
+            value = complex(item[0], item[1])
+        except OverflowError as exc:
+            raise SpecFormatError("integer too large for a float", f"[{i}]") from exc
+        if not np.isfinite(value):
+            raise SpecFormatError("coefficients must be finite", f"[{i}]")
+        values.append(value)
     return np.asarray(values, dtype=complex)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -166,31 +167,64 @@ def _materialize_one(spec, dim: int) -> np.ndarray:
 # --- wire format ---------------------------------------------------------
 
 
-def _as_complex(node, where: str) -> complex:
+def _check_pair(node, where: str) -> None:
     if (not isinstance(node, (list, tuple)) or len(node) != 2
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
                        for c in node)):
         raise SpecFormatError("complex scalars are [re, im] pairs", where)
-    return complex(node[0], node[1])
+    try:
+        complex(node[0], node[1])
+    except OverflowError as exc:
+        raise SpecFormatError("integer too large for a float", where) from exc
 
 
-def _as_complex_vector(node, where: str) -> np.ndarray:
+def _check_vector(node, where: str) -> None:
     if not isinstance(node, list):
         raise SpecFormatError("expected a list of [re, im] pairs", where)
-    return np.asarray([_as_complex(c, f"{where}[{i}]") for i, c in enumerate(node)],
-                      dtype=complex)
+    for i, c in enumerate(node):
+        _check_pair(c, f"{where}[{i}]")
 
 
-def _as_complex_matrix(node, where: str) -> np.ndarray:
+def _check_matrix(node, where: str) -> None:
     if not isinstance(node, list) or not node:
         raise SpecFormatError("expected a non-empty list of rows", where)
-    rows = [_as_complex_vector(row, f"{where}[{i}]") for i, row in enumerate(node)]
-    width = len(rows[0])
-    for i, row in enumerate(rows):
+    for i, row in enumerate(node):
+        _check_vector(row, f"{where}[{i}]")
+    width = len(node[0])
+    for i, row in enumerate(node):
         if len(row) != width:
             raise SpecFormatError(f"row {i} has length {len(row)}, expected {width}",
                                   f"{where}[{i}]")
-    return np.asarray(rows, dtype=complex)
+
+
+def _only_numbers(node, depth: int) -> bool:
+    # numpy reads true as 1.0, null as nan and "1.5" as 1.5, so the leaf
+    # types are checked too; map and chain keep the loop out of bytecode
+    leaves = node
+    for _ in range(depth):
+        leaves = chain.from_iterable(leaves)
+    return set(map(type, leaves)) <= {int, float}
+
+
+def _as_complex_array(node, where: str, depth: int) -> np.ndarray:
+    """The [re, im] pairs of a block nested depth lists deep, bit for bit.
+
+    depth is 1 for a vector and 2 for a matrix. A well-formed block is
+    checked by one numpy conversion; only a malformed one is walked
+    element by element, to name the first offending element.
+    """
+    try:
+        a = np.asarray(node, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        a = None
+    if a is not None and a.shape[depth - 1:] == (0,):
+        a = a.reshape(a.shape + (2,))  # an empty vector or empty rows: no pairs
+    if (a is None or a.ndim != depth + 1 or a.shape[-1] != 2
+            or not _only_numbers(node, depth)):
+        (_check_vector if depth == 1 else _check_matrix)(node, where)
+        raise SpecFormatError("expected [re, im] pairs", where)
+    # the view keeps the sign of a zero imaginary part, re + 1j * im does not
+    return a.view(np.complex128)[..., 0]
 
 
 def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
@@ -213,19 +247,19 @@ def _parse_block(node, where: str, *, is_base: bool):
         _reject_unknown(node, {"kind", "values"}, where)
         if "values" not in node:
             raise SpecFormatError("diagonal block needs 'values'", where)
-        return Diagonal(_as_complex_vector(node["values"], f"{where}.values"))
+        return Diagonal(_as_complex_array(node["values"], f"{where}.values", 1))
     if kind == "dense":
         _reject_unknown(node, {"kind", "entries"}, where)
         if "entries" not in node:
             raise SpecFormatError("dense block needs 'entries'", where)
-        return Dense(_as_complex_matrix(node["entries"], f"{where}.entries"))
+        return Dense(_as_complex_array(node["entries"], f"{where}.entries", 2))
     if kind == "rank_one" and not is_base:
         _reject_unknown(node, {"kind", "left", "right"}, where)
         for key in ("left", "right"):
             if key not in node:
                 raise SpecFormatError(f"rank_one block needs '{key}'", where)
-        return RankOne(_as_complex_vector(node["left"], f"{where}.left"),
-                       _as_complex_vector(node["right"], f"{where}.right"))
+        return RankOne(_as_complex_array(node["left"], f"{where}.left", 1),
+                       _as_complex_array(node["right"], f"{where}.right", 1))
     role = "base" if is_base else "perturbation"
     raise SpecFormatError(f"unknown {role} kind {kind!r}", f"{where}.kind")
 
@@ -256,8 +290,8 @@ def parse_spec(text: str | bytes) -> OperatorModel:
     return OperatorModel(dim=dim, norm=norm, base=base, perturbation=pert)
 
 
-def _pairs(arr: np.ndarray):
-    return [[float(c.real), float(c.imag)] for c in np.asarray(arr, dtype=complex)]
+def _pairs(arr: np.ndarray) -> list:
+    return np.stack([arr.real, arr.imag], -1).tolist()
 
 
 def _block_doc(spec) -> dict:
@@ -268,7 +302,7 @@ def _block_doc(spec) -> dict:
     if isinstance(spec, Diagonal):
         return {"kind": "diagonal", "values": _pairs(spec.values)}
     if isinstance(spec, Dense):
-        return {"kind": "dense", "entries": [_pairs(row) for row in spec.entries]}
+        return {"kind": "dense", "entries": _pairs(spec.entries)}
     return {"kind": "rank_one", "left": _pairs(spec.left), "right": _pairs(spec.right)}
 
 

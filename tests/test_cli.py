@@ -266,6 +266,13 @@ def test_exit_code_malformed_spec(capsys, tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{{{{")
     assert _run(capsys, "bound", str(notjson), "--p", "1", "--s", "2")[0] == 3
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
+                    '"perturbation": {"kind": "diagonal", '
+                    '"values": [[%d, 0], [1, 0]]}}' % 10 ** 400)
+    code, _, err = _run(capsys, "bound", str(huge), "--p", "1", "--s", "2")
+    assert code == 3
+    assert "error: perturbation.values[0]: " in err
 
 
 def test_exit_code_malformed_coefficients(capsys, tmp_path):
@@ -274,3 +281,10 @@ def test_exit_code_malformed_coefficients(capsys, tmp_path):
     assert _run(capsys, "example-shift", "--coeffs", str(bad))[0] == 3
     bad.write_text('[true]')
     assert _run(capsys, "example-shift", "--coeffs", str(bad))[0] == 3
+    for text, where in (("[1, 1e400]", "[1]"), ("[NaN]", "[0]"),
+                        ("[[0.5, -Infinity]]", "[0]"), ("[0.5, 0.25, %d]" % 10 ** 400, "[2]"),
+                        ("[[0.5, %d]]" % -10 ** 400, "[0]")):
+        bad.write_text(text)
+        code, _, err = _run(capsys, "example-shift", "--coeffs", str(bad), "--dims", "8")
+        assert code == 3
+        assert f"error: {where}: " in err
