@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .numerics import (NormKind, as_matrix, eigenvalues, singular_value_rank,
                        singular_values)
 
@@ -84,7 +84,7 @@ class ApproxSequence:
         return total
 
 
-def approx_numbers(m, kind: NormKind, tol: Tolerances = DEFAULT) -> ApproxSequence:
+def approx_numbers(m, kind: NormKind) -> ApproxSequence:
     """Approximation-number sequence of m in the given norm.
 
     l2: singular values, exact. l1/linf: sorted absolute column/row sums
@@ -95,7 +95,7 @@ def approx_numbers(m, kind: NormKind, tol: Tolerances = DEFAULT) -> ApproxSequen
     """
     m = as_matrix(m)
     sv = singular_values(m)
-    rank = singular_value_rank(sv, tol)
+    rank = singular_value_rank(sv)
     if kind is NormKind.L2:
         values = sv
         certainty = (Certainty.EXACT,) * len(sv)
@@ -150,7 +150,7 @@ def koenig_constant(p: float) -> float:
     return KOENIG_FACTOR * (2.0 * math.e) ** (p / 2.0)
 
 
-def koenig_check(k_matrix, p: float, tol: Tolerances = DEFAULT) -> tuple[float, float]:
+def koenig_check(k_matrix, p: float) -> tuple[float, float]:
     """(lhs, rhs) of the eigenvalue/approximation-number power inequality.
 
     lhs = sum over non-zero eigenvalues of |lambda|^p, rhs =
@@ -160,8 +160,8 @@ def koenig_check(k_matrix, p: float, tol: Tolerances = DEFAULT) -> tuple[float, 
     if p <= 0:
         raise ValueError("p must be positive")
     m = as_matrix(k_matrix)
-    spec = eigenvalues(m, tol)
-    cutoff = tol.cluster_rtol * float(np.linalg.norm(m))
+    spec = eigenvalues(m)
+    cutoff = DEFAULT.cluster_rtol * float(np.linalg.norm(m))
     lhs = 0.0
     for lam, mult in zip(spec.values, spec.multiplicities):
         if abs(lam) > cutoff:

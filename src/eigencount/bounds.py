@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approx import ApproxSequence, Certainty, approx_numbers, koenig_constant
-from .config import DEFAULT, Tolerances
-from .determinants import GammaP, gamma_p_upper
+from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
 from .numerics import NormKind, as_matrix, induced_norm, resolvent, singular_values
 from .operators import OperatorModel, materialize
@@ -51,19 +50,19 @@ __all__ = [
 # --- scalar functions -----------------------------------------------------
 
 
-def lambert_w(x: float, max_iter: int = 64) -> float:
+def lambert_w(x: float) -> float:
     """Principal Lambert W on [0, inf): the w >= 0 with w e^w = x.
 
-    Halley iteration; the initial guess is x itself below e and
-    log x - log log x from e upward. Residual |w e^w - x| lands well
-    below 1e-13 max(1, x) on the whole domain.
+    Halley iteration, at most 64 steps; the initial guess is x itself
+    below e and log x - log log x from e upward. Residual |w e^w - x|
+    lands well below 1e-13 max(1, x) on the whole domain.
     """
     if not (x >= 0.0):
         raise ValueError(f"lambert_w is defined on [0, inf), got {x}")
     if x == 0.0:
         return 0.0
     w = x if x < math.e else math.log(x) - math.log(math.log(x))
-    for _ in range(max_iter):
+    for _ in range(64):
         ew = math.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
@@ -227,7 +226,7 @@ class Prepared:
 
     Every bound accepts a Prepared in place of an OperatorModel, so one
     analysis can serve several bounds without repeating the norm and
-    approximation-number work; their tol argument then goes unused.
+    approximation-number work.
     """
 
     model: OperatorModel
@@ -242,16 +241,16 @@ class Prepared:
         return self.alpha.value_at(1)
 
 
-def prepare(model: OperatorModel, tol: Tolerances = DEFAULT) -> Prepared:
+def prepare(model: OperatorModel) -> Prepared:
     """Materialize model and compute ||L0|| and the approximation numbers of K."""
     l0, k = materialize(model)
     return Prepared(model=model, l0=l0, k=k,
                     norm_l0=induced_norm(l0, model.norm),
-                    alpha=approx_numbers(k, model.norm, tol))
+                    alpha=approx_numbers(k, model.norm))
 
 
-def _as_prepared(model: OperatorModel | Prepared, tol: Tolerances) -> Prepared:
-    return model if isinstance(model, Prepared) else prepare(model, tol)
+def _as_prepared(model: OperatorModel | Prepared) -> Prepared:
+    return model if isinstance(model, Prepared) else prepare(model)
 
 
 def _alpha_mode(alpha: ApproxSequence) -> Certainty:
@@ -276,7 +275,7 @@ def _circle(prep: Prepared, p: float, s: float, a_next: float,
 
 
 def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
-                n_rank: int | None, gamma: GammaP | None, profile,
+                n_rank: int | None, profile,
                 t: float | None = None, epsilon: float | None = None,
                 target: complex | None = None) -> BoundReport:
     """Bound minimizing (C_p / s^p) profile(N, alpha_{N+1}) times
@@ -297,8 +296,7 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
         raise AdmissibilityError(
             f"need s > ||L0|| = {norm_l0:.12g}, got s = {s}; no exterior disk "
             "clears the base spectrum otherwise")
-    if gamma is None:
-        gamma = gamma_p_upper(p)
+    gamma = gamma_p_upper(p)
 
     best = None
     reason = None
@@ -339,8 +337,7 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
 
 
 def count_bound_disk(model: OperatorModel | Prepared, p: float, s: float,
-                     n_rank: int | None = None, gamma: GammaP | None = None,
-                     tol: Tolerances = DEFAULT) -> BoundReport:
+                     n_rank: int | None = None) -> BoundReport:
     """Optimized-profile bound on the eigenvalue count outside |lam| = s.
 
     bound = (C_p / s^p) phi_p((||L0|| + alpha_{N+1}) / s)
@@ -348,28 +345,25 @@ def count_bound_disk(model: OperatorModel | Prepared, p: float, s: float,
     admissible N in [0, rank K] is tried and the smallest bound wins
     (N = rank K is always admissible once s > ||L0||).
     """
-    prep = _as_prepared(model, tol)
+    prep = _as_prepared(model)
     return _rank_sweep(
-        "disk_phi", prep, p, s, n_rank, gamma,
+        "disk_phi", prep, p, s, n_rank,
         lambda n, a_next: phi_p(p, (prep.norm_l0 + a_next) / s))
 
 
 def count_bound_disk_simple(model: OperatorModel | Prepared, p: float, s: float,
-                            n_rank: int | None = None, gamma: GammaP | None = None,
-                            tol: Tolerances = DEFAULT) -> BoundReport:
+                            n_rank: int | None = None) -> BoundReport:
     """Power-law bound C_p (p+1)^{p+1}/p^p s / (s - ||L0|| - alpha_{N+1})^{p+1}
     times the alpha power sum; always at least count_bound_disk."""
-    prep = _as_prepared(model, tol)
+    prep = _as_prepared(model)
     return _rank_sweep(
-        "disk_simple", prep, p, s, n_rank, gamma,
+        "disk_simple", prep, p, s, n_rank,
         lambda n, a_next: phi_p_envelope(p, (prep.norm_l0 + a_next) / s))
 
 
 def count_bound_region(model: OperatorModel | Prepared, p: float,
                        region: RegionSpec, n_rank: int | None = None,
-                       gamma: GammaP | None = None,
-                       epsilon: float | None = None,
-                       tol: Tolerances = DEFAULT) -> BoundReport:
+                       epsilon: float | None = None) -> BoundReport:
     """Bound through an intermediate circle |lam| = t.
 
     bound = C_p / ((eps - alpha_{N+1})^p log(1/r)) sum_{j<=N}
@@ -379,7 +373,7 @@ def count_bound_region(model: OperatorModel | Prepared, p: float,
     bound then equals count_bound_disk up to rounding. Passing an explicit
     epsilon (from sampling) marks the report non-certified.
     """
-    prep = _as_prepared(model, tol)
+    prep = _as_prepared(model)
     s_target = region.target_radius
 
     def profile(n: int, a_next: float) -> float:
@@ -402,7 +396,7 @@ def count_bound_region(model: OperatorModel | Prepared, p: float,
 
     target = (complex(region.target.lam0) if isinstance(region.target, Point)
               else None)
-    return _rank_sweep("region", prep, p, s_target, n_rank, gamma, profile,
+    return _rank_sweep("region", prep, p, s_target, n_rank, profile,
                        t=region.t, epsilon=epsilon, target=target)
 
 
@@ -421,8 +415,7 @@ def koenig_count_bound(k_matrix, p: float, s: float) -> float:
     return koenig_constant(p) / s ** p * float(np.sum(sv ** p))
 
 
-def moment_bound(model: OperatorModel | Prepared, p: float, q: float,
-                 gamma: GammaP | None = None, tol: Tolerances = DEFAULT) -> float:
+def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:
     """Upper bound for sum over |lambda| > ||L0|| of (|lambda| - ||L0||)^q.
 
     Integrates the power-law count bound: with a = (p+1)^{p+1}/p^p,
@@ -432,10 +425,9 @@ def moment_bound(model: OperatorModel | Prepared, p: float, q: float,
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
-    prep = _as_prepared(model, tol)
+    prep = _as_prepared(model)
     norm_l0, norm_k = prep.norm_l0, prep.norm_k
-    if gamma is None:
-        gamma = gamma_p_upper(p)
+    gamma = gamma_p_upper(p)
     envelope = (p + 1.0) ** (p + 1.0) / p ** p
     alpha_sum = prep.alpha.head_power_sum(p, prep.model.dim)
 
@@ -455,27 +447,24 @@ def moment_bound(model: OperatorModel | Prepared, p: float, q: float,
     return q * gamma.c_p * envelope * bracket * norm_k ** (q - p - 1.0) * alpha_sum
 
 
-def pseudospectral_epsilon(l0, t: float, kind: NormKind, samples: int = 64,
-                           tol: Tolerances = DEFAULT) -> float:
+def pseudospectral_epsilon(l0, t: float, kind: NormKind) -> float:
     """Sampled pseudospectral gap 1 / max ||(lam - L0)^{-1}|| on |lam| = t.
 
     The resolvent norm of the exterior region peaks on the boundary
-    circle, so sampling it there estimates the certified gap from above;
-    results derived from this value are therefore NOT certified and are
-    flagged as such by the callers.
+    circle, so sampling it there at 64 equally spaced points estimates
+    the certified gap from above; results derived from this value are
+    therefore NOT certified and are flagged as such by the callers.
     """
     l0 = as_matrix(l0)
-    if samples < 4:
-        raise ValueError("need at least 4 boundary samples")
     worst = 0.0
     eye = np.eye(l0.shape[0], dtype=complex)
-    for theta in np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False):
+    for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
         lam = t * complex(math.cos(theta), math.sin(theta))
         if kind is NormKind.L2:
             smallest = float(np.linalg.svd(lam * eye - l0, compute_uv=False)[-1])
             norm = math.inf if smallest == 0.0 else 1.0 / smallest
         else:
-            norm = induced_norm(resolvent(l0, lam, tol), kind)
+            norm = induced_norm(resolvent(l0, lam), kind)
         worst = max(worst, norm)
     if worst == 0.0 or math.isinf(worst):
         raise AdmissibilityError(

@@ -37,7 +37,7 @@ from .bounds import (
     prepare,
     pseudospectral_epsilon,
 )
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .determinants import GammaProvenance, gamma_p_upper
 from .errors import EigencountError, SpecFormatError
 from .numerics import eigenvalues, induced_norm, singular_values
@@ -161,23 +161,23 @@ def _digest(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
-def _config_echo(tol: Tolerances, alpha_mode: str | None) -> dict:
+def _config_echo(alpha_mode: str | None) -> dict:
     return {
-        "tolerances": dataclasses.asdict(tol),
+        "tolerances": dataclasses.asdict(DEFAULT),
         "gamma_provenance": GammaProvenance.ENVELOPE_CERTIFIED.value,
         "alpha_mode": alpha_mode,
     }
 
 
 def _assemble(command: str, arguments: dict, digest: str, results: dict,
-              mode: str, tol: Tolerances, alpha_mode: str | None) -> dict:
+              mode: str, alpha_mode: str | None) -> dict:
     return {
         "command": command,
         "arguments": arguments,
         "input_digest": digest,
         "library_version": __version__,
         "mode": mode,
-        "config": _config_echo(tol, alpha_mode),
+        "config": _config_echo(alpha_mode),
         "results": results,
     }
 
@@ -210,11 +210,10 @@ def _bound_csv_rows(rows: list[dict]):
                for col in _BOUND_COLUMNS]
 
 
-def _multiplicity_at(matrix: np.ndarray, lam0: complex, tol: Tolerances) -> int:
-    spec = eigenvalues(matrix, tol)
-    radius = tol.cluster_rtol * max(1.0, float(np.linalg.norm(matrix)))
-    return int(sum(int(m) for v, m in zip(spec.values, spec.multiplicities)
-                   if abs(complex(v) - lam0) <= radius))
+def _multiplicity_at(matrix: np.ndarray, lam0: complex) -> int:
+    radius = DEFAULT.cluster_rtol * max(1.0, float(np.linalg.norm(matrix)))
+    return eigenvalues(matrix).count_where(
+        lambda v: abs(complex(v) - lam0) <= radius)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -223,14 +222,13 @@ def _multiplicity_at(matrix: np.ndarray, lam0: complex, tol: Tolerances) -> int:
 def _cmd_bound(args) -> int:
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
-    tol = DEFAULT
-    prep = prepare(model, tol)
+    prep = prepare(model)
     full = prep.l0 + prep.k
 
     reports = []
     if args.point is None:
         s = args.s
-        oracle = eigen_count_outside(full, s, tol)
+        oracle = eigen_count_outside(full, s)
         reports.append(count_bound_disk(prep, args.p, s, n_rank=args.n)
                        .with_oracle(oracle))
         reports.append(count_bound_disk_simple(prep, args.p, s, n_rank=args.n)
@@ -240,7 +238,7 @@ def _cmd_bound(args) -> int:
         reports.append(region)
         target = ExteriorDisk(s)
     else:
-        oracle = _multiplicity_at(full, args.point, tol)
+        oracle = _multiplicity_at(full, args.point)
         region = count_bound_region(prep, args.p, RegionSpec(Point(args.point)),
                                     n_rank=args.n).with_oracle(oracle)
         reports.append(region)
@@ -248,7 +246,7 @@ def _cmd_bound(args) -> int:
 
     if args.mode == "empirical":
         # same circle as the certified optimum, gap measured by sampling
-        eps = pseudospectral_epsilon(prep.l0, region.t_star, model.norm, tol=tol)
+        eps = pseudospectral_epsilon(prep.l0, region.t_star, model.norm)
         reports.append(count_bound_region(
             prep, args.p, RegionSpec(target, t=region.t_star), n_rank=args.n,
             epsilon=eps).with_oracle(oracle))
@@ -284,7 +282,7 @@ def _cmd_bound(args) -> int:
         "mode": args.mode, "format": args.format,
     }
     report = _assemble("bound", arguments, _digest(raw), results, args.mode,
-                       tol, reports[0].alpha_mode.value)
+                       reports[0].alpha_mode.value)
     if args.format == "json":
         _emit_json(report, args.out)
     else:
@@ -297,7 +295,6 @@ def _cmd_oracle(args) -> int:
         raise ValueError("nothing to compute: pass --s, --curve, or --q")
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
-    tol = DEFAULT
     l0, k = materialize(model)
     full = l0 + k
     norm_l0 = induced_norm(l0, model.norm)
@@ -306,23 +303,23 @@ def _cmd_oracle(args) -> int:
                      "norm_l0": norm_l0}
     csv_rows: list[list] = []
     if args.s is not None:
-        count = eigen_count_outside(full, args.s, tol)
+        count = eigen_count_outside(full, args.s)
         results["count"] = {"s": args.s, "value": count}
         csv_rows.append(["count", args.s, count])
     if args.curve:
-        curve = count_curve(full, tol)
+        curve = count_curve(full)
         pairs = [[float(r), int(c)] for r, c in zip(curve.radii, curve.counts)]
         results["curve"] = {"breakpoints": pairs}
         csv_rows.extend(["curve", r, c] for r, c in pairs)
     if args.q is not None:
-        moment = moment_sum(full, norm_l0, args.q, tol)
+        moment = moment_sum(full, norm_l0, args.q)
         results["moment"] = {"q": args.q, "base": norm_l0, "value": moment}
         csv_rows.append(["moment", args.q, moment])
 
     arguments = {"spec": args.spec, "s": args.s, "curve": args.curve,
                  "q": args.q, "format": args.format}
     report = _assemble("oracle", arguments, _digest(raw), results,
-                       "certified", tol, None)
+                       "certified", None)
     if args.format == "json":
         _emit_json(report, args.out)
     else:
@@ -391,13 +388,12 @@ def _load_coefficients(path: str) -> np.ndarray:
 
 
 def _cmd_example_shift(args) -> int:
-    tol = DEFAULT
     if args.coeffs is not None:
         fixed = _load_coefficients(args.coeffs)
         family = lambda dim: fixed  # noqa: E731 - tiny closure over the list
     else:
         family = lacunary_coefficients
-    probe = blaschke_divergence_probe(family, args.dims, tol)
+    probe = blaschke_divergence_probe(family, args.dims)
 
     header = ["dim", "excess_sum"] + [f"n_above_{s}" for s in _EXAMPLE_RADII]
     rows = []
@@ -405,7 +401,7 @@ def _cmd_example_shift(args) -> int:
         model, _ = shift_example(family(row.dim), row.dim)
         l0, k = materialize(model)
         full = l0 + k
-        counts = [eigen_count_outside(full, s, tol) for s in _EXAMPLE_RADII]
+        counts = [eigen_count_outside(full, s) for s in _EXAMPLE_RADII]
         rows.append([row.dim, row.excess_sum] + counts)
     _emit_csv(header, rows, args.out)
     return 0

@@ -1,4 +1,9 @@
-"""Central tolerance configuration."""
+"""The fixed numerical tolerances, in one record.
+
+Each function reads its value from DEFAULT where it is used; none takes
+tolerances as an argument except verify.run_suites, whose tol must be
+DEFAULT. Every CLI report echoes DEFAULT under ``config.tolerances``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every floating-point comparison knob in one record.
+    """Every floating-point comparison tolerance in one record.
 
     Attributes
     ----------

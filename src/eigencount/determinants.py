@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .approx import ApproxSequence, koenig_constant
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import AdmissibilityError
 from .numerics import NormKind, Spectrum, as_matrix, eigenvalues, induced_norm, resolvent
 
@@ -39,7 +39,6 @@ __all__ = [
 
 class GammaProvenance(Enum):
     ENVELOPE_CERTIFIED = "envelope_certified"
-    USER_SUPPLIED = "user_supplied"
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,17 @@ class GammaP:
 # --- regularized determinant ---------------------------------------------
 
 
-def det_regularized_log(eigs: Spectrum, n: int, tol: Tolerances = DEFAULT):
+def _factor_log(lam: complex, n: int) -> complex:
+    # principal-branch log(1 - lam) + sum_{j<n} lam^j / j
+    term = np.log(1.0 - lam)
+    power = lam
+    for j in range(1, n):
+        term += power / j
+        power *= lam
+    return term
+
+
+def det_regularized_log(eigs: Spectrum, n: int):
     """(value, log|value|) of the n-regularized determinant of 1 - F.
 
     Accumulates principal-branch logs of the factors so tiny and huge
@@ -79,21 +88,16 @@ def det_regularized_log(eigs: Spectrum, n: int, tol: Tolerances = DEFAULT):
     log_total = 0.0 + 0.0j
     for lam, mult in zip(eigs.values, eigs.multiplicities):
         lam = complex(lam)
-        if abs(1.0 - lam) <= tol.det_one_tol * max(1.0, abs(lam)):
+        if abs(1.0 - lam) <= DEFAULT.det_one_tol * max(1.0, abs(lam)):
             return 0.0 + 0.0j, float("-inf")
-        term = np.log(1.0 - lam)
-        power = lam
-        for j in range(1, n):
-            term += power / j
-            power *= lam
-        log_total += int(mult) * term
+        log_total += int(mult) * _factor_log(lam, n)
     value = complex(np.exp(log_total))
     return value, float(log_total.real)
 
 
-def det_regularized(eigs: Spectrum, n: int, tol: Tolerances = DEFAULT) -> complex:
+def det_regularized(eigs: Spectrum, n: int) -> complex:
     """Product over eigenvalues of (1 - lam) exp(sum_{j=1}^{n-1} lam^j / j)."""
-    value, _ = det_regularized_log(eigs, n, tol)
+    value, _ = det_regularized_log(eigs, n)
     return value
 
 
@@ -102,12 +106,7 @@ def scalar_factor_log(lam: complex, n: int) -> float:
     lam = complex(lam)
     if lam == 1.0:
         return float("-inf")
-    term = np.log(1.0 - lam)
-    power = lam
-    for j in range(1, n):
-        term += power / j
-        power *= lam
-    return float(term.real)
+    return float(_factor_log(lam, n).real)
 
 
 # --- certified scalar envelope -------------------------------------------
@@ -154,14 +153,6 @@ def _circle_log_max(n: int, r: float) -> float:
     return best
 
 
-def _triangle_envelope(n: int, r: float) -> float:
-    # |1-lam| <= 1+r and Re(lam^j) <= r^j term by term.
-    total = math.log1p(r)
-    for j in range(1, n):
-        total += r ** j / j
-    return total
-
-
 def _tail_envelope(n: int, r: float) -> float:
     # For r < 1 the factor log is the tail -sum_{j>=n} lam^j/j of the
     # log(1-lam) series, bounded by r^n / (n (1-r)).
@@ -171,9 +162,7 @@ def _tail_envelope(n: int, r: float) -> float:
 
 
 def _envelope(n: int, r: float) -> float:
-    return min(_circle_log_max(n, r),
-               _triangle_envelope(n, r),
-               _tail_envelope(n, r))
+    return min(_circle_log_max(n, r), _tail_envelope(n, r))
 
 
 @lru_cache(maxsize=64)
@@ -238,8 +227,7 @@ class DetSample:
     log_abs: float
 
 
-def perturbation_determinant(l, f, lam: complex, p: float,
-                             tol: Tolerances = DEFAULT) -> DetSample:
+def perturbation_determinant(l, f, lam: complex, p: float) -> DetSample:
     """ceil(p)-regularized determinant of 1 - F (lam - (L - F))^{-1}.
 
     L is the full operator and F a finite-rank stand-in for the
@@ -253,15 +241,14 @@ def perturbation_determinant(l, f, lam: complex, p: float,
     f = as_matrix(f)
     if l.shape != f.shape:
         raise AdmissibilityError("operator and approximant dimensions differ")
-    r = resolvent(l - f, lam, tol)
-    spec = eigenvalues(f @ r, tol)
-    value, log_abs = det_regularized_log(spec, math.ceil(p), tol)
+    r = resolvent(l - f, lam)
+    spec = eigenvalues(f @ r)
+    value, log_abs = det_regularized_log(spec, math.ceil(p))
     return DetSample(lam=complex(lam), value=value, log_abs=log_abs)
 
 
 def det_bound_rhs(l0, k, f, lam: complex, p: float, eta: float, n_rank: int,
-                  kind: NormKind, alpha: ApproxSequence,
-                  gamma: GammaP | None = None, tol: Tolerances = DEFAULT) -> float:
+                  kind: NormKind, alpha: ApproxSequence) -> float:
     """Certified exponent bounding log|perturbation determinant| at lam.
 
     Returns C_p ||(lam - L0)^{-1}||^p sum_{j<=N} (alpha_{N+1} + eta + alpha_j)^p
@@ -278,22 +265,20 @@ def det_bound_rhs(l0, k, f, lam: complex, p: float, eta: float, n_rank: int,
     l0 = as_matrix(l0)
     k = as_matrix(k)
     f = as_matrix(f)
-    if gamma is None:
-        gamma = gamma_p_upper(p)
 
     beta = alpha.value_at(n_rank + 1) + eta
     gap = induced_norm(k - f, kind)
     scale = max(1.0, induced_norm(k, kind))
-    if gap > beta + tol.pair_gap_rtol * scale:
+    if gap > beta + DEFAULT.pair_gap_rtol * scale:
         raise AdmissibilityError(
             f"||K - F|| = {gap:.6e} exceeds alpha_{n_rank + 1} + eta = {beta:.6e}; "
             "the approximant is not admissible for this N and eta")
 
-    res_norm = induced_norm(resolvent(l0, lam, tol), kind)
+    res_norm = induced_norm(resolvent(l0, lam), kind)
     if beta * res_norm >= 1.0:
         raise AdmissibilityError(
             f"(alpha_{n_rank + 1} + eta) * ||(lam - L0)^{{-1}}|| = "
             f"{beta * res_norm:.6e} must be below 1 at lam = {lam}")
 
     total = alpha.head_power_sum(p, n_rank, offset=beta)
-    return gamma.c_p * res_norm ** p * total / (1.0 - beta * res_norm) ** p
+    return gamma_p_upper(p).c_p * res_norm ** p * total / (1.0 - beta * res_norm) ** p

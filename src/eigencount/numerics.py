@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import EigenvalueError, MatrixError, SingularResolventError
 
 __all__ = [
@@ -111,11 +111,11 @@ def _cluster(raw: np.ndarray, radius: float) -> Spectrum:
     return Spectrum(np.asarray(reps, dtype=complex), np.asarray(counts, dtype=int))
 
 
-def eigenvalues(m, tol: Tolerances = DEFAULT) -> Spectrum:
+def eigenvalues(m) -> Spectrum:
     """Clustered spectrum of m.
 
     The raw eigenvalues come from the dense LAPACK solver; values closer
-    than ``tol.cluster_rtol * ||m||_F`` are merged and reported once with
+    than ``DEFAULT.cluster_rtol * ||m||_F`` are merged and reported once with
     their combined multiplicity.
     """
     m = as_matrix(m)
@@ -124,7 +124,7 @@ def eigenvalues(m, tol: Tolerances = DEFAULT) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise EigenvalueError(f"eigenvalue iteration failed to converge: {exc}",
                               matrix=m) from exc
-    radius = tol.cluster_rtol * float(np.linalg.norm(m))
+    radius = DEFAULT.cluster_rtol * float(np.linalg.norm(m))
     return _cluster(raw, radius)
 
 
@@ -138,16 +138,16 @@ def singular_values(m) -> np.ndarray:
                               matrix=m) from exc
 
 
-def numerical_rank(m, tol: Tolerances = DEFAULT) -> int:
-    """Number of singular values above ``tol.rank_rtol * sigma_1``."""
-    return singular_value_rank(singular_values(m), tol)
+def numerical_rank(m) -> int:
+    """Number of singular values above ``DEFAULT.rank_rtol * sigma_1``."""
+    return singular_value_rank(singular_values(m))
 
 
-def singular_value_rank(sv: np.ndarray, tol: Tolerances = DEFAULT) -> int:
+def singular_value_rank(sv: np.ndarray) -> int:
     """numerical_rank read off already computed non-increasing singular values."""
     if sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > tol.rank_rtol * sv[0]))
+    return int(np.sum(sv > DEFAULT.rank_rtol * sv[0]))
 
 
 def induced_norm(m, kind: NormKind) -> float:
@@ -164,7 +164,7 @@ def induced_norm(m, kind: NormKind) -> float:
     return float(singular_values(m)[0])
 
 
-def resolvent(m, lam: complex, tol: Tolerances = DEFAULT) -> np.ndarray:
+def resolvent(m, lam: complex) -> np.ndarray:
     """Inverse of (lam - m), with a condition-scaled residual check.
 
     Raises SingularResolventError naming lam when lam is an eigenvalue or
@@ -180,10 +180,11 @@ def resolvent(m, lam: complex, tol: Tolerances = DEFAULT) -> np.ndarray:
         ) from exc
     residual = float(np.linalg.norm(a @ r - np.eye(m.shape[0])))
     scale = float(np.linalg.norm(a)) * float(np.linalg.norm(r))
-    if residual > tol.resolvent_rtol * max(1.0, scale):
+    allowed = DEFAULT.resolvent_rtol * max(1.0, scale)
+    if residual > allowed:
         raise SingularResolventError(
             f"lambda = {lam} is within tolerance of the spectrum "
-            f"(residual {residual:.3e} vs allowed {tol.resolvent_rtol * max(1.0, scale):.3e})",
+            f"(residual {residual:.3e} vs allowed {allowed:.3e})",
             lam=lam,
         )
     return r

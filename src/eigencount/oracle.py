@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import AdmissibilityError, ContourError, NormalizationError
 from .numerics import NormKind, as_matrix, eigenvalues
 from .operators import OperatorModel, RankOne, Shift, materialize
@@ -42,11 +42,11 @@ __all__ = [
 # --- counting --------------------------------------------------------------
 
 
-def eigen_count_outside(m, s: float, tol: Tolerances = DEFAULT) -> int:
+def eigen_count_outside(m, s: float) -> int:
     """Number of eigenvalues with |lambda| > s, counted with multiplicity."""
     if s < 0:
         raise ValueError(f"radius must be non-negative, got {s}")
-    spec = eigenvalues(as_matrix(m), tol)
+    spec = eigenvalues(as_matrix(m))
     return spec.count_where(lambda lam: abs(lam) > s)
 
 
@@ -73,10 +73,10 @@ class CountCurve:
         return int(self.counts[idx])
 
 
-def count_curve(m, tol: Tolerances = DEFAULT) -> CountCurve:
+def count_curve(m) -> CountCurve:
     """Breakpoint representation of s -> eigen_count_outside(m, s)."""
     m = as_matrix(m)
-    spec = eigenvalues(m, tol)
+    spec = eigenvalues(m)
     mags = np.abs(spec.values)
     order = np.argsort(mags, kind="stable")
     radii: list[float] = []
@@ -93,11 +93,11 @@ def count_curve(m, tol: Tolerances = DEFAULT) -> CountCurve:
     return CountCurve(np.asarray(radii), np.asarray(counts, dtype=int), spec.dim)
 
 
-def moment_sum(m, base: float, q: float, tol: Tolerances = DEFAULT) -> float:
+def moment_sum(m, base: float, q: float) -> float:
     """sum over |lambda| > base of (|lambda| - base)^q, with multiplicity."""
     if q <= 0:
         raise ValueError(f"moment exponent must be positive, got {q}")
-    spec = eigenvalues(as_matrix(m), tol)
+    spec = eigenvalues(as_matrix(m))
     total = 0.0
     for lam, mult in zip(spec.values, spec.multiplicities):
         excess = abs(lam) - base
@@ -136,8 +136,7 @@ def moment_from_curve(curve: CountCurve, base: float, q: float) -> float:
 # --- winding numbers --------------------------------------------------------
 
 
-def winding_from_samples(values: Sequence[complex],
-                         tol: Tolerances = DEFAULT) -> int:
+def winding_from_samples(values: Sequence[complex]) -> int:
     """Signed winding of a closed sample path around 0.
 
     The samples must already be fine enough that consecutive phase steps
@@ -151,9 +150,9 @@ def winding_from_samples(values: Sequence[complex],
         vals = vals[:-1]
     if len(vals) < 4:
         raise ContourError("need at least 4 distinct contour samples")
-    if np.min(np.abs(vals)) <= tol.contour_min_modulus:
+    if np.min(np.abs(vals)) <= DEFAULT.contour_min_modulus:
         raise ContourError(
-            f"contour passes within {tol.contour_min_modulus} of a zero; "
+            f"contour passes within {DEFAULT.contour_min_modulus} of a zero; "
             "move the contour")
     closed = np.append(vals, vals[0])
     steps = np.angle(closed[1:] / closed[:-1])
@@ -168,30 +167,28 @@ def winding_from_samples(values: Sequence[complex],
     return int(winding)
 
 
-def winding_count(fn: Callable[[complex], complex], center: complex, radius: float,
-                  initial_samples: int = 64, max_points: int = 65536,
-                  tol: Tolerances = DEFAULT) -> int:
+def winding_count(fn: Callable[[complex], complex], center: complex,
+                  radius: float) -> int:
     """Winding of fn around 0 along the circle |lam - center| = radius.
 
-    Starts from a uniform grid and bisects every arc whose phase step
-    reaches pi/2 until all steps are fine or the point budget runs out
-    (then a ContourError reports the failure rather than guessing).
+    Starts from a uniform grid of 64 points and bisects every arc whose
+    phase step reaches pi/2 until all steps are fine or the budget of
+    65536 points runs out (then a ContourError reports the failure rather
+    than guessing).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if initial_samples < 8:
-        raise ValueError("need at least 8 initial samples")
 
     def sample(theta: float) -> tuple[float, complex]:
         v = complex(fn(center + radius * complex(math.cos(theta), math.sin(theta))))
-        if abs(v) <= tol.contour_min_modulus:
+        if abs(v) <= DEFAULT.contour_min_modulus:
             raise ContourError(
                 f"contour value {v} at angle {theta:.6f} is within "
-                f"{tol.contour_min_modulus} of zero; move the contour")
+                f"{DEFAULT.contour_min_modulus} of zero; move the contour")
         return theta, v
 
     points = [sample(t) for t in
-              np.linspace(0.0, 2.0 * math.pi, initial_samples, endpoint=False)]
+              np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)]
     while True:
         inserts = []
         for i in range(len(points)):
@@ -205,14 +202,14 @@ def winding_count(fn: Callable[[complex], complex], center: complex, radius: flo
                 inserts.append(tm if tm < 2.0 * math.pi else tm - 2.0 * math.pi)
         if not inserts:
             break
-        if len(points) + len(inserts) > max_points:
+        if len(points) + len(inserts) > 65536:
             raise ContourError(
-                f"refinement budget of {max_points} contour points exceeded; "
+                "refinement budget of 65536 contour points exceeded; "
                 "the contour likely passes near a zero")
         points.extend(sample(t) for t in inserts)
         points.sort(key=lambda pair: pair[0])
 
-    return winding_from_samples([v for _, v in points], tol)
+    return winding_from_samples([v for _, v in points])
 
 
 # --- unit-disk zero counting ------------------------------------------------
@@ -226,41 +223,35 @@ class JensenVerdict:
     worst_margin: float
 
 
-def jensen_check(h: Callable[[complex], complex], zeros: Sequence[complex],
-                 r_grid: Sequence[float] | None = None,
-                 boundary_samples: int = 4096,
-                 tol: Tolerances = DEFAULT) -> JensenVerdict:
-    """Check n(h; r) log(1/r) <= log sup_D |h| on a radius grid.
+def jensen_check(h: Callable[[complex], complex],
+                 zeros: Sequence[complex]) -> JensenVerdict:
+    """Check n(h; r) log(1/r) <= log sup_D |h| for r = 0.05, 0.10, ..., 0.95.
 
     h must be holomorphic and bounded on the unit disk with |h(0)| = 1
     (a NormalizationError otherwise); zeros is its zero multiset listed
-    with multiplicity. The sup is taken on a dense boundary grid, which
-    is where a bounded holomorphic function attains it.
+    with multiplicity. The sup is taken on a 4096-point boundary grid,
+    which is where a bounded holomorphic function attains it.
     """
     h0 = abs(complex(h(0.0)))
-    if abs(h0 - 1.0) > tol.normalization_tol:
+    if abs(h0 - 1.0) > DEFAULT.normalization_tol:
         raise NormalizationError(
             f"|h(0)| = {h0:.12g} but the zero-counting inequality needs "
             "|h(0)| = 1; rescale h first")
-    if r_grid is None:
-        r_grid = np.linspace(0.05, 0.95, 19)
     zmags = sorted(abs(complex(z)) for z in zeros)
     if zmags and zmags[-1] >= 1.0:
         raise AdmissibilityError(
             f"zero of modulus {zmags[-1]:.12g} is not inside the open unit disk")
 
     sup = 0.0
-    for theta in np.linspace(0.0, 2.0 * math.pi, boundary_samples, endpoint=False):
+    for theta in np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False):
         sup = max(sup, abs(complex(h(complex(math.cos(theta), math.sin(theta))))))
     log_sup = math.log(sup) if sup > 0 else float("-inf")
 
     worst_margin = float("inf")
     worst_r = float("nan")
     ok = True
-    for r in r_grid:
+    for r in np.linspace(0.05, 0.95, 19):
         r = float(r)
-        if not (0.0 < r < 1.0):
-            raise ValueError(f"radius grid must live in (0, 1), got {r}")
         n_r = sum(1 for zm in zmags if zm <= r)
         margin = log_sup - n_r * math.log(1.0 / r)
         if margin < worst_margin:
@@ -313,8 +304,8 @@ def shift_example(b: Sequence[complex], dim: int):
     return model, analytic_d
 
 
-def lacunary_coefficients(dim: int, amplitude: float = 1.0) -> np.ndarray:
-    """Coefficients with amplitude at the powers of two, zero elsewhere.
+def lacunary_coefficients(dim: int) -> np.ndarray:
+    """Coefficients 1 at the powers of two, zero elsewhere.
 
     A heuristic stand-in for a bounded family whose zero set thickens
     towards the unit circle; the probe below only checks finite-dim
@@ -323,7 +314,7 @@ def lacunary_coefficients(dim: int, amplitude: float = 1.0) -> np.ndarray:
     b = np.zeros(dim, dtype=complex)
     k = 1
     while k <= dim:
-        b[k - 1] = amplitude
+        b[k - 1] = 1.0
         k *= 2
     return b
 
@@ -341,8 +332,7 @@ class ProbeResult:
 
 
 def blaschke_divergence_probe(b_family: Callable[[int], Sequence[complex]],
-                              dims: Sequence[int],
-                              tol: Tolerances = DEFAULT) -> ProbeResult:
+                              dims: Sequence[int]) -> ProbeResult:
     """Excess sum S(dim) = sum_{|lambda| > 1} (|lambda| - 1) per truncation.
 
     A growing S across dims is consistent with (never proof of) a family
@@ -353,7 +343,7 @@ def blaschke_divergence_probe(b_family: Callable[[int], Sequence[complex]],
     for dim in dims:
         model, _ = shift_example(np.asarray(b_family(dim), dtype=complex), dim)
         l0, k = materialize(model)
-        rows.append(ProbeRow(dim=dim, excess_sum=moment_sum(l0 + k, 1.0, 1.0, tol)))
+        rows.append(ProbeRow(dim=dim, excess_sum=moment_sum(l0 + k, 1.0, 1.0)))
     if not rows:
         raise ValueError("need at least one dimension to probe")
     first, last = rows[0].excess_sum, rows[-1].excess_sum

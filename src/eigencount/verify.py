@@ -194,10 +194,10 @@ def regression_corpus(seed: int = 0) -> tuple[CorpusEntry, ...]:
     return tuple(entries)
 
 
-def sweep_radii(norm_l0: float, norm_k: float, count: int = 10) -> list[float]:
-    """count admissible target radii from just above ||L0|| to past ||L||."""
-    step = (norm_k + 1.0) / count
-    return [norm_l0 + i * step for i in range(1, count + 1)]
+def sweep_radii(norm_l0: float, norm_k: float) -> list[float]:
+    """Ten admissible target radii from just above ||L0|| to past ||L||."""
+    step = (norm_k + 1.0) / 10
+    return [norm_l0 + i * step for i in range(1, 11)]
 
 
 # --- small independent oracles ---------------------------------------------
@@ -250,7 +250,7 @@ def _spectrum_of(values) -> Spectrum:
 # --- suites -----------------------------------------------------------------
 
 
-def suite_lambert(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
+def suite_lambert(seed: int = 0) -> SuiteResult:
     """Defining residual, monotonicity, and a bisection cross-check."""
     log = _Log()
     xs = np.concatenate(([0.0], np.geomspace(1e-12, 1e6, 999)))
@@ -277,7 +277,7 @@ _PHI_P_GRID = (0.5, 1.0, 2.0, 3.0)
 _PHI_X_GRID = tuple(i / 10.0 for i in range(1, 10))
 
 
-def suite_phi(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
+def suite_phi(seed: int = 0) -> SuiteResult:
     """Closed form against grid maximization, envelope dominance, limits."""
     log = _Log()
     for p in _PHI_P_GRID:
@@ -306,25 +306,24 @@ def suite_phi(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
     return log.result("phi")
 
 
-def suite_koenig(seed: int = 0, tol: Tolerances = DEFAULT,
-                 trials: int = 300) -> SuiteResult:
-    """Eigenvalue p-sums stay below the approximation-number p-sums."""
+def suite_koenig(seed: int = 0) -> SuiteResult:
+    """Eigenvalue p-sums stay below the approximation-number p-sums, 300 trials."""
     log = _Log()
     rng = np.random.default_rng(seed)
     p_values = (0.5, 1.0, 2.0)
-    for trial in range(trials):
+    for trial in range(300):
         dim = int(rng.integers(2, 17))
         scale = float(rng.uniform(0.1, 3.0))
         m = _complex_array(rng, (dim, dim), scale / math.sqrt(dim))
         p = p_values[trial % 3]
-        lhs, rhs = koenig_check(m, p, tol)
+        lhs, rhs = koenig_check(m, p)
         log.check(lhs <= rhs + 1e-9 * max(1.0, rhs),
                   kind="koenig", trial=trial, dim=dim, p=p, lhs=lhs, rhs=rhs,
                   matrix=m)
     return log.result("koenig")
 
 
-def _winding_cases(rng, count: int, tol: Tolerances):
+def _winding_cases(rng, count: int):
     # models whose perturbation throws a few eigenvalues far from the base
     p_values = (0.5, 1.0, 2.0)
     for i in range(count):
@@ -337,8 +336,8 @@ def _winding_cases(rng, count: int, tol: Tolerances):
         k = _scaled_to_norm(k, NormKind.L2, float(rng.uniform(1.5, 3.0)))
         f = rank_n_approximant(k, rank, NormKind.L2)
         full = base + k
-        poles = eigenvalues(base + (k - f), tol)
-        spec = eigenvalues(full, tol)
+        poles = eigenvalues(base + (k - f))
+        spec = eigenvalues(full)
         order = np.argsort(-np.abs(spec.values), kind="stable")
         picked = 0
         for j in order:
@@ -360,17 +359,17 @@ def _winding_cases(rng, count: int, tol: Tolerances):
             picked += 1
 
 
-def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
+def suite_det(seed: int = 0) -> SuiteResult:
     """Determinant anchors, the scalar envelope, growth bound, and windings."""
     log = _Log()
     rng = np.random.default_rng(seed)
 
     # regularized-determinant anchors
-    log.check(abs(det_regularized(_spectrum_of([]), 3, tol) - 1.0) == 0.0,
+    log.check(abs(det_regularized(_spectrum_of([]), 3) - 1.0) == 0.0,
               kind="empty_product")
-    log.check(det_regularized(_spectrum_of([1.0]), 2, tol) == 0.0,
+    log.check(det_regularized(_spectrum_of([1.0]), 2) == 0.0,
               kind="unit_eigenvalue")
-    anchor = det_regularized(_spectrum_of([0.5, 0.5]), 2, tol)
+    anchor = det_regularized(_spectrum_of([0.5, 0.5]), 2)
     log.check(abs(anchor - 0.25 * math.e) <= 1e-12, kind="half_pair",
               value=anchor)
 
@@ -382,7 +381,7 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
         eigs = radii * np.exp(1j * angles)
         eigs[np.abs(eigs - 1.0) < 0.1] += 0.25
         plain = complex(np.prod(1.0 - eigs))
-        value = det_regularized(_spectrum_of(eigs), 1, tol)
+        value = det_regularized(_spectrum_of(eigs), 1)
         log.check(abs(value - plain) <= 1e-10 * max(abs(plain), abs(value)),
                   kind="order_one", trial=trial, value=value, plain=plain)
 
@@ -404,7 +403,7 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
     model, analytic = shift_example([2.0], 50)
     l0, k = materialize(model)
     for lam in (3.0 + 0.0j, 2.0 + 1.0j, -4.0 + 0.0j):
-        sample = perturbation_determinant(l0 + k, k, lam, 1.0, tol)
+        sample = perturbation_determinant(l0 + k, k, lam, 1.0)
         log.check(abs(sample.value - analytic(lam)) <= 1e-8,
                   kind="shift_anchor", lam=lam, value=sample.value,
                   analytic=analytic(lam))
@@ -415,7 +414,7 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
     sample_angles = rng.uniform(0.0, 2.0 * math.pi, 50)
     for radius, angle in zip(sample_radii, sample_angles):
         lam = complex(radius * np.exp(1j * angle))
-        sample = perturbation_determinant(l0 + k, k, lam, 1.0, tol)
+        sample = perturbation_determinant(l0 + k, k, lam, 1.0)
         expected = analytic(lam)
         log.check(abs(sample.value - expected) <= 1e-8 * max(1.0, abs(expected)),
                   kind="shift_random", lam=lam, value=sample.value,
@@ -425,7 +424,7 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
     entries = [e for e in regression_corpus(seed)
                if e.model.norm is NormKind.L2 and e.model.dim <= 24][:4]
     for which, entry in enumerate(entries):
-        prep = prepare(entry.model, tol)
+        prep = prepare(entry.model)
         l0, k = prep.l0, prep.k
         rank = prep.alpha.rank
         p = (1.0, 2.0)[which % 2]
@@ -436,8 +435,8 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
                 for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
                     lam = t * complex(math.cos(theta), math.sin(theta))
                     rhs = det_bound_rhs(l0, k, f, lam, p, 0.0, n_rank,
-                                        NormKind.L2, prep.alpha, tol=tol)
-                    sample = perturbation_determinant(l0 + k, f, lam, p, tol)
+                                        NormKind.L2, prep.alpha)
+                    sample = perturbation_determinant(l0 + k, f, lam, p)
                     log.check(sample.log_abs <= rhs + 1e-9,
                               kind="det_bound", model=entry.name, p=p,
                               n_rank=n_rank, lam=lam, log_abs=sample.log_abs,
@@ -445,10 +444,10 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
 
     # winding along pole-free circles counts enclosed eigenvalues
     circles = 0
-    for i, full, f, center, radius, expected, p in _winding_cases(rng, 20, tol):
+    for i, full, f, center, radius, expected, p in _winding_cases(rng, 20):
         winding = winding_count(
-            lambda lam: perturbation_determinant(full, f, lam, p, tol).value,
-            center, radius, tol=tol)
+            lambda lam: perturbation_determinant(full, f, lam, p).value,
+            center, radius)
         log.check(winding == expected, kind="winding", case=i, center=center,
                   radius=radius, p=p, winding=winding, expected=expected)
         circles += 1
@@ -457,12 +456,12 @@ def suite_det(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
 
 
 def _sweep_one(entry: CorpusEntry, p_values: Sequence[float],
-               tol: Tolerances, log: _Log) -> None:
-    prep = prepare(entry.model, tol)
+               log: _Log) -> None:
+    prep = prepare(entry.model)
     full = prep.l0 + prep.k
     compact = isinstance(entry.model.base, Zero)
     for s in sweep_radii(prep.norm_l0, prep.norm_k):
-        oracle = eigen_count_outside(full, s, tol)
+        oracle = eigen_count_outside(full, s)
         for p in p_values:
             phi_report = count_bound_disk(prep, p, s)
             simple_report = count_bound_disk_simple(prep, p, s)
@@ -493,21 +492,21 @@ def _sweep_one(entry: CorpusEntry, p_values: Sequence[float],
 
 def soundness_sweep(entries: Sequence[CorpusEntry] | None = None,
                     p_values: Sequence[float] = (0.5, 1.0, 2.0),
-                    tol: Tolerances = DEFAULT, seed: int = 0) -> _Log:
+                    seed: int = 0) -> _Log:
     """Oracle count vs every applicable bound across the corpus sweep grid."""
     if entries is None:
         entries = regression_corpus(seed)
     log = _Log()
     for entry in entries:
-        _sweep_one(entry, p_values, tol, log)
+        _sweep_one(entry, p_values, log)
     return log
 
 
-def suite_bounds(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
+def suite_bounds(seed: int = 0) -> SuiteResult:
     """Soundness sweep, bound identities, optimizer checks, moment identity."""
-    log = soundness_sweep(seed=seed, tol=tol)
+    log = soundness_sweep(seed=seed)
     entries = regression_corpus(seed)
-    prepared = [prepare(entry.model, tol) for entry in entries]
+    prepared = [prepare(entry.model) for entry in entries]
     rng = np.random.default_rng(seed)
 
     # the region bound through the optimal circle reproduces the disk bound
@@ -546,10 +545,10 @@ def suite_bounds(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
     # counting measure integrates to the moment sum, piece by piece
     for entry, prep in zip(entries, prepared):
         full = prep.l0 + prep.k
-        curve = count_curve(full, tol)
+        curve = count_curve(full)
         for q in (1.5, 2.0, 3.0):
             lhs = moment_from_curve(curve, prep.norm_l0, q)
-            rhs = moment_sum(full, prep.norm_l0, q, tol)
+            rhs = moment_sum(full, prep.norm_l0, q)
             log.check(abs(lhs - rhs) <= 1e-9 * max(lhs, rhs, 1e-12),
                       kind="moment_identity", model=entry.name, q=q,
                       integral=lhs, direct=rhs)
@@ -561,7 +560,7 @@ def suite_bounds(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
             pairs.append((1.0, 1.5))
         for p, q in pairs:
             bound = moment_bound(prep, p, q)
-            direct = moment_sum(prep.l0 + prep.k, prep.norm_l0, q, tol)
+            direct = moment_sum(prep.l0 + prep.k, prep.norm_l0, q)
             log.check(direct <= bound + 1e-9 * max(1.0, bound),
                       kind="moment_soundness", model=entry.name, p=p, q=q,
                       direct=direct, bound=bound)
@@ -582,19 +581,18 @@ def suite_bounds(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
     return log.result("bounds")
 
 
-def suite_jensen(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
+def suite_jensen(seed: int = 0) -> SuiteResult:
     """Zero counts of disk functions against the boundary supremum."""
     log = _Log()
-    verdict = jensen_check(lambda w: 1.0 - 2.0 * w, [0.5], tol=tol)
+    verdict = jensen_check(lambda w: 1.0 - 2.0 * w, [0.5])
     log.check(verdict.ok, kind="linear", log_sup=verdict.log_sup)
     log.check(abs(verdict.log_sup - math.log(3.0)) <= 1e-6,
               kind="linear_sup", log_sup=verdict.log_sup)
-    verdict = jensen_check(lambda w: 1.0 + 0.0 * w, [], tol=tol)
+    verdict = jensen_check(lambda w: 1.0 + 0.0 * w, [])
     log.check(verdict.ok and abs(verdict.log_sup) <= 1e-12,
               kind="constant", log_sup=verdict.log_sup)
     verdict = jensen_check(
-        lambda w: (1.0 - 2.0 * w) * (1.0 - (10.0 / 9.0) * w), [0.5, 0.9],
-        tol=tol)
+        lambda w: (1.0 - 2.0 * w) * (1.0 - (10.0 / 9.0) * w), [0.5, 0.9])
     log.check(verdict.ok, kind="quadratic", log_sup=verdict.log_sup)
 
     rng = np.random.default_rng(seed)
@@ -607,7 +605,7 @@ def suite_jensen(seed: int = 0, tol: Tolerances = DEFAULT) -> SuiteResult:
         def h(w, z=zeros):
             return complex(np.prod(1.0 - w / z))
 
-        verdict = jensen_check(h, zeros, tol=tol)
+        verdict = jensen_check(h, zeros)
         log.check(verdict.ok, kind="random_product", trial=trial, zeros=zeros,
                   log_sup=verdict.log_sup, worst_r=verdict.worst_r,
                   worst_margin=verdict.worst_margin)
@@ -628,7 +626,14 @@ _SUITES = {
 
 def run_suites(names: Sequence[str], seed: int = 0,
                tol: Tolerances = DEFAULT) -> list[SuiteResult]:
-    """Run the named suites in canonical order; 'all' expands to every suite."""
+    """Run the named suites in canonical order; 'all' expands to every suite.
+
+    tol is accepted for callers that pass it (bench/traced.py) and must be
+    DEFAULT, the only tolerances the suites use; any other value raises
+    ValueError instead of being ignored.
+    """
+    if tol != DEFAULT:
+        raise ValueError(f"run_suites uses DEFAULT tolerances only, got {tol!r}")
     expanded: list[str] = []
     for name in names:
         if name == "all":
@@ -638,4 +643,4 @@ def run_suites(names: Sequence[str], seed: int = 0,
         else:
             raise ValueError(
                 f"unknown suite {name!r}; choose from: all, {', '.join(SUITE_NAMES)}")
-    return [_SUITES[name](seed=seed, tol=tol) for name in expanded]
+    return [_SUITES[name](seed=seed) for name in expanded]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from eigencount import (
+    DEFAULT,
     Dense,
     NormKind,
     OperatorModel,
@@ -144,6 +146,40 @@ def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
         code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "3")
         assert code == 0, err
         assert len(calls) <= most
+
+
+def test_reports_echo_the_fixed_configuration(capsys, tmp_path, spec_path,
+                                              corpus):
+    tolerances = dataclasses.asdict(DEFAULT)
+    assert set(tolerances) == {
+        "cluster_rtol", "rank_rtol", "resolvent_rtol", "det_one_tol",
+        "contour_min_modulus", "normalization_tol", "pair_gap_rtol"}
+    # m02 is linf with a rank-3 K, so its alpha entries are certificates
+    model = corpus[2].model
+    prep = prepare(model)
+    s = repr(prep.norm_l0 + 0.5 * (prep.norm_k + 1.0))
+    doc = tmp_path / "m02.json"
+    doc.write_text(serialize_spec(model))
+    spec = str(spec_path)
+    cases = [
+        (("bound", spec, "--p", "1", "--s", "1.5"), "exact"),
+        (("bound", spec, "--p", "2", "--s", "1.5", "--mode", "empirical"),
+         "exact"),
+        (("bound", spec, "--p", "1", "--point", "2,0"), "exact"),
+        (("bound", str(doc), "--p", "1", "--s", s), "upper_bound"),
+        (("bound", str(doc), "--p", "1", "--s", s, "--mode", "empirical"),
+         "upper_bound"),
+        (("oracle", spec, "--s", "1.2", "--q", "2"), None),
+        (("oracle", spec, "--curve"), None),
+    ]
+    for argv, alpha_mode in cases:
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["config"] == {
+            "tolerances": tolerances,
+            "gamma_provenance": "envelope_certified",
+            "alpha_mode": alpha_mode,
+        }, argv
 
 
 def test_bound_fixed_rank(capsys, spec_path):

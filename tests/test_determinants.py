@@ -90,10 +90,10 @@ def test_gamma_rejects_bad_exponent():
 
 
 def test_gamma_p_user_supplied_validation():
-    g = GammaP(1.0, 2.0, GammaProvenance.USER_SUPPLIED)
+    g = GammaP(1.0, 2.0, GammaProvenance.ENVELOPE_CERTIFIED)
     assert g.c_p == pytest.approx(2.0 * 2.0 * np.sqrt(2.0 * np.e))
     with pytest.raises(AdmissibilityError):
-        GammaP(1.0, 0.0, GammaProvenance.USER_SUPPLIED)
+        GammaP(1.0, 0.0, GammaProvenance.ENVELOPE_CERTIFIED)
 
 
 @pytest.mark.parametrize("p", P_GRID)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencount import (
-    DEFAULT,
     NormKind,
     SingularResolventError,
     as_matrix,
@@ -99,4 +98,4 @@ def test_resolvent_convention_and_singularity():
 def test_resolvent_residual_check_near_spectrum():
     m = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(SingularResolventError):
-        resolvent(m, 2.0 + 1e-16, DEFAULT)
+        resolvent(m, 2.0 + 1e-16)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from eigencount import (
+    DEFAULT,
     NormKind,
     SuiteResult,
     induced_norm,
@@ -65,6 +68,11 @@ def test_suites_pass_under_alternate_seed():
 def test_run_suites_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suites(["nope"])
+
+
+def test_run_suites_rejects_tolerances_other_than_default():
+    with pytest.raises(ValueError):
+        run_suites(["lambert"], tol=dataclasses.replace(DEFAULT, rank_rtol=1e-8))
 
 
 def test_suite_result_ok_flag():
