@@ -15,6 +15,7 @@ from .approx import (
     koenig_check,
     koenig_constant,
     rank_n_approximant,
+    rank_n_factors,
 )
 from .bounds import (
     BoundReport,
@@ -64,6 +65,7 @@ from .numerics import (
     induced_norm,
     numerical_rank,
     resolvent,
+    shifted_solve,
     singular_value_rank,
     singular_values,
 )
@@ -108,12 +110,13 @@ __all__ = [
     # numerics
     "NormKind", "Spectrum", "as_matrix", "eigenvalues", "singular_values",
     "induced_norm",
-    "numerical_rank", "singular_value_rank", "resolvent",
+    "numerical_rank", "singular_value_rank", "resolvent", "shifted_solve",
     # operators
     "OperatorModel", "Shift", "Diagonal", "Dense", "Zero", "RankOne",
     "materialize", "parse_spec", "serialize_spec",
     # approx
     "ApproxSequence", "Certainty", "approx_numbers", "rank_n_approximant",
+    "rank_n_factors",
     "koenig_check", "koenig_constant",
     # determinants
     "GammaP", "GammaProvenance", "DetSample", "det_regularized",

@@ -29,6 +29,7 @@ __all__ = [
     "Certainty",
     "ApproxSequence",
     "approx_numbers",
+    "rank_n_factors",
     "rank_n_approximant",
     "koenig_check",
     "KOENIG_FACTOR",
@@ -112,32 +113,40 @@ def approx_numbers(m, kind: NormKind) -> ApproxSequence:
     return ApproxSequence(values, certainty, kind)
 
 
-def rank_n_approximant(m, n: int, kind: NormKind) -> np.ndarray:
-    """Best-available approximant of rank at most n.
+def rank_n_factors(m, n: int, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    """Factor pair (left, right) of the rank-n approximant, F = left @ right.T.
 
-    l2: truncated singular value decomposition (attains alpha_{n+1}).
-    l1/linf: keep the n heaviest columns/rows, zero the rest; the error
-    norm then equals the (n+1)-th certificate value exactly.
+    Both factors are dim x r with r = min(n, dim).
+    l2: truncated singular value decomposition (attains alpha_{n+1}),
+    left = U_n diag(sigma_1..sigma_n) and right = (V_n^*)^T.
+    l1/linf: keep the n heaviest columns/rows and zero the rest, so the
+    error norm equals the (n+1)-th certificate value exactly; the kept
+    columns (rows) pair with the matching columns of the identity.
     """
     m = as_matrix(m)
     if n < 0:
         raise ValueError("rank must be non-negative")
+    dim = m.shape[0]
     if n == 0:
-        return np.zeros_like(m)
-    if n >= m.shape[0]:
-        return m.copy()
+        return np.zeros((dim, 0), dtype=complex), np.zeros((dim, 0), dtype=complex)
+    if n >= dim:
+        return m.copy(), np.eye(dim, dtype=complex)
     if kind is NormKind.L2:
         u, sv, vh = np.linalg.svd(m)
-        return (u[:, :n] * sv[:n]) @ vh[:n]
+        return u[:, :n] * sv[:n], vh[:n].T
     axis = 0 if kind is NormKind.L1 else 1
     sums = np.sum(np.abs(m), axis=axis)
     keep = np.argsort(-sums, kind="stable")[:n]
-    f = np.zeros_like(m)
+    unit = np.eye(dim, dtype=complex)[:, keep]
     if kind is NormKind.L1:
-        f[:, keep] = m[:, keep]
-    else:
-        f[keep, :] = m[keep, :]
-    return f
+        return m[:, keep], unit
+    return unit, m[keep, :].T
+
+
+def rank_n_approximant(m, n: int, kind: NormKind) -> np.ndarray:
+    """Best-available approximant of rank at most n: the product of rank_n_factors."""
+    left, right = rank_n_factors(m, n, kind)
+    return left @ right.T
 
 
 KOENIG_FACTOR = 2.0  # times (2e)^{p/2}; see koenig_check

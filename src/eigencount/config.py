@@ -23,9 +23,10 @@ class Tolerances:
         Singular values below ``rank_rtol * sigma_1`` do not count towards
         the numerical rank.
     resolvent_rtol : float
-        Acceptable residual ``||(lambda - m) R - I||_F``, scaled by the
-        condition proxy ``||lambda - m||_F * ||R||_F``; above it the shift
-        is declared numerically singular.
+        Acceptable residual ``||(lambda - m) X - B||_F`` of a shifted solve
+        (``B = I`` for the resolvent), scaled by the larger of ``||B||_F``
+        and the condition proxy ``||lambda - m||_F * ||X||_F``; above it the
+        shift is declared numerically singular.
     det_one_tol : float
         ``|1 - eigenvalue|`` below this makes a regularized-determinant
         factor exactly zero.

@@ -21,8 +21,9 @@ import numpy as np
 
 from .approx import ApproxSequence, koenig_constant
 from .config import DEFAULT
-from .errors import AdmissibilityError
-from .numerics import NormKind, Spectrum, as_matrix, eigenvalues, induced_norm, resolvent
+from .errors import AdmissibilityError, MatrixError
+from .numerics import (NormKind, Spectrum, as_matrix, eigenvalues, induced_norm, resolvent,
+                       shifted_solve)
 
 __all__ = [
     "GammaProvenance",
@@ -112,6 +113,18 @@ def scalar_factor_log(lam: complex, n: int) -> float:
 # --- certified scalar envelope -------------------------------------------
 
 
+_RADII_PER_BLOCK = 256  # radii evaluated together; bounds the 256 x (128n+1) temporaries
+
+
+def _factor_log_abs(n: int, r, theta, coefs) -> np.ndarray:
+    # log|(1-lam) exp(sum_{j<n} lam^j/j)| at lam = r e^{i theta}, with
+    # coefs[j-1] = r^j / j; r, theta and the coefs broadcast together
+    val = np.log(np.abs(1.0 - r * np.exp(1j * theta)))
+    for j in range(1, n):
+        val += coefs[j - 1] * np.cos(j * theta)
+    return val
+
+
 def _circle_log_max(n: int, r: float) -> float:
     # Largest log|(1-lam) exp(sum_{j<n} lam^j/j)| over |lam| = r. The
     # derivative in the angle vanishes exactly where
@@ -121,19 +134,13 @@ def _circle_log_max(n: int, r: float) -> float:
         return 0.0
     if n == 1:
         return math.log1p(r)
-
-    def g_many(theta: np.ndarray) -> np.ndarray:
-        lam = r * np.exp(1j * theta)
-        val = np.log(np.abs(1.0 - lam))
-        for j in range(1, n):
-            val += (r ** j / j) * np.cos(j * theta)
-        return val
+    coefs = [r ** j / j for j in range(1, n)]
 
     def psi(theta: float) -> float:
         return math.sin(n * theta) - r * math.sin((n - 1) * theta)
 
     grid = np.linspace(0.0, math.pi, 128 * n + 1)
-    best = float(np.max(g_many(grid)))
+    best = float(np.max(_factor_log_abs(n, r, grid, coefs)))
     vals = np.sin(n * grid) - r * np.sin((n - 1) * grid)
     flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     roots = []
@@ -149,8 +156,39 @@ def _circle_log_max(n: int, r: float) -> float:
                 lo, flo = mid, fmid
         roots.append(0.5 * (lo + hi))
     if roots:
-        best = max(best, float(np.max(g_many(np.asarray(roots)))))
+        best = max(best, float(np.max(_factor_log_abs(n, r, np.asarray(roots), coefs))))
     return best
+
+
+def _circle_log_max_many(n: int, radii: np.ndarray) -> np.ndarray:
+    # _circle_log_max(n, r) for every r > 0 in radii, bit for bit: the same
+    # angle grid, and the same 90 bisection steps run on the sign changes
+    # of all radii of a block at once. r^j / j and log1p stay Python
+    # scalar operations, whose numpy counterparts round differently.
+    if n == 1:
+        return np.array([math.log1p(float(r)) for r in radii])
+    grid = np.linspace(0.0, math.pi, 128 * n + 1)
+    sin_n, sin_prev = np.sin(n * grid), np.sin((n - 1) * grid)
+    out = np.empty(len(radii))
+    for start in range(0, len(radii), _RADII_PER_BLOCK):
+        r = radii[start:start + _RADII_PER_BLOCK]
+        coefs = [np.array([float(x) ** j / j for x in r]) for j in range(1, n)]
+        best = np.max(_factor_log_abs(n, r[:, None], grid,
+                                      [c[:, None] for c in coefs]), axis=1)
+        vals = sin_n - r[:, None] * sin_prev
+        rows, cols = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+        lo, hi, flo, r_flip = grid[cols], grid[cols + 1], vals[rows, cols], r[rows]
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            fmid = np.sin(n * mid) - r_flip * np.sin((n - 1) * mid)
+            to_left = flo * fmid <= 0.0
+            hi = np.where(to_left, mid, hi)
+            lo = np.where(to_left, lo, mid)
+            flo = np.where(to_left, flo, fmid)
+        np.maximum.at(best, rows, _factor_log_abs(
+            n, r_flip, 0.5 * (lo + hi), [c[rows] for c in coefs]))
+        out[start:start + len(r)] = best
+    return out
 
 
 def _tail_envelope(n: int, r: float) -> float:
@@ -184,7 +222,8 @@ def gamma_p_upper(p: float) -> GammaP:
         return _envelope(n, r) / r ** p
 
     grid = np.logspace(-8.0, 6.0, 1500)
-    ratios = [ratio(float(r)) for r in grid]
+    ratios = [min(float(c), _tail_envelope(n, float(r))) / float(r) ** p
+              for r, c in zip(grid, _circle_log_max_many(n, grid))]
     k = int(np.argmax(ratios))
     best_r, best = float(grid[k]), ratios[k]
 
@@ -230,19 +269,32 @@ class DetSample:
 def perturbation_determinant(l, f, lam: complex, p: float) -> DetSample:
     """ceil(p)-regularized determinant of 1 - F (lam - (L - F))^{-1}.
 
-    L is the full operator and F a finite-rank stand-in for the
-    perturbation; lam must stay away from the spectrum of L - F (a
-    SingularResolventError otherwise tells the caller to move the point
-    or shrink the region).
+    L is the full operator and F = left @ right.T a finite-rank stand-in
+    for the perturbation, passed as the factor pair f = (left, right) of
+    dim x r arrays. The nonzero eigenvalues of F R are those of the r x r
+    matrix right.T R left (Weinstein-Aronszajn), so only the r columns
+    R left are solved for; with r = 0 the determinant is exactly 1. lam
+    must stay away from the spectrum of L - F (a SingularResolventError
+    otherwise tells the caller to move the point or shrink the region).
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
     l = as_matrix(l)
-    f = as_matrix(f)
-    if l.shape != f.shape:
-        raise AdmissibilityError("operator and approximant dimensions differ")
-    r = resolvent(l - f, lam)
-    spec = eigenvalues(f @ r)
+    try:
+        left, right = (np.asarray(factor, dtype=complex) for factor in f)
+    except (TypeError, ValueError) as exc:
+        raise AdmissibilityError(
+            "the approximant must be a (left, right) pair of dim x r factors") from exc
+    if left.ndim != 2 or left.shape != right.shape or left.shape[0] != l.shape[0]:
+        raise AdmissibilityError(
+            f"factors of shapes {left.shape} and {right.shape} do not make a "
+            f"rank-r approximant of a dim-{l.shape[0]} operator")
+    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+        raise MatrixError("approximant factors must be finite")
+    if left.shape[1] == 0:
+        return DetSample(lam=complex(lam), value=1.0 + 0.0j, log_abs=0.0)
+    x = shifted_solve(l - left @ right.T, lam, left)
+    spec = eigenvalues(right.T @ x)
     value, log_abs = det_regularized_log(spec, math.ceil(p))
     return DetSample(lam=complex(lam), value=value, log_abs=log_abs)
 

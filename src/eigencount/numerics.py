@@ -4,7 +4,7 @@ A square complex numpy array is read as the matrix of an operator on
 (C^n, ||.||) for one of the three classical vector norms. Eigen- and
 singular-value work is delegated to LAPACK via numpy.linalg; this module
 adds the multiset view of a spectrum (clustered multiplicities), exact
-induced norms, and a residual-checked resolvent.
+induced norms, and residual-checked shifted solves and resolvents.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "singular_value_rank",
     "induced_norm",
     "resolvent",
+    "shifted_solve",
 ]
 
 
@@ -171,20 +172,32 @@ def resolvent(m, lam: complex) -> np.ndarray:
     close enough to one that the solve cannot be trusted.
     """
     m = as_matrix(m)
+    return shifted_solve(m, lam, np.eye(m.shape[0], dtype=complex))
+
+
+def shifted_solve(m, lam: complex, rhs: np.ndarray) -> np.ndarray:
+    """X with (lam - m) X = rhs, for a dim x r right-hand side.
+
+    The residual ||(lam - m) X - rhs||_F must stay below resolvent_rtol
+    times the larger of ||rhs||_F and the condition proxy
+    ||lam - m||_F ||X||_F; otherwise, or when the solve fails,
+    SingularResolventError names lam.
+    """
+    m = as_matrix(m)
     a = lam * np.eye(m.shape[0], dtype=complex) - m
     try:
-        r = np.linalg.solve(a, np.eye(m.shape[0], dtype=complex))
+        x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularResolventError(
             f"lambda = {lam} is an eigenvalue; resolvent does not exist", lam=lam
         ) from exc
-    residual = float(np.linalg.norm(a @ r - np.eye(m.shape[0])))
-    scale = float(np.linalg.norm(a)) * float(np.linalg.norm(r))
-    allowed = DEFAULT.resolvent_rtol * max(1.0, scale)
+    residual = float(np.linalg.norm(a @ x - rhs))
+    scale = float(np.linalg.norm(a)) * float(np.linalg.norm(x))
+    allowed = DEFAULT.resolvent_rtol * max(float(np.linalg.norm(rhs)), scale)
     if residual > allowed:
         raise SingularResolventError(
             f"lambda = {lam} is within tolerance of the spectrum "
             f"(residual {residual:.3e} vs allowed {allowed:.3e})",
             lam=lam,
         )
-    return r
+    return x

@@ -223,16 +223,27 @@ class JensenVerdict:
     worst_margin: float
 
 
-def jensen_check(h: Callable[[complex], complex],
+def _values_at(h: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    values = np.asarray(h(points))
+    if values.shape != points.shape:
+        raise ValueError(
+            f"h returned shape {values.shape} for points of shape {points.shape}; "
+            "it must evaluate elementwise on an array of points")
+    return values
+
+
+def jensen_check(h: Callable[[np.ndarray], np.ndarray],
                  zeros: Sequence[complex]) -> JensenVerdict:
     """Check n(h; r) log(1/r) <= log sup_D |h| for r = 0.05, 0.10, ..., 0.95.
 
     h must be holomorphic and bounded on the unit disk with |h(0)| = 1
     (a NormalizationError otherwise); zeros is its zero multiset listed
-    with multiplicity. The sup is taken on a 4096-point boundary grid,
-    which is where a bounded holomorphic function attains it.
+    with multiplicity. h is evaluated elementwise on an array of points
+    and must return an array of the same shape (a ValueError otherwise).
+    The sup is taken on a 4096-point boundary grid, which is where a
+    bounded holomorphic function attains it.
     """
-    h0 = abs(complex(h(0.0)))
+    h0 = abs(complex(_values_at(h, np.zeros(1, dtype=complex))[0]))
     if abs(h0 - 1.0) > DEFAULT.normalization_tol:
         raise NormalizationError(
             f"|h(0)| = {h0:.12g} but the zero-counting inequality needs "
@@ -242,9 +253,8 @@ def jensen_check(h: Callable[[complex], complex],
         raise AdmissibilityError(
             f"zero of modulus {zmags[-1]:.12g} is not inside the open unit disk")
 
-    sup = 0.0
-    for theta in np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False):
-        sup = max(sup, abs(complex(h(complex(math.cos(theta), math.sin(theta))))))
+    boundary = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False))
+    sup = float(np.max(np.abs(_values_at(h, boundary))))
     log_sup = math.log(sup) if sup > 0 else float("-inf")
 
     worst_margin = float("inf")

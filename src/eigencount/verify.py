@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .approx import koenig_check, rank_n_approximant
+from .approx import koenig_check, rank_n_factors
 from .bounds import (
     ExteriorDisk,
     RegionSpec,
@@ -330,13 +330,19 @@ def _winding_cases(rng, count: int):
         dim = 12
         base = np.diag(_complex_array(rng, dim, 0.25))
         rank = int(rng.integers(1, 4))
+        pairs = [(_complex_array(rng, dim), _complex_array(rng, dim))
+                 for _ in range(rank)]
         k = np.zeros((dim, dim), dtype=complex)
-        for _ in range(rank):
-            k += np.outer(_complex_array(rng, dim), _complex_array(rng, dim))
-        k = _scaled_to_norm(k, NormKind.L2, float(rng.uniform(1.5, 3.0)))
-        f = rank_n_approximant(k, rank, NormKind.L2)
+        for left, right in pairs:
+            k += np.outer(left, right)
+        # K is a sum of rank-one terms, so its factors give F = K exactly;
+        # the one SVD per case is the norm's
+        scale = float(rng.uniform(1.5, 3.0)) / induced_norm(k, NormKind.L2)
+        k = k * scale
+        f = (np.stack([left for left, _ in pairs], axis=1) * scale,
+             np.stack([right for _, right in pairs], axis=1))
         full = base + k
-        poles = eigenvalues(base + (k - f))
+        poles = eigenvalues(base + (k - f[0] @ f[1].T))
         spec = eigenvalues(full)
         order = np.argsort(-np.abs(spec.values), kind="stable")
         picked = 0
@@ -357,6 +363,11 @@ def _winding_cases(rng, count: int):
             p = p_values[(i + picked) % 3]
             yield i, full, f, center, radius, expected, p
             picked += 1
+
+
+def _rank_one_factors(model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
+    pert = model.perturbation
+    return pert.left[:, None], pert.right[:, None]
 
 
 def suite_det(seed: int = 0) -> SuiteResult:
@@ -402,19 +413,21 @@ def suite_det(seed: int = 0) -> SuiteResult:
     # shift example: determinant equals the truncated coefficient series
     model, analytic = shift_example([2.0], 50)
     l0, k = materialize(model)
+    f = _rank_one_factors(model)
     for lam in (3.0 + 0.0j, 2.0 + 1.0j, -4.0 + 0.0j):
-        sample = perturbation_determinant(l0 + k, k, lam, 1.0)
+        sample = perturbation_determinant(l0 + k, f, lam, 1.0)
         log.check(abs(sample.value - analytic(lam)) <= 1e-8,
                   kind="shift_anchor", lam=lam, value=sample.value,
                   analytic=analytic(lam))
     coeffs = rng.uniform(-1.0, 1.0, 20)
     model, analytic = shift_example(coeffs, 200)
     l0, k = materialize(model)
+    f = _rank_one_factors(model)
     sample_radii = rng.uniform(1.2, 4.0, 50)
     sample_angles = rng.uniform(0.0, 2.0 * math.pi, 50)
     for radius, angle in zip(sample_radii, sample_angles):
         lam = complex(radius * np.exp(1j * angle))
-        sample = perturbation_determinant(l0 + k, k, lam, 1.0)
+        sample = perturbation_determinant(l0 + k, f, lam, 1.0)
         expected = analytic(lam)
         log.check(abs(sample.value - expected) <= 1e-8 * max(1.0, abs(expected)),
                   kind="shift_random", lam=lam, value=sample.value,
@@ -429,14 +442,15 @@ def suite_det(seed: int = 0) -> SuiteResult:
         rank = prep.alpha.rank
         p = (1.0, 2.0)[which % 2]
         for n_rank in {rank, max(0, rank - 2)}:
-            f = rank_n_approximant(k, n_rank, NormKind.L2)
+            factors = rank_n_factors(k, n_rank, NormKind.L2)
+            f = factors[0] @ factors[1].T
             for t in (prep.norm_l0 + prep.norm_k + 0.25,
                       prep.norm_l0 + 2.0 * prep.norm_k + 1.0):
                 for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
                     lam = t * complex(math.cos(theta), math.sin(theta))
                     rhs = det_bound_rhs(l0, k, f, lam, p, 0.0, n_rank,
                                         NormKind.L2, prep.alpha)
-                    sample = perturbation_determinant(l0 + k, f, lam, p)
+                    sample = perturbation_determinant(l0 + k, factors, lam, p)
                     log.check(sample.log_abs <= rhs + 1e-9,
                               kind="det_bound", model=entry.name, p=p,
                               n_rank=n_rank, lam=lam, log_abs=sample.log_abs,
@@ -603,7 +617,7 @@ def suite_jensen(seed: int = 0) -> SuiteResult:
         zeros = mags * np.exp(1j * phases)
 
         def h(w, z=zeros):
-            return complex(np.prod(1.0 - w / z))
+            return np.prod(1.0 - w[:, None] / z, axis=-1)
 
         verdict = jensen_check(h, zeros)
         log.check(verdict.ok, kind="random_product", trial=trial, zeros=zeros,

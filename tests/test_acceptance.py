@@ -27,6 +27,7 @@ from eigencount import (
     phi_p,
     phi_p_envelope,
     rank_n_approximant,
+    rank_n_factors,
     run_suites,
     scalar_factor_log,
     shift_example,
@@ -102,7 +103,7 @@ def test_c4_determinant_identity_and_winding():
     model, analytic = shift_example(np.array([2.0 + 0j]), dim)
     l0, k = materialize(model)
     full = l0 + k
-    f = rank_n_approximant(k, 1, model.norm)
+    f = rank_n_factors(k, 1, model.norm)
 
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -140,6 +141,7 @@ def test_c5_determinant_growth_bound_on_circles(corpus):
         full = l0 + k
         alpha = approx_numbers(k, NormKind.L2)
         n_rank = int(np.linalg.matrix_rank(k))
+        factors = rank_n_factors(k, n_rank, NormKind.L2)
         f = rank_n_approximant(k, n_rank, NormKind.L2)
         norm_l0 = induced_norm(l0, NormKind.L2)
         norm_k = induced_norm(k, NormKind.L2)
@@ -147,7 +149,7 @@ def test_c5_determinant_growth_bound_on_circles(corpus):
         for t in (norm_l0 + norm_k + 0.25, norm_l0 + 2.0 * norm_k + 1.0):
             for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
                 lam = t * np.exp(1j * theta)
-                sample = perturbation_determinant(full, f, lam, p)
+                sample = perturbation_determinant(full, factors, lam, p)
                 rhs = det_bound_rhs(l0, k, f, lam, p, 0.0, n_rank,
                                     NormKind.L2, alpha)
                 assert sample.log_abs - rhs <= 1e-9

@@ -12,6 +12,7 @@ from eigencount import (
     koenig_check,
     koenig_constant,
     rank_n_approximant,
+    rank_n_factors,
     singular_values,
 )
 
@@ -123,6 +124,40 @@ def test_rank_n_approximant_edges():
     assert not rank_n_approximant(m, 0, NormKind.L2).any()
     assert np.array_equal(rank_n_approximant(m, 4, NormKind.L1), m)
     assert np.array_equal(rank_n_approximant(m, 9, NormKind.LINF), m)
+
+
+def _placed_approximant(m, n, kind):
+    """Reference: the approximant written entry by entry, not as a product."""
+    if n == 0:
+        return np.zeros_like(m)
+    if n >= m.shape[0]:
+        return m.copy()
+    if kind is NormKind.L2:
+        u, sv, vh = np.linalg.svd(m)
+        return (u[:, :n] * sv[:n]) @ vh[:n]
+    sums = np.sum(np.abs(m), axis=0 if kind is NormKind.L1 else 1)
+    keep = np.argsort(-sums, kind="stable")[:n]
+    f = np.zeros_like(m)
+    if kind is NormKind.L1:
+        f[:, keep] = m[:, keep]
+    else:
+        f[keep, :] = m[keep, :]
+    return f
+
+
+def test_rank_n_factors_multiply_out_to_the_approximant(materialized):
+    for entry, l0, k in materialized[:6]:
+        dim = entry.model.dim
+        for m in (k, l0 + k):
+            for kind in KINDS:
+                for n in range(dim + 1):
+                    left, right = rank_n_factors(m, n, kind)
+                    assert left.shape == right.shape == (dim, n)
+                    product = left @ right.T
+                    f = rank_n_approximant(m, n, kind)
+                    assert product.tobytes() == f.tobytes()
+                    # equal values; a product may carry -0.0 where zeros were written
+                    assert np.array_equal(f, _placed_approximant(m, n, kind))
 
 
 def test_koenig_constant_values():

@@ -23,11 +23,11 @@ def test_traced_functions_still_exist():
             assert callable(getattr(holder, name, None)), f"{module}.{name}"
 
 
-def test_traced_verify_matches_the_plain_cli(tmp_path):
+def _traced_and_plain(tmp_path, args):
+    """Trace summary of args under bench/traced.py, whose run must match the plain CLI."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    args = ["verify", "--suite", "lambert", "--seed", "0"]
     trace = tmp_path / "trace.jsonl"
     traced = subprocess.run(
         [sys.executable, str(TRACED_PATH), str(trace), *args],
@@ -38,5 +38,14 @@ def test_traced_verify_matches_the_plain_cli(tmp_path):
     assert traced.returncode == 0, traced.stderr
     assert plain.returncode == 0, plain.stderr
     assert traced.stdout == plain.stdout
-    summary = json.loads(trace.read_text().splitlines()[-1])["summary"]
+    return json.loads(trace.read_text().splitlines()[-1])["summary"]
+
+
+def test_traced_verify_matches_the_plain_cli(tmp_path):
+    summary = _traced_and_plain(tmp_path, ["verify", "--suite", "lambert", "--seed", "0"])
     assert summary["verify.suite_lambert.calls"] == 1
+
+
+def test_traced_det_suite_counts_determinant_calls(tmp_path):
+    summary = _traced_and_plain(tmp_path, ["verify", "--suite", "det", "--seed", "0"])
+    assert summary["determinants.perturbation_determinant.calls"] == 3637

@@ -5,20 +5,27 @@ from eigencount import (
     AdmissibilityError,
     GammaP,
     GammaProvenance,
+    MatrixError,
     NormKind,
     Spectrum,
     approx_numbers,
     det_bound_rhs,
     det_regularized,
     det_regularized_log,
+    eigenvalues,
     gamma_p_upper,
     induced_norm,
     materialize,
     perturbation_determinant,
+    prepare,
     rank_n_approximant,
+    rank_n_factors,
+    resolvent,
     scalar_factor_log,
     shift_example,
 )
+from eigencount.determinants import _circle_log_max, _circle_log_max_many
+from eigencount.verify import _winding_cases
 
 P_GRID = (0.5, 1.0, 1.5, 2.0, 3.0)
 
@@ -82,6 +89,38 @@ def test_gamma_regression_pins():
     assert gamma_p_upper(3.0).value == pytest.approx(0.57894, abs=5e-4)
 
 
+# float.hex of (value, r_star), frozen from the scalar grid evaluation
+GAMMA_HEX = {
+    0.1: ("0x1.d6e3485f30764p+1", "0x1.57fdd9d63d0bcp+14"),
+    0.25: ("0x1.7a861f5238c76p+0", "0x1.8b7b66262a746p+5"),
+    0.5: ("0x1.9c073035eb520p-1", "0x1.f5f57858650cfp+1"),
+    0.75: ("0x1.63d0f96144e68p-1", "0x1.aa68649a7a0e5p-1"),
+    1.0: ("0x1.0000000000000p+0", "0x0.0p+0"),
+    1.25: ("0x1.df2f557d5dd77p-1", "0x1.731781edc06c0p+1"),
+    1.5: ("0x1.78d4824e099a9p-1", "0x1.33ca35f081fbbp+1"),
+    2.0: ("0x1.0000477631c7bp-1", "0x1.1dd872ed91fd0p-18"),
+    2.5: ("0x1.7ae1d58aeefbcp-1", "0x1.b4bdd70af33ccp+0"),
+    3.0: ("0x1.286b7db040b49p-1", "0x1.9364ff1b07682p+0"),
+    4.0: ("0x1.3d003c55f8a0ap-1", "0x1.675e68c2dde31p+0"),
+    5.0: ("0x1.497572ee4b57cp-1", "0x1.4f916d0ed2230p+0"),
+    7.5: ("0x1.7bedb5179dac7p-1", "0x1.325112bdec015p+0"),
+}
+
+
+@pytest.mark.parametrize("p", sorted(GAMMA_HEX))
+def test_gamma_is_bit_stable(p):
+    gamma = gamma_p_upper(p)
+    assert (gamma.value.hex(), gamma.r_star.hex()) == GAMMA_HEX[p]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+def test_blocked_circle_envelope_matches_the_scalar_one(n):
+    # 300 radii cross the boundary between two blocks
+    radii = np.logspace(-8.0, 6.0, 1500)[::5]
+    expected = np.array([_circle_log_max(n, float(r)) for r in radii])
+    assert np.array_equal(_circle_log_max_many(n, radii), expected)
+
+
 def test_gamma_rejects_bad_exponent():
     with pytest.raises(AdmissibilityError):
         gamma_p_upper(0.0)
@@ -111,7 +150,7 @@ def test_perturbation_determinant_matches_analytic_shift_form():
     model, analytic = shift_example(np.array([2.0 + 0j]), 40)
     l0, k = materialize(model)
     full = l0 + k
-    f = rank_n_approximant(k, 1, model.norm)
+    f = rank_n_factors(k, 1, model.norm)
     for lam in (3.0 + 0j, 2.0 + 1.0j, -4.0 + 0j, 1.5j):
         sample = perturbation_determinant(full, f, lam, 1.0)
         assert sample.value == pytest.approx(analytic(lam), abs=1e-10)
@@ -120,7 +159,7 @@ def test_perturbation_determinant_matches_analytic_shift_form():
 def test_perturbation_determinant_vanishes_at_eigenvalue():
     model, _ = shift_example(np.array([2.0 + 0j]), 40)
     l0, k = materialize(model)
-    sample = perturbation_determinant(l0 + k, rank_n_approximant(k, 1, model.norm),
+    sample = perturbation_determinant(l0 + k, rank_n_factors(k, 1, model.norm),
                                       2.0 + 0j, 1.0)
     assert abs(sample.value) < 1e-10
 
@@ -131,11 +170,12 @@ def test_det_bound_rhs_dominates_on_circle(corpus, materialized):
         if e.model.norm is NormKind.L2 and e.model.dim <= 16)
     alpha = approx_numbers(k, NormKind.L2)
     n_rank = int(np.linalg.matrix_rank(k))
+    factors = rank_n_factors(k, n_rank, NormKind.L2)
     f = rank_n_approximant(k, n_rank, NormKind.L2)
     t = induced_norm(l0, NormKind.L2) + induced_norm(k, NormKind.L2) + 0.5
     for theta in np.linspace(0.0, 2 * np.pi, 32, endpoint=False):
         lam = t * np.exp(1j * theta)
-        sample = perturbation_determinant(l0 + k, f, lam, 1.0)
+        sample = perturbation_determinant(l0 + k, factors, lam, 1.0)
         rhs = det_bound_rhs(l0, k, f, lam, 1.0, 0.0, n_rank,
                             NormKind.L2, alpha)
         assert sample.log_abs <= rhs + 1e-9
@@ -151,3 +191,74 @@ def test_det_bound_rhs_rejects_oversized_gap(materialized):
         # claim rank dim with eta 0: allowed gap is alpha_{dim+1} = 0 < ||K||
         det_bound_rhs(l0, k, f, t + 0j, 1.0, 0.0, k.shape[0],
                       NormKind.L2, alpha)
+
+
+def _dense_route_log_abs(l, factors, lam, p):
+    """The dim x dim reference: regularized det of 1 - F (lam - (L - F))^{-1}."""
+    f = factors[0] @ factors[1].T
+    spec = eigenvalues(f @ resolvent(l - f, lam))
+    return det_regularized_log(spec, int(np.ceil(p)))[1]
+
+
+def _assert_routes_agree(l, factors, lam, p):
+    log_abs = perturbation_determinant(l, factors, lam, p).log_abs
+    reference = _dense_route_log_abs(l, factors, lam, p)
+    assert abs(log_abs - reference) <= 1e-12 * max(1.0, abs(reference)), lam
+
+
+def test_rxr_determinant_matches_dense_route_on_shift_example():
+    rng = np.random.default_rng(0)
+    model, _ = shift_example(rng.uniform(-1.0, 1.0, 20), 200)
+    l0, k = materialize(model)
+    factors = (model.perturbation.left[:, None], model.perturbation.right[:, None])
+    for radius, angle in zip(rng.uniform(1.2, 4.0, 8),
+                             rng.uniform(0.0, 2 * np.pi, 8)):
+        _assert_routes_agree(l0 + k, factors, radius * np.exp(1j * angle), 1.0)
+
+
+def test_rxr_determinant_matches_dense_route_on_winding_cases():
+    cases = list(_winding_cases(np.random.default_rng(0), 20))
+    assert len(cases) >= 10
+    for _, full, factors, center, radius, _, p in cases:
+        for theta in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
+            _assert_routes_agree(full, factors, center + radius * np.exp(1j * theta), p)
+
+
+def test_rxr_determinant_matches_dense_route_on_corpus_circles(corpus):
+    entries = [e for e in corpus
+               if e.model.norm is NormKind.L2 and e.model.dim <= 24][:4]
+    assert len(entries) == 4
+    for which, entry in enumerate(entries):
+        prep = prepare(entry.model)
+        p = (1.0, 2.0)[which % 2]
+        for n_rank in {prep.alpha.rank, max(0, prep.alpha.rank - 2)}:
+            factors = rank_n_factors(prep.k, n_rank, NormKind.L2)
+            for t in (prep.norm_l0 + prep.norm_k + 0.25,
+                      prep.norm_l0 + 2.0 * prep.norm_k + 1.0):
+                for theta in np.linspace(0.0, 2 * np.pi, 16, endpoint=False):
+                    _assert_routes_agree(prep.l0 + prep.k, factors,
+                                         t * np.exp(1j * theta), p)
+
+
+def test_rank_zero_determinant_is_exactly_one():
+    model, _ = shift_example(np.array([2.0 + 0j]), 10)
+    l0, k = materialize(model)
+    empty = np.zeros((10, 0), dtype=complex)
+    # 0 is an eigenvalue of L, yet with F = 0 the determinant is 1 everywhere
+    for lam in (3.0 + 0j, 0.0 + 0j):
+        sample = perturbation_determinant(l0 + k, (empty, empty), lam, 2.0)
+        assert sample.value == 1.0 and sample.log_abs == 0.0
+
+
+def test_perturbation_determinant_rejects_mismatched_factors():
+    model, _ = shift_example(np.array([2.0 + 0j]), 10)
+    l0, k = materialize(model)
+    ones = np.ones((10, 2), dtype=complex)
+    for factors in ((ones, ones[:, :1]),           # ranks differ
+                    (ones[:9], ones[:9]),          # dimension differs from L
+                    (ones[:, 0], ones[:, 0]),      # not dim x r arrays
+                    k):                            # a dense approximant
+        with pytest.raises(AdmissibilityError):
+            perturbation_determinant(l0 + k, factors, 3.0 + 0j, 1.0)
+    with pytest.raises(MatrixError):
+        perturbation_determinant(l0 + k, (ones * np.nan, ones), 3.0 + 0j, 1.0)

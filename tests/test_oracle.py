@@ -116,6 +116,15 @@ def test_jensen_detects_fabricated_zero():
     assert not verdict.ok
 
 
+def test_jensen_rejects_a_scalar_valued_h():
+    zeros = np.array([0.5, -0.25j])
+    # np.prod without an axis folds the whole boundary array into one number
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        jensen_check(lambda w: np.prod(1.0 - w / 2.0), zeros)
+    verdict = jensen_check(lambda w: np.prod(1.0 - w[:, None] / zeros, axis=-1), zeros)
+    assert verdict.ok
+
+
 def test_shift_example_analytic_form():
     b = np.array([0.5, 0.0, 0.25], dtype=complex)
     model, d = shift_example(b, 10)

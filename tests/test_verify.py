@@ -60,6 +60,14 @@ def test_quick_suites_pass():
         assert result.checks > 0
 
 
+def test_slow_suites_pass_with_pinned_check_counts():
+    results = run_suites(["det", "bounds", "jensen"], seed=0)
+    assert [(r.name, r.checks) for r in results] == [
+        ("det", 6171), ("bounds", 8122), ("jensen", 34)]
+    for result in results:
+        assert result.ok, result.failures[:1]
+
+
 def test_suites_pass_under_alternate_seed():
     for result in run_suites(["koenig"], seed=12345):
         assert result.ok, result.failures[:1]
