@@ -296,23 +296,23 @@ def _cmd_oracle(args) -> int:
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
     l0, k = materialize(model)
-    full = l0 + k
+    spec = eigenvalues(l0 + k)
     norm_l0 = induced_norm(l0, model.norm)
 
     results: dict = {"dim": model.dim, "norm": model.norm.value,
                      "norm_l0": norm_l0}
     csv_rows: list[list] = []
     if args.s is not None:
-        count = eigen_count_outside(full, args.s)
+        count = eigen_count_outside(spec, args.s)
         results["count"] = {"s": args.s, "value": count}
         csv_rows.append(["count", args.s, count])
     if args.curve:
-        curve = count_curve(full)
+        curve = count_curve(spec)
         pairs = [[float(r), int(c)] for r, c in zip(curve.radii, curve.counts)]
         results["curve"] = {"breakpoints": pairs}
         csv_rows.extend(["curve", r, c] for r, c in pairs)
     if args.q is not None:
-        moment = moment_sum(full, norm_l0, args.q)
+        moment = moment_sum(spec, norm_l0, args.q)
         results["moment"] = {"q": args.q, "base": norm_l0, "value": moment}
         csv_rows.append(["moment", args.q, moment])
 
@@ -400,8 +400,8 @@ def _cmd_example_shift(args) -> int:
     for row in probe.rows:
         model, _ = shift_example(family(row.dim), row.dim)
         l0, k = materialize(model)
-        full = l0 + k
-        counts = [eigen_count_outside(full, s) for s in _EXAMPLE_RADII]
+        spec = eigenvalues(l0 + k)
+        counts = [eigen_count_outside(spec, s) for s in _EXAMPLE_RADII]
         rows.append([row.dim, row.excess_sum] + counts)
     _emit_csv(header, rows, args.out)
     return 0

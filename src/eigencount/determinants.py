@@ -21,8 +21,8 @@ import numpy as np
 
 from .approx import ApproxSequence, koenig_constant
 from .config import DEFAULT
-from .errors import AdmissibilityError, MatrixError
-from .numerics import (NormKind, Spectrum, as_matrix, eigenvalues, induced_norm, resolvent,
+from .errors import AdmissibilityError, EigenvalueError, MatrixError
+from .numerics import (NormKind, Spectrum, as_matrix, induced_norm, point_blocks, resolvent,
                        shifted_solve)
 
 __all__ = [
@@ -67,14 +67,26 @@ class GammaP:
 # --- regularized determinant ---------------------------------------------
 
 
-def _factor_log(lam: complex, n: int) -> complex:
-    # principal-branch log(1 - lam) + sum_{j<n} lam^j / j
+def _factor_log(lam, n: int):
+    # principal-branch log(1 - lam) + sum_{j<n} lam^j / j, elementwise on arrays
     term = np.log(1.0 - lam)
     power = lam
     for j in range(1, n):
-        term += power / j
-        power *= lam
+        term = term + power / j
+        power = power * lam
     return term
+
+
+def _regularized_log_rows(eigs: np.ndarray, n: int, weights=1):
+    # (value, log|value|) of the n-regularized determinant of 1 - F for each
+    # row of eigenvalues of F, each counted weights times; a row with an
+    # eigenvalue at 1 within tolerance gives exactly (0, -inf)
+    hit = np.any(np.abs(1.0 - eigs) <= DEFAULT.det_one_tol * np.maximum(1.0, np.abs(eigs)),
+                 axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_total = np.sum(weights * _factor_log(eigs, n), axis=-1)
+        value = np.exp(log_total)
+    return np.where(hit, 0.0, value), np.where(hit, -np.inf, log_total.real)
 
 
 def det_regularized_log(eigs: Spectrum, n: int):
@@ -86,14 +98,9 @@ def det_regularized_log(eigs: Spectrum, n: int):
     """
     if n < 1:
         raise ValueError("regularization order must be at least 1")
-    log_total = 0.0 + 0.0j
-    for lam, mult in zip(eigs.values, eigs.multiplicities):
-        lam = complex(lam)
-        if abs(1.0 - lam) <= DEFAULT.det_one_tol * max(1.0, abs(lam)):
-            return 0.0 + 0.0j, float("-inf")
-        log_total += int(mult) * _factor_log(lam, n)
-    value = complex(np.exp(log_total))
-    return value, float(log_total.real)
+    value, log_abs = _regularized_log_rows(
+        np.asarray(eigs.values, dtype=complex), n, eigs.multiplicities)
+    return complex(value), float(log_abs)
 
 
 def det_regularized(eigs: Spectrum, n: int) -> complex:
@@ -259,23 +266,34 @@ def gamma_p_upper(p: float) -> GammaP:
 
 @dataclass(frozen=True)
 class DetSample:
-    """One evaluation of the perturbation determinant."""
+    """Evaluations of the perturbation determinant: scalars for one lam,
+    equal-length arrays for a 1-D array of lam."""
 
-    lam: complex
-    value: complex
-    log_abs: float
+    lam: complex | np.ndarray
+    value: complex | np.ndarray
+    log_abs: float | np.ndarray
 
 
-def perturbation_determinant(l, f, lam: complex, p: float) -> DetSample:
+def _points(lam) -> np.ndarray:
+    lams = np.asarray(lam, dtype=complex)
+    if lams.ndim > 1:
+        raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lams.shape}")
+    return lams
+
+
+def perturbation_determinant(l, f, lam, p: float) -> DetSample:
     """ceil(p)-regularized determinant of 1 - F (lam - (L - F))^{-1}.
 
     L is the full operator and F = left @ right.T a finite-rank stand-in
     for the perturbation, passed as the factor pair f = (left, right) of
     dim x r arrays. The nonzero eigenvalues of F R are those of the r x r
     matrix right.T R left (Weinstein-Aronszajn), so only the r columns
-    R left are solved for; with r = 0 the determinant is exactly 1. lam
-    must stay away from the spectrum of L - F (a SingularResolventError
-    otherwise tells the caller to move the point or shrink the region).
+    R left are solved for; with r = 0 the determinant is exactly 1. lam is
+    a point or a 1-D array of points, evaluated together: one stacked
+    solve and one stacked r x r eigensolve. Every lam must stay away from
+    the spectrum of L - F (a SingularResolventError naming the first
+    offending lam otherwise tells the caller to move the point or shrink
+    the region).
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
@@ -291,22 +309,37 @@ def perturbation_determinant(l, f, lam: complex, p: float) -> DetSample:
             f"rank-r approximant of a dim-{l.shape[0]} operator")
     if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
         raise MatrixError("approximant factors must be finite")
+    lams = _points(lam)
+    points = lams.reshape(-1)
     if left.shape[1] == 0:
-        return DetSample(lam=complex(lam), value=1.0 + 0.0j, log_abs=0.0)
-    x = shifted_solve(l - left @ right.T, lam, left)
-    spec = eigenvalues(right.T @ x)
-    value, log_abs = det_regularized_log(spec, math.ceil(p))
-    return DetSample(lam=complex(lam), value=value, log_abs=log_abs)
+        value, log_abs = np.ones(len(points), dtype=complex), np.zeros(len(points))
+    else:
+        small = right.T @ shifted_solve(l - left @ right.T, points, left)
+        if not np.all(np.isfinite(small)):
+            raise MatrixError("matrix entries must be finite")
+        try:
+            eigs = np.linalg.eigvals(small)
+        except np.linalg.LinAlgError as exc:
+            raise EigenvalueError(f"eigenvalue iteration failed to converge: {exc}",
+                                  matrix=small) from exc
+        value, log_abs = _regularized_log_rows(eigs, math.ceil(p))
+    if lams.ndim == 0:
+        return DetSample(lam=complex(lams), value=complex(value[0]),
+                         log_abs=float(log_abs[0]))
+    return DetSample(lam=points, value=value, log_abs=log_abs)
 
 
-def det_bound_rhs(l0, k, f, lam: complex, p: float, eta: float, n_rank: int,
-                  kind: NormKind, alpha: ApproxSequence) -> float:
+def det_bound_rhs(l0, k, f, lam, p: float, eta: float, n_rank: int,
+                  kind: NormKind, alpha: ApproxSequence):
     """Certified exponent bounding log|perturbation determinant| at lam.
 
     Returns C_p ||(lam - L0)^{-1}||^p sum_{j<=N} (alpha_{N+1} + eta + alpha_j)^p
     / (1 - (alpha_{N+1} + eta) ||(lam - L0)^{-1}||)^p, valid whenever
     ||K - F|| <= alpha_{N+1} + eta and the denominator base is positive;
-    both conditions are checked.
+    both conditions are checked, the second at every lam. lam is a point
+    or a 1-D array of points (then an array of exponents is returned):
+    ||K - F|| and ||K|| are computed once per call, and the resolvent
+    norms one stacked solve per point_blocks block.
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
@@ -317,6 +350,8 @@ def det_bound_rhs(l0, k, f, lam: complex, p: float, eta: float, n_rank: int,
     l0 = as_matrix(l0)
     k = as_matrix(k)
     f = as_matrix(f)
+    lams = _points(lam)
+    points = lams.reshape(-1)
 
     beta = alpha.value_at(n_rank + 1) + eta
     gap = induced_norm(k - f, kind)
@@ -326,11 +361,16 @@ def det_bound_rhs(l0, k, f, lam: complex, p: float, eta: float, n_rank: int,
             f"||K - F|| = {gap:.6e} exceeds alpha_{n_rank + 1} + eta = {beta:.6e}; "
             "the approximant is not admissible for this N and eta")
 
-    res_norm = induced_norm(resolvent(l0, lam), kind)
-    if beta * res_norm >= 1.0:
+    res_norm = np.empty(len(points))
+    for block in point_blocks(len(points), l0.shape[0]):
+        res_norm[block] = induced_norm(resolvent(l0, points[block]), kind)
+    bad = np.flatnonzero(beta * res_norm >= 1.0)
+    if len(bad):
+        j = int(bad[0])
         raise AdmissibilityError(
             f"(alpha_{n_rank + 1} + eta) * ||(lam - L0)^{{-1}}|| = "
-            f"{beta * res_norm:.6e} must be below 1 at lam = {lam}")
+            f"{beta * res_norm[j]:.6e} must be below 1 at lam = {complex(points[j])}")
 
     total = alpha.head_power_sum(p, n_rank, offset=beta)
-    return gamma_p_upper(p).c_p * res_norm ** p * total / (1.0 - beta * res_norm) ** p
+    rhs = gamma_p_upper(p).c_p * res_norm ** p * total / (1.0 - beta * res_norm) ** p
+    return float(rhs[0]) if lams.ndim == 0 else rhs

@@ -28,7 +28,10 @@ __all__ = [
     "induced_norm",
     "resolvent",
     "shifted_solve",
+    "point_blocks",
 ]
+
+_STACK_BYTES = 1 << 20  # one block of stacked dim x dim complex matrices stays under 1 MB
 
 
 class NormKind(Enum):
@@ -129,9 +132,21 @@ def eigenvalues(m) -> Spectrum:
     return _cluster(raw, radius)
 
 
+def _as_matrices(m) -> np.ndarray:
+    # as_matrix for one matrix, or the same checks on a (k, dim, dim) stack
+    if np.ndim(m) != 3:
+        return as_matrix(m)
+    m = np.asarray(m, dtype=complex)
+    if m.shape[1] != m.shape[2] or m.shape[1] == 0:
+        raise MatrixError(f"expected a stack of square matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise MatrixError("matrix entries must be finite")
+    return m
+
+
 def singular_values(m) -> np.ndarray:
-    """Singular values of m, non-increasing."""
-    m = as_matrix(m)
+    """Singular values of m, non-increasing; one row per matrix of a stack."""
+    m = _as_matrices(m)
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -151,53 +166,95 @@ def singular_value_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > DEFAULT.rank_rtol * sv[0]))
 
 
-def induced_norm(m, kind: NormKind) -> float:
+def induced_norm(m, kind: NormKind):
     """Operator norm of m induced by the given vector norm.
 
     l1 is the largest absolute column sum, linf the largest absolute row
-    sum, and l2 the largest singular value (no power iteration).
+    sum, and l2 the largest singular value (no power iteration). A
+    (k, dim, dim) stack gives the k norms as an array.
     """
-    m = as_matrix(m)
+    m = _as_matrices(m)
     if kind is NormKind.L1:
-        return float(np.max(np.sum(np.abs(m), axis=0)))
-    if kind is NormKind.LINF:
-        return float(np.max(np.sum(np.abs(m), axis=1)))
-    return float(singular_values(m)[0])
+        norms = np.max(np.sum(np.abs(m), axis=-2), axis=-1)
+    elif kind is NormKind.LINF:
+        norms = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
+    else:
+        norms = singular_values(m)[..., 0]
+    return float(norms) if m.ndim == 2 else norms
 
 
-def resolvent(m, lam: complex) -> np.ndarray:
+def point_blocks(count: int, dim: int):
+    """Slices of range(count) whose dim x dim complex stacks fit _STACK_BYTES."""
+    step = max(1, _STACK_BYTES // (16 * dim * dim))
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
+
+
+def resolvent(m, lam) -> np.ndarray:
     """Inverse of (lam - m), with a condition-scaled residual check.
 
     Raises SingularResolventError naming lam when lam is an eigenvalue or
-    close enough to one that the solve cannot be trusted.
+    close enough to one that the solve cannot be trusted. A 1-D array of
+    lam gives the (k, dim, dim) stack of inverses; callers bound its size
+    with point_blocks.
     """
     m = as_matrix(m)
     return shifted_solve(m, lam, np.eye(m.shape[0], dtype=complex))
 
 
-def shifted_solve(m, lam: complex, rhs: np.ndarray) -> np.ndarray:
+def shifted_solve(m, lam, rhs: np.ndarray) -> np.ndarray:
     """X with (lam - m) X = rhs, for a dim x r right-hand side.
 
-    The residual ||(lam - m) X - rhs||_F must stay below resolvent_rtol
-    times the larger of ||rhs||_F and the condition proxy
-    ||lam - m||_F ||X||_F; otherwise, or when the solve fails,
-    SingularResolventError names lam.
+    lam is a scalar, or a 1-D array for which the (k, dim, r) stack of
+    solutions is returned; the shifted matrices are built and solved
+    point_blocks at a time. The residual ||(lam - m) X - rhs||_F must stay
+    below resolvent_rtol times the larger of ||rhs||_F and the condition
+    proxy ||lam - m||_F ||X||_F at every lam; otherwise, or when the solve
+    fails, SingularResolventError names the first such lam.
     """
     m = as_matrix(m)
-    a = lam * np.eye(m.shape[0], dtype=complex) - m
+    lams = np.asarray(lam, dtype=complex)
+    if lams.ndim > 1:
+        raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lams.shape}")
+    rhs_norm = float(np.linalg.norm(rhs))
+    if lams.ndim == 0:
+        return _solve_block(m, lams.reshape(1), rhs, rhs_norm)[0]
+    x = np.empty((len(lams),) + np.shape(rhs), dtype=complex)
+    for block in point_blocks(len(lams), m.shape[0]):
+        x[block] = _solve_block(m, lams[block], rhs, rhs_norm)
+    return x
+
+
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    # ||.||_F of each matrix of a complex stack, as one dot product per matrix
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
+def _solve_block(m: np.ndarray, lams: np.ndarray, rhs: np.ndarray,
+                 rhs_norm: float) -> np.ndarray:
+    a = lams[:, None, None] * np.eye(m.shape[0], dtype=complex) - m
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
+        if len(lams) > 1:
+            # some matrix of the block is singular; point by point names the first
+            return np.concatenate([_solve_block(m, lams[j:j + 1], rhs, rhs_norm)
+                                   for j in range(len(lams))])
+        lam = complex(lams[0])
         raise SingularResolventError(
             f"lambda = {lam} is an eigenvalue; resolvent does not exist", lam=lam
         ) from exc
-    residual = float(np.linalg.norm(a @ x - rhs))
-    scale = float(np.linalg.norm(a)) * float(np.linalg.norm(x))
-    allowed = DEFAULT.resolvent_rtol * max(float(np.linalg.norm(rhs)), scale)
-    if residual > allowed:
+    residual = _frobenius(a @ x - rhs)
+    scale = _frobenius(a) * _frobenius(x)
+    allowed = DEFAULT.resolvent_rtol * np.maximum(rhs_norm, scale)
+    bad = np.flatnonzero(residual > allowed)
+    if len(bad):
+        j = int(bad[0])
+        lam = complex(lams[j])
         raise SingularResolventError(
             f"lambda = {lam} is within tolerance of the spectrum "
-            f"(residual {residual:.3e} vs allowed {allowed:.3e})",
+            f"(residual {residual[j]:.3e} vs allowed {allowed[j]:.3e})",
             lam=lam,
         )
     return x

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import AdmissibilityError, ContourError, NormalizationError
-from .numerics import NormKind, as_matrix, eigenvalues
+from .numerics import NormKind, Spectrum, as_matrix, eigenvalues
 from .operators import OperatorModel, RankOne, Shift, materialize
 
 __all__ = [
@@ -42,12 +42,19 @@ __all__ = [
 # --- counting --------------------------------------------------------------
 
 
+def _spectrum(m) -> Spectrum:
+    # the oracles take a matrix, or the Spectrum of one already eigensolved
+    return m if isinstance(m, Spectrum) else eigenvalues(as_matrix(m))
+
+
 def eigen_count_outside(m, s: float) -> int:
-    """Number of eigenvalues with |lambda| > s, counted with multiplicity."""
+    """Number of eigenvalues with |lambda| > s, counted with multiplicity.
+
+    m is a matrix or its Spectrum, so that one eigensolve serves many radii.
+    """
     if s < 0:
         raise ValueError(f"radius must be non-negative, got {s}")
-    spec = eigenvalues(as_matrix(m))
-    return spec.count_where(lambda lam: abs(lam) > s)
+    return _spectrum(m).count_where(lambda lam: abs(lam) > s)
 
 
 @dataclass(frozen=True)
@@ -74,9 +81,11 @@ class CountCurve:
 
 
 def count_curve(m) -> CountCurve:
-    """Breakpoint representation of s -> eigen_count_outside(m, s)."""
-    m = as_matrix(m)
-    spec = eigenvalues(m)
+    """Breakpoint representation of s -> eigen_count_outside(m, s).
+
+    m is a matrix or its Spectrum.
+    """
+    spec = _spectrum(m)
     mags = np.abs(spec.values)
     order = np.argsort(mags, kind="stable")
     radii: list[float] = []
@@ -94,10 +103,13 @@ def count_curve(m) -> CountCurve:
 
 
 def moment_sum(m, base: float, q: float) -> float:
-    """sum over |lambda| > base of (|lambda| - base)^q, with multiplicity."""
+    """sum over |lambda| > base of (|lambda| - base)^q, with multiplicity.
+
+    m is a matrix or its Spectrum.
+    """
     if q <= 0:
         raise ValueError(f"moment exponent must be positive, got {q}")
-    spec = eigenvalues(as_matrix(m))
+    spec = _spectrum(m)
     total = 0.0
     for lam, mult in zip(spec.values, spec.multiplicities):
         excess = abs(lam) - base
@@ -167,49 +179,59 @@ def winding_from_samples(values: Sequence[complex]) -> int:
     return int(winding)
 
 
-def winding_count(fn: Callable[[complex], complex], center: complex,
+def _values_at(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
+    values = np.asarray(fn(points))
+    if values.shape != points.shape:
+        raise ValueError(
+            f"function returned shape {values.shape} for points of shape {points.shape}; "
+            "it must evaluate elementwise on an array of points")
+    return values
+
+
+def winding_count(fn: Callable[[np.ndarray], np.ndarray], center: complex,
                   radius: float) -> int:
     """Winding of fn around 0 along the circle |lam - center| = radius.
 
-    Starts from a uniform grid of 64 points and bisects every arc whose
-    phase step reaches pi/2 until all steps are fine or the budget of
-    65536 points runs out (then a ContourError reports the failure rather
-    than guessing).
+    fn is evaluated elementwise on an array of points and must return an
+    array of the same shape (a ValueError otherwise): once on a uniform
+    grid of 64 points, then once per round on the midpoints of every arc
+    whose phase step reaches pi/2, until all steps are fine or the budget
+    of 65536 points runs out (then a ContourError reports the failure
+    rather than guessing).
     """
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
 
-    def sample(theta: float) -> tuple[float, complex]:
-        v = complex(fn(center + radius * complex(math.cos(theta), math.sin(theta))))
-        if abs(v) <= DEFAULT.contour_min_modulus:
+    def sample(thetas: np.ndarray) -> np.ndarray:
+        values = _values_at(
+            fn, center + radius * (np.cos(thetas) + 1j * np.sin(thetas))).astype(complex)
+        small = np.flatnonzero(np.abs(values) <= DEFAULT.contour_min_modulus)
+        if len(small):
+            j = int(small[0])
             raise ContourError(
-                f"contour value {v} at angle {theta:.6f} is within "
+                f"contour value {complex(values[j])} at angle {thetas[j]:.6f} is within "
                 f"{DEFAULT.contour_min_modulus} of zero; move the contour")
-        return theta, v
+        return values
 
-    points = [sample(t) for t in
-              np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)]
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    values = sample(thetas)
     while True:
-        inserts = []
-        for i in range(len(points)):
-            t0, v0 = points[i]
-            if i + 1 < len(points):
-                t1, v1 = points[i + 1]
-            else:
-                t1, v1 = points[0][0] + 2.0 * math.pi, points[0][1]
-            if abs(np.angle(v1 / v0)) >= math.pi / 2.0:
-                tm = 0.5 * (t0 + t1)
-                inserts.append(tm if tm < 2.0 * math.pi else tm - 2.0 * math.pi)
-        if not inserts:
+        ends = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
+        coarse = np.abs(np.angle(np.roll(values, -1) / values)) >= math.pi / 2.0
+        if not np.any(coarse):
             break
-        if len(points) + len(inserts) > 65536:
+        if len(thetas) + int(np.count_nonzero(coarse)) > 65536:
             raise ContourError(
                 "refinement budget of 65536 contour points exceeded; "
                 "the contour likely passes near a zero")
-        points.extend(sample(t) for t in inserts)
-        points.sort(key=lambda pair: pair[0])
+        mids = 0.5 * (thetas[coarse] + ends[coarse])
+        mids = np.where(mids < 2.0 * math.pi, mids, mids - 2.0 * math.pi)
+        thetas = np.concatenate((thetas, mids))
+        values = np.concatenate((values, sample(mids)))
+        order = np.argsort(thetas, kind="stable")
+        thetas, values = thetas[order], values[order]
 
-    return winding_from_samples([v for _, v in points])
+    return winding_from_samples(values)
 
 
 # --- unit-disk zero counting ------------------------------------------------
@@ -221,15 +243,6 @@ class JensenVerdict:
     log_sup: float
     worst_r: float
     worst_margin: float
-
-
-def _values_at(h: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
-    values = np.asarray(h(points))
-    if values.shape != points.shape:
-        raise ValueError(
-            f"h returned shape {values.shape} for points of shape {points.shape}; "
-            "it must evaluate elementwise on an array of points")
-    return values
 
 
 def jensen_check(h: Callable[[np.ndarray], np.ndarray],

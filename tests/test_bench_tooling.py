@@ -48,4 +48,4 @@ def test_traced_verify_matches_the_plain_cli(tmp_path):
 
 def test_traced_det_suite_counts_determinant_calls(tmp_path):
     summary = _traced_and_plain(tmp_path, ["verify", "--suite", "det", "--seed", "0"])
-    assert summary["determinants.perturbation_determinant.calls"] == 3637
+    assert summary["determinants.perturbation_determinant.calls"] == 58

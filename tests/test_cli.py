@@ -148,6 +148,32 @@ def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
         assert len(calls) <= most
 
 
+def test_oracle_commands_eigensolve_each_matrix_once(capsys, tmp_path,
+                                                    spec_path, monkeypatch):
+    # every count, curve and moment is read from one Spectrum; example-shift
+    # adds one eigensolve per dimension for the probe's excess sum
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(*args, **kwargs):
+        calls.append(1)
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    for argv in (("--s", "1.2", "--q", "2"), ("--curve", "--q", "2")):
+        calls.clear()
+        code, _, err = _run(capsys, "oracle", str(spec_path), *argv)
+        assert code == 0, err
+        assert len(calls) == 1, argv
+    coeffs = tmp_path / "b.json"
+    coeffs.write_text("[[2.0, 0.0]]")
+    calls.clear()
+    code, _, err = _run(capsys, "example-shift", "--coeffs", str(coeffs),
+                        "--dims", "8,16")
+    assert code == 0, err
+    assert len(calls) == 2 * 2
+
+
 def test_reports_echo_the_fixed_configuration(capsys, tmp_path, spec_path,
                                               corpus):
     tolerances = dataclasses.asdict(DEFAULT)

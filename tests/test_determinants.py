@@ -7,6 +7,7 @@ from eigencount import (
     GammaProvenance,
     MatrixError,
     NormKind,
+    SingularResolventError,
     Spectrum,
     approx_numbers,
     det_bound_rhs,
@@ -262,3 +263,120 @@ def test_perturbation_determinant_rejects_mismatched_factors():
             perturbation_determinant(l0 + k, factors, 3.0 + 0j, 1.0)
     with pytest.raises(MatrixError):
         perturbation_determinant(l0 + k, (ones * np.nan, ones), 3.0 + 0j, 1.0)
+
+
+# --- batched evaluation -------------------------------------------------
+
+
+def _per_point_log_abs(l, factors, lam, p):
+    """The per-point kernel the batched one replaced: one solve and one
+    clustered r x r eigensolve at lam."""
+    left, right = (np.asarray(x, dtype=complex) for x in factors)
+    if left.shape[1] == 0:
+        return 0.0
+    a = lam * np.eye(l.shape[0], dtype=complex) - (l - left @ right.T)
+    spec = eigenvalues(right.T @ np.linalg.solve(a, left))
+    return det_regularized_log(spec, int(np.ceil(p)))[1]
+
+
+def _assert_batch_matches_points(l, factors, lams, p):
+    batch = perturbation_determinant(l, factors, lams, p)
+    assert batch.log_abs.shape == batch.value.shape == lams.shape
+    for lam, log_abs in zip(lams, batch.log_abs):
+        reference = _per_point_log_abs(l, factors, lam, p)
+        assert abs(log_abs - reference) <= 1e-12 * abs(reference) + 1e-300, lam
+        assert perturbation_determinant(l, factors, lam, p).log_abs == log_abs
+
+
+def _circle(center, radius, count=64):
+    return center + radius * np.exp(1j * np.linspace(0.0, 2 * np.pi, count,
+                                                     endpoint=False))
+
+
+def test_batched_determinant_matches_per_point_on_winding_circles():
+    cases = list(_winding_cases(np.random.default_rng(0), 20))
+    assert len(cases) >= 10
+    for _, full, factors, center, radius, _, p in cases:
+        _assert_batch_matches_points(full, factors, _circle(center, radius), p)
+
+
+def _corpus_circles(corpus):
+    # the det suite's growth-bound circles: rank(K) and rank(K) - 2, two radii
+    entries = [e for e in corpus
+               if e.model.norm is NormKind.L2 and e.model.dim <= 24][:4]
+    assert len(entries) == 4
+    for which, entry in enumerate(entries):
+        prep = prepare(entry.model)
+        p = (1.0, 2.0)[which % 2]
+        for n_rank in sorted({prep.alpha.rank, max(0, prep.alpha.rank - 2), 0}):
+            for t in (prep.norm_l0 + prep.norm_k + 0.25,
+                      prep.norm_l0 + 2.0 * prep.norm_k + 1.0):
+                yield prep, n_rank, _circle(0.0, t), p
+
+
+def test_batched_determinant_matches_per_point_on_corpus_circles(corpus):
+    ranks = set()
+    for prep, n_rank, lams, p in _corpus_circles(corpus):
+        factors = rank_n_factors(prep.k, n_rank, NormKind.L2)
+        _assert_batch_matches_points(prep.l0 + prep.k, factors, lams, p)
+        ranks.add(n_rank)
+    assert 0 in ranks and len(ranks) > 1
+
+
+def test_batched_det_bound_rhs_equals_the_per_point_values(corpus):
+    for prep, n_rank, lams, p in _corpus_circles(corpus):
+        f = rank_n_approximant(prep.k, n_rank, NormKind.L2)
+        batch = det_bound_rhs(prep.l0, prep.k, f, lams, p, 0.0, n_rank,
+                              NormKind.L2, prep.alpha)
+        beta = prep.alpha.value_at(n_rank + 1)
+        total = prep.alpha.head_power_sum(p, n_rank, offset=beta)
+        for lam, value in zip(lams, batch):
+            assert value == det_bound_rhs(prep.l0, prep.k, f, lam, p, 0.0, n_rank,
+                                          NormKind.L2, prep.alpha)
+            # the formula as it was evaluated one lam at a time
+            res_norm = induced_norm(resolvent(prep.l0, lam), NormKind.L2)
+            assert value == (gamma_p_upper(p).c_p * res_norm ** p * total
+                             / (1.0 - beta * res_norm) ** p)
+
+
+def test_det_bound_rhs_runs_three_svds_on_a_circle(corpus, monkeypatch):
+    # ||K - F||, ||K|| and one stacked SVD of the 64 resolvents
+    prep, n_rank, lams, p = next(_corpus_circles(corpus))
+    f = rank_n_approximant(prep.k, n_rank, NormKind.L2)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    det_bound_rhs(prep.l0, prep.k, f, lams, p, 0.0, n_rank, NormKind.L2, prep.alpha)
+    assert len(lams) == 64 and len(calls) <= 3
+
+
+def test_scalar_lam_gives_scalar_fields():
+    model, analytic = shift_example(np.array([2.0 + 0j]), 12)
+    l0, k = materialize(model)
+    factors = rank_n_factors(k, 1, model.norm)
+    sample = perturbation_determinant(l0 + k, factors, 3.0, 1.0)
+    assert type(sample.lam) is complex and type(sample.value) is complex
+    assert type(sample.log_abs) is float
+    batch = perturbation_determinant(l0 + k, factors, np.array([3.0, 2.0 + 1j]), 1.0)
+    assert batch.value[0] == sample.value
+    assert batch.value[1] == pytest.approx(analytic(2.0 + 1j), abs=1e-10)
+    with pytest.raises(ValueError, match="1-D"):
+        perturbation_determinant(l0 + k, factors, np.ones((2, 2)), 1.0)
+
+
+def test_batched_determinant_names_the_first_eigenvalue_in_the_array():
+    # L - F = diag(1, 2, 3, 4) exactly, so 2 and 3 make singular solves
+    l = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    l[0, 1] = 1.0
+    left = np.zeros((4, 1), dtype=complex)
+    right = np.zeros((4, 1), dtype=complex)
+    left[0, 0] = right[1, 0] = 1.0
+    for lams, first in (([5.0 + 1j, 2.0, 7j, 3.0], 2.0), ([3.0, 6.0, 2.0], 3.0)):
+        with pytest.raises(SingularResolventError) as info:
+            perturbation_determinant(l, (left, right), np.array(lams), 1.0)
+        assert info.value.lam == first

@@ -8,6 +8,7 @@ from eigencount import (
     blaschke_divergence_probe,
     count_curve,
     eigen_count_outside,
+    eigenvalues,
     jensen_check,
     lacunary_coefficients,
     materialize,
@@ -47,6 +48,18 @@ def test_moment_sum_hand_value():
         moment_sum(m, 1.0, 0.0)
 
 
+def test_oracles_accept_a_spectrum_in_place_of_the_matrix():
+    m = np.diag([3.0, 2.0, 2.0, 0.5]).astype(complex)
+    m[0, 3] = 1.0
+    spec = eigenvalues(m)
+    for s in (0.0, 0.5, 1.0, 2.5):
+        assert eigen_count_outside(spec, s) == eigen_count_outside(m, s)
+    curve, direct = count_curve(spec), count_curve(m)
+    assert np.array_equal(curve.radii, direct.radii)
+    assert np.array_equal(curve.counts, direct.counts) and curve.dim == direct.dim
+    assert moment_sum(spec, 1.0, 2.0) == moment_sum(m, 1.0, 2.0)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.sampled_from([0.7, 1.0, 2.0, 3.5]))
@@ -77,10 +90,46 @@ def test_winding_hand_checked_rational():
 
 def test_winding_polynomial_degree():
     roots = np.array([1.0, -1.0, 1j, -1j])
-    fn = lambda lam: np.prod(lam - roots)
+    fn = lambda lam: np.prod(lam[:, None] - roots, axis=-1)
     assert winding_count(fn, 0.0, 2.0) == 4
     assert winding_count(fn, 0.0, 0.5) == 0
     assert winding_count(fn, 1.0, 0.3) == 1
+
+
+def _recording(fn):
+    """fn, plus the list of point arrays it was called with."""
+    calls = []
+
+    def recorded(lam):
+        calls.append(np.array(lam))
+        return fn(lam)
+
+    return recorded, calls
+
+
+def test_winding_evaluates_the_start_grid_and_each_round_in_one_call():
+    fn, calls = _recording(lambda lam: (lam - 2.0) / lam)
+    assert winding_count(fn, 0.0, 3.0) == 0
+    assert [c.shape for c in calls] == [(64,)]
+    # 20 turns over 64 points step by 1.96 rad: one round halves every arc
+    fn, calls = _recording(lambda lam: lam ** 20)
+    assert winding_count(fn, 0.0, 1.0) == 20
+    assert [c.shape for c in calls] == [(64,), (64,)]
+    # a zero just inside the circle needs several rounds near angle 0
+    # a zero just inside the circle: three rounds bisect the two arcs at angle 0
+    fn, calls = _recording(lambda lam: lam - 0.9999)
+    assert winding_count(fn, 0.0, 1.0) == 1
+    assert [c.shape for c in calls] == [(64,), (2,), (2,), (2,)]
+    points = np.concatenate(calls)
+    assert len(np.unique(points)) == len(points)  # no point evaluated twice
+
+
+def test_winding_rejects_a_scalar_valued_fn():
+    roots = np.array([0.5, -0.25j])
+    with pytest.raises(ValueError, match=r"shape \(\)"):
+        winding_count(lambda lam: np.prod(lam - 0.5), 0.0, 1.0)
+    assert winding_count(lambda lam: np.prod(lam[:, None] - roots, axis=-1),
+                         0.0, 1.0) == 2
 
 
 def test_winding_rejects_contour_through_zero():

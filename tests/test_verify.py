@@ -94,3 +94,17 @@ def test_soundness_sweep_subset_is_clean(corpus):
     result = log.result("subset")
     assert result.ok, result.failures[:1]
     assert result.checks >= 4 * 10 * 3  # three bound kinds per radius
+
+
+def test_soundness_sweep_eigensolves_each_model_once(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(*args, **kwargs):
+        calls.append(1)
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    log = soundness_sweep(seed=0)
+    assert log.failure_count == 0
+    assert len(calls) == len(regression_corpus(seed=0)) == 36
