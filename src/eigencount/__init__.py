@@ -109,23 +109,21 @@ __all__ = [
     "__version__",
     # numerics
     "NormKind", "Spectrum", "as_matrix", "eigenvalues", "singular_values",
-    "induced_norm",
-    "numerical_rank", "singular_value_rank", "resolvent", "shifted_solve",
+    "induced_norm", "numerical_rank", "singular_value_rank", "resolvent",
+    "shifted_solve",
     # operators
     "OperatorModel", "Shift", "Diagonal", "Dense", "Zero", "RankOne",
     "materialize", "parse_spec", "serialize_spec",
     # approx
     "ApproxSequence", "Certainty", "approx_numbers", "rank_n_approximant",
-    "rank_n_factors",
-    "koenig_check", "koenig_constant",
+    "rank_n_factors", "koenig_check", "koenig_constant",
     # determinants
     "GammaP", "GammaProvenance", "DetSample", "det_regularized",
     "det_regularized_log", "scalar_factor_log", "gamma_p_upper",
     "perturbation_determinant", "det_bound_rhs",
     # bounds
     "BoundReport", "Prepared", "prepare", "RegionSpec", "ExteriorDisk",
-    "Point", "lambert_w",
-    "phi_p", "phi_p_envelope", "t_star", "count_bound_disk",
+    "Point", "lambert_w", "phi_p", "phi_p_envelope", "t_star", "count_bound_disk",
     "count_bound_disk_simple", "count_bound_region", "koenig_count_bound",
     "moment_bound", "pseudospectral_epsilon",
     # oracle
@@ -137,8 +135,7 @@ __all__ = [
     "CorpusEntry", "SuiteResult", "regression_corpus", "soundness_sweep",
     "sweep_radii", "run_suites",
     # config and errors
-    "Tolerances", "DEFAULT",
-    "EigencountError", "MatrixError", "EigenvalueError",
+    "Tolerances", "DEFAULT", "EigencountError", "MatrixError", "EigenvalueError",
     "SingularResolventError", "SpecFormatError", "AdmissibilityError",
     "ContourError", "NormalizationError",
 ]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -73,7 +74,7 @@ class ApproxSequence:
         """Number of nonzero entries; alpha_j = 0 for every j > rank."""
         return int(np.count_nonzero(self.values))
 
-    @property
+    @cached_property
     def all_exact(self) -> bool:
         return all(c is Certainty.EXACT for c in self.certainty)
 

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .approx import ApproxSequence, Certainty, approx_numbers, koenig_constant
 from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
-from .numerics import NormKind, as_matrix, induced_norm, resolvent, singular_values
+from .numerics import (NormKind, Spectrum, as_matrix, eigenvalues, induced_norm, resolvent,
+                       singular_values)
 from .operators import OperatorModel, materialize
 
 __all__ = [
@@ -175,16 +177,17 @@ class BoundReport:
 
     bound always equals (c_p / target^p) * phi_value * alpha_sum, where
     phi_value is whichever profile factor the kind uses and alpha_sum is
-    sum_{j<=N} (alpha_{N+1} + alpha_j)^p.
+    sum_{j<=N} (alpha_{N+1} + alpha_j)^p. The classical koenig_classical
+    bound goes through no circle, so its t_star, eps and gamma_p are None.
     """
 
     kind: str
     p: float
     target: complex
     n_rank: int
-    t_star: float
-    eps: float
-    gamma_p: float
+    t_star: float | None
+    eps: float | None
+    gamma_p: float | None
     c_p: float
     phi_value: float
     alpha_sum: float
@@ -222,11 +225,11 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class Prepared:
-    """A model analyzed once: its matrices, ||L0|| and the alpha sequence.
+    """A model analyzed once: its matrices, ||L0||, the alpha sequence, and
+    (on first use) the spectrum of L and the singular values of K.
 
     Every bound accepts a Prepared in place of an OperatorModel, so one
-    analysis can serve several bounds without repeating the norm and
-    approximation-number work.
+    analysis serves several bounds and the oracle without repeating work.
     """
 
     model: OperatorModel
@@ -239,6 +242,16 @@ class Prepared:
     def norm_k(self) -> float:
         """||K||, which is alpha_1 exactly in every norm."""
         return self.alpha.value_at(1)
+
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Clustered spectrum of L = L0 + K."""
+        return eigenvalues(self.l0 + self.k)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """All singular values of K; alpha zeroes the tail past the rank."""
+        return singular_values(self.k)
 
 
 def prepare(model: OperatorModel) -> Prepared:
@@ -253,8 +266,13 @@ def _as_prepared(model: OperatorModel | Prepared) -> Prepared:
     return model if isinstance(model, Prepared) else prepare(model)
 
 
-def _alpha_mode(alpha: ApproxSequence) -> Certainty:
-    return Certainty.EXACT if alpha.all_exact else Certainty.UPPER_BOUND
+def _check_exterior(prep: Prepared, p: float, s: float) -> None:
+    if p <= 0:
+        raise AdmissibilityError(f"p must be positive, got {p}")
+    if s <= prep.norm_l0:
+        raise AdmissibilityError(
+            f"need s > ||L0|| = {prep.norm_l0:.12g}, got s = {s}; no exterior "
+            "disk clears the base spectrum otherwise")
 
 
 def _candidate_ranks(n_rank: int | None, dim: int, rank: int):
@@ -289,13 +307,8 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
     and its gap epsilon (or t - ||L0||); an explicit epsilon marks the
     report non-certified.
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    _check_exterior(prep, p, s)
     norm_l0 = prep.norm_l0
-    if s <= norm_l0:
-        raise AdmissibilityError(
-            f"need s > ||L0|| = {norm_l0:.12g}, got s = {s}; no exterior disk "
-            "clears the base spectrum otherwise")
     gamma = gamma_p_upper(p)
 
     best = None
@@ -329,8 +342,8 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
     return BoundReport(
         kind=kind, p=p, target=complex(s) if target is None else target,
         n_rank=n, t_star=t_opt, eps=eps, gamma_p=gamma.value, c_p=gamma.c_p,
-        phi_value=phi, alpha_sum=total, alpha_mode=_alpha_mode(prep.alpha),
-        bound=value, certified=epsilon is None)
+        phi_value=phi, alpha_sum=total, bound=value, certified=epsilon is None,
+        alpha_mode=Certainty.EXACT if prep.alpha.all_exact else Certainty.UPPER_BOUND)
 
 
 # --- the bounds ------------------------------------------------------------
@@ -400,19 +413,26 @@ def count_bound_region(model: OperatorModel | Prepared, p: float,
                        t=region.t, epsilon=epsilon, target=target)
 
 
-def koenig_count_bound(k_matrix, p: float, s: float) -> float:
+def koenig_count_bound(model: OperatorModel | Prepared, p: float,
+                       s: float) -> BoundReport:
     """Classical compact bound 2 (2e)^{p/2} / s^p sum_j sigma_j^p.
 
     Valid for L = K (zero base operator); the eigenvalue multiset of a
-    matrix does not depend on the ambient norm, so singular values may be
-    used whatever norm the model carries.
+    matrix does not depend on the ambient norm, so the singular values of
+    K serve whatever norm the model carries. The report has N = dim and
+    phi_value 1; alpha_sum is the singular-value power sum.
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
-    if s <= 0:
-        raise AdmissibilityError(f"s must be positive, got {s}")
-    sv = singular_values(as_matrix(k_matrix))
-    return koenig_constant(p) / s ** p * float(np.sum(sv ** p))
+    prep = _as_prepared(model)
+    _check_exterior(prep, p, s)
+    if prep.norm_l0 != 0.0:
+        raise AdmissibilityError(
+            f"the classical bound needs L0 = 0, got ||L0|| = {prep.norm_l0:.12g}")
+    c_p = koenig_constant(p)
+    total = float(np.sum(prep.singular_values ** p))
+    return BoundReport(
+        kind="koenig_classical", p=p, target=complex(s), n_rank=prep.model.dim,
+        t_star=None, eps=None, gamma_p=None, c_p=c_p, phi_value=1.0,
+        alpha_sum=total, alpha_mode=Certainty.EXACT, bound=c_p / s ** p * total)
 
 
 def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:
@@ -431,18 +451,16 @@ def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:
     envelope = (p + 1.0) ** (p + 1.0) / p ** p
     alpha_sum = prep.alpha.head_power_sum(p, prep.model.dim)
 
-    if norm_l0 == 0.0:
-        if q <= p:
-            raise AdmissibilityError(
-                f"moment exponent q = {q} must exceed p = {p} when L0 = 0")
-        if norm_k == 0.0:
-            return 0.0
-        return q * gamma.c_p * envelope * norm_k ** (q - p) / (q - p) * alpha_sum
-    if q <= p + 1.0:
+    if norm_l0 == 0.0 and q <= p:
+        raise AdmissibilityError(
+            f"moment exponent q = {q} must exceed p = {p} when L0 = 0")
+    if norm_l0 != 0.0 and q <= p + 1.0:
         raise AdmissibilityError(
             f"moment exponent q = {q} must exceed p + 1 = {p + 1.0} when L0 != 0")
     if norm_k == 0.0:
         return 0.0
+    if norm_l0 == 0.0:
+        return q * gamma.c_p * envelope * norm_k ** (q - p) / (q - p) * alpha_sum
     bracket = norm_l0 / (q - p - 1.0) + norm_k / (q - p)
     return q * gamma.c_p * envelope * bracket * norm_k ** (q - p - 1.0) * alpha_sum
 

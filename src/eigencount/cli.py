@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .approx import koenig_constant
 from .bounds import (
     ExteriorDisk,
     Point,
@@ -34,16 +33,16 @@ from .bounds import (
     count_bound_disk,
     count_bound_disk_simple,
     count_bound_region,
+    koenig_count_bound,
     prepare,
     pseudospectral_epsilon,
 )
 from .config import DEFAULT
 from .determinants import GammaProvenance, gamma_p_upper
 from .errors import EigencountError, SpecFormatError
-from .numerics import eigenvalues, induced_norm, singular_values
+from .numerics import eigenvalues, induced_norm
 from .operators import Zero, materialize, parse_spec
 from .oracle import (
-    blaschke_divergence_probe,
     count_curve,
     eigen_count_outside,
     lacunary_coefficients,
@@ -210,12 +209,6 @@ def _bound_csv_rows(rows: list[dict]):
                for col in _BOUND_COLUMNS]
 
 
-def _multiplicity_at(matrix: np.ndarray, lam0: complex) -> int:
-    radius = DEFAULT.cluster_rtol * max(1.0, float(np.linalg.norm(matrix)))
-    return eigenvalues(matrix).count_where(
-        lambda v: abs(complex(v) - lam0) <= radius)
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -223,47 +216,31 @@ def _cmd_bound(args) -> int:
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
     prep = prepare(model)
-    full = prep.l0 + prep.k
 
-    reports = []
+    # every bound checks its admissibility before the oracle's eigensolve
     if args.point is None:
-        s = args.s
-        oracle = eigen_count_outside(full, s)
-        reports.append(count_bound_disk(prep, args.p, s, n_rank=args.n)
-                       .with_oracle(oracle))
-        reports.append(count_bound_disk_simple(prep, args.p, s, n_rank=args.n)
-                       .with_oracle(oracle))
-        region = count_bound_region(prep, args.p, RegionSpec(ExteriorDisk(s)),
-                                    n_rank=args.n).with_oracle(oracle)
-        reports.append(region)
-        target = ExteriorDisk(s)
+        reports = [bound(prep, args.p, args.s, n_rank=args.n)
+                   for bound in (count_bound_disk, count_bound_disk_simple)]
+        target = ExteriorDisk(args.s)
     else:
-        oracle = _multiplicity_at(full, args.point)
-        region = count_bound_region(prep, args.p, RegionSpec(Point(args.point)),
-                                    n_rank=args.n).with_oracle(oracle)
-        reports.append(region)
-        target = Point(args.point)
-
+        reports, target = [], Point(args.point)
+    region = count_bound_region(prep, args.p, RegionSpec(target), n_rank=args.n)
+    reports.append(region)
     if args.mode == "empirical":
         # same circle as the certified optimum, gap measured by sampling
         eps = pseudospectral_epsilon(prep.l0, region.t_star, model.norm)
         reports.append(count_bound_region(
             prep, args.p, RegionSpec(target, t=region.t_star), n_rank=args.n,
-            epsilon=eps).with_oracle(oracle))
-
-    rows = [r.to_dict() for r in reports]
+            epsilon=eps))
     if isinstance(model.base, Zero) and args.point is None:
-        sv = singular_values(prep.k)
-        alpha_sum = float(np.sum(sv ** args.p))
-        rows.append({
-            "kind": "koenig_classical", "p": args.p,
-            "target": [args.s, 0.0], "n_rank": model.dim, "t_star": None,
-            "eps": None, "gamma_p": None, "c_p": koenig_constant(args.p),
-            "phi_value": 1.0, "alpha_sum": alpha_sum, "alpha_mode": "exact",
-            "bound": koenig_constant(args.p) / args.s ** args.p * alpha_sum,
-            "admissible": True, "certified": True, "oracle_count": oracle,
-        })
+        reports.append(koenig_count_bound(prep, args.p, args.s))
 
+    if args.point is None:
+        oracle = eigen_count_outside(prep.spectrum, args.s)
+    else:  # the multiplicity of the point, to the clustering radius
+        near = DEFAULT.cluster_rtol * max(1.0, float(np.linalg.norm(prep.l0 + prep.k)))
+        oracle = prep.spectrum.count_where(lambda v: abs(complex(v) - args.point) <= near)
+    rows = [r.with_oracle(oracle).to_dict() for r in reports]
     results = {
         "dim": model.dim,
         "norm": model.norm.value,
@@ -393,16 +370,15 @@ def _cmd_example_shift(args) -> int:
         family = lambda dim: fixed  # noqa: E731 - tiny closure over the list
     else:
         family = lacunary_coefficients
-    probe = blaschke_divergence_probe(family, args.dims)
 
     header = ["dim", "excess_sum"] + [f"n_above_{s}" for s in _EXAMPLE_RADII]
     rows = []
-    for row in probe.rows:
-        model, _ = shift_example(family(row.dim), row.dim)
+    for dim in args.dims:
+        model, _ = shift_example(family(dim), dim)
         l0, k = materialize(model)
         spec = eigenvalues(l0 + k)
         counts = [eigen_count_outside(spec, s) for s in _EXAMPLE_RADII]
-        rows.append([row.dim, row.excess_sum] + counts)
+        rows.append([dim, moment_sum(spec, 1.0, 1.0)] + counts)
     _emit_csv(header, rows, args.out)
     return 0
 

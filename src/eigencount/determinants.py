@@ -281,6 +281,22 @@ def _points(lam) -> np.ndarray:
     return lams
 
 
+def _factor_pair(f, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    # the approximant F = left @ right.T as its validated dim x r factors
+    try:
+        left, right = (np.asarray(factor, dtype=complex) for factor in f)
+    except (TypeError, ValueError) as exc:
+        raise AdmissibilityError(
+            "the approximant must be a (left, right) pair of dim x r factors") from exc
+    if left.ndim != 2 or left.shape != right.shape or left.shape[0] != dim:
+        raise AdmissibilityError(
+            f"factors of shapes {left.shape} and {right.shape} do not make a "
+            f"rank-r approximant of a dim-{dim} operator")
+    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+        raise MatrixError("approximant factors must be finite")
+    return left, right
+
+
 def perturbation_determinant(l, f, lam, p: float) -> DetSample:
     """ceil(p)-regularized determinant of 1 - F (lam - (L - F))^{-1}.
 
@@ -298,17 +314,7 @@ def perturbation_determinant(l, f, lam, p: float) -> DetSample:
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
     l = as_matrix(l)
-    try:
-        left, right = (np.asarray(factor, dtype=complex) for factor in f)
-    except (TypeError, ValueError) as exc:
-        raise AdmissibilityError(
-            "the approximant must be a (left, right) pair of dim x r factors") from exc
-    if left.ndim != 2 or left.shape != right.shape or left.shape[0] != l.shape[0]:
-        raise AdmissibilityError(
-            f"factors of shapes {left.shape} and {right.shape} do not make a "
-            f"rank-r approximant of a dim-{l.shape[0]} operator")
-    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
-        raise MatrixError("approximant factors must be finite")
+    left, right = _factor_pair(f, l.shape[0])
     lams = _points(lam)
     points = lams.reshape(-1)
     if left.shape[1] == 0:
@@ -336,7 +342,8 @@ def det_bound_rhs(l0, k, f, lam, p: float, eta: float, n_rank: int,
     Returns C_p ||(lam - L0)^{-1}||^p sum_{j<=N} (alpha_{N+1} + eta + alpha_j)^p
     / (1 - (alpha_{N+1} + eta) ||(lam - L0)^{-1}||)^p, valid whenever
     ||K - F|| <= alpha_{N+1} + eta and the denominator base is positive;
-    both conditions are checked, the second at every lam. lam is a point
+    both conditions are checked, the second at every lam. F = left @ right.T
+    is the factor pair f that perturbation_determinant takes. lam is a point
     or a 1-D array of points (then an array of exponents is returned):
     ||K - F|| and ||K|| are computed once per call, and the resolvent
     norms one stacked solve per point_blocks block.
@@ -349,12 +356,12 @@ def det_bound_rhs(l0, k, f, lam, p: float, eta: float, n_rank: int,
         raise AdmissibilityError(f"N must be non-negative, got {n_rank}")
     l0 = as_matrix(l0)
     k = as_matrix(k)
-    f = as_matrix(f)
+    left, right = _factor_pair(f, k.shape[0])
     lams = _points(lam)
     points = lams.reshape(-1)
 
     beta = alpha.value_at(n_rank + 1) + eta
-    gap = induced_norm(k - f, kind)
+    gap = induced_norm(k - left @ right.T, kind)
     scale = max(1.0, induced_norm(k, kind))
     if gap > beta + DEFAULT.pair_gap_rtol * scale:
         raise AdmissibilityError(

@@ -19,6 +19,7 @@ import numpy as np
 from .approx import koenig_check, rank_n_factors
 from .bounds import (
     ExteriorDisk,
+    Prepared,
     RegionSpec,
     count_bound_disk,
     count_bound_disk_simple,
@@ -73,6 +74,7 @@ __all__ = [
 ]
 
 _FAILURE_KEEP = 10
+_SWEEP_P = (0.5, 1.0, 2.0)  # the soundness sweep's exponents
 
 
 def _json_safe(value):
@@ -446,13 +448,12 @@ def suite_det(seed: int = 0) -> SuiteResult:
         p = (1.0, 2.0)[which % 2]
         for n_rank in {rank, max(0, rank - 2)}:
             factors = rank_n_factors(k, n_rank, NormKind.L2)
-            f = factors[0] @ factors[1].T
             for t in (prep.norm_l0 + prep.norm_k + 0.25,
                       prep.norm_l0 + 2.0 * prep.norm_k + 1.0):
                 lams = np.array([
                     t * complex(math.cos(theta), math.sin(theta))
                     for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)])
-                rhs = det_bound_rhs(l0, k, f, lams, p, 0.0, n_rank,
+                rhs = det_bound_rhs(l0, k, factors, lams, p, 0.0, n_rank,
                                     NormKind.L2, prep.alpha)
                 samples = perturbation_determinant(l0 + k, factors, lams, p)
                 for lam, log_abs, bound in zip(lams, samples.log_abs, rhs):
@@ -474,13 +475,11 @@ def suite_det(seed: int = 0) -> SuiteResult:
     return log.result("det")
 
 
-def _sweep_one(entry: CorpusEntry, p_values: Sequence[float],
+def _sweep_one(entry: CorpusEntry, prep: Prepared, p_values: Sequence[float],
                log: _Log) -> None:
-    prep = prepare(entry.model)
-    spec = eigenvalues(prep.l0 + prep.k)
     compact = isinstance(entry.model.base, Zero)
     for s in sweep_radii(prep.norm_l0, prep.norm_k):
-        oracle = eigen_count_outside(spec, s)
+        oracle = eigen_count_outside(prep.spectrum, s)
         for p in p_values:
             phi_report = count_bound_disk(prep, p, s)
             simple_report = count_bound_disk_simple(prep, p, s)
@@ -502,7 +501,7 @@ def _sweep_one(entry: CorpusEntry, p_values: Sequence[float],
                 kind="dominance", model=entry.name, p=p, s=s,
                 phi_bound=phi_report.bound, simple_bound=simple_report.bound)
             if compact:
-                classical = koenig_count_bound(prep.k, p, s)
+                classical = koenig_count_bound(prep, p, s).bound
                 log.check(oracle <= classical + 1e-9 * max(1.0, classical),
                           kind="soundness", model=entry.name,
                           bound_kind="koenig", p=p, s=s, oracle=oracle,
@@ -510,23 +509,24 @@ def _sweep_one(entry: CorpusEntry, p_values: Sequence[float],
 
 
 def soundness_sweep(entries: Sequence[CorpusEntry] | None = None,
-                    p_values: Sequence[float] = (0.5, 1.0, 2.0),
+                    p_values: Sequence[float] = _SWEEP_P,
                     seed: int = 0) -> _Log:
     """Oracle count vs every applicable bound across the corpus sweep grid."""
     if entries is None:
         entries = regression_corpus(seed)
     log = _Log()
     for entry in entries:
-        _sweep_one(entry, p_values, log)
+        _sweep_one(entry, prepare(entry.model), p_values, log)
     return log
 
 
 def suite_bounds(seed: int = 0) -> SuiteResult:
     """Soundness sweep, bound identities, optimizer checks, moment identity."""
-    log = soundness_sweep(seed=seed)
     entries = regression_corpus(seed)
     prepared = [prepare(entry.model) for entry in entries]
-    spectra = [eigenvalues(prep.l0 + prep.k) for prep in prepared]
+    log = _Log()
+    for entry, prep in zip(entries, prepared):
+        _sweep_one(entry, prep, _SWEEP_P, log)
     rng = np.random.default_rng(seed)
 
     # the region bound through the optimal circle reproduces the disk bound
@@ -563,23 +563,23 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
                           t=grid_t, peak=peak, value=value)
 
     # counting measure integrates to the moment sum, piece by piece
-    for entry, prep, spec in zip(entries, prepared, spectra):
-        curve = count_curve(spec)
+    for entry, prep in zip(entries, prepared):
+        curve = count_curve(prep.spectrum)
         for q in (1.5, 2.0, 3.0):
             lhs = moment_from_curve(curve, prep.norm_l0, q)
-            rhs = moment_sum(spec, prep.norm_l0, q)
+            rhs = moment_sum(prep.spectrum, prep.norm_l0, q)
             log.check(abs(lhs - rhs) <= 1e-9 * max(lhs, rhs, 1e-12),
                       kind="moment_identity", model=entry.name, q=q,
                       integral=lhs, direct=rhs)
 
     # moment bound soundness on admissible exponents
-    for entry, prep, spec in zip(entries, prepared, spectra):
+    for entry, prep in zip(entries, prepared):
         pairs = [(1.0, 2.5), (0.5, 2.0)]
         if isinstance(entry.model.base, Zero):
             pairs.append((1.0, 1.5))
         for p, q in pairs:
             bound = moment_bound(prep, p, q)
-            direct = moment_sum(spec, prep.norm_l0, q)
+            direct = moment_sum(prep.spectrum, prep.norm_l0, q)
             log.check(direct <= bound + 1e-9 * max(1.0, bound),
                       kind="moment_soundness", model=entry.name, p=p, q=q,
                       direct=direct, bound=bound)

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eigencount import materialize, regression_corpus
@@ -25,3 +26,17 @@ def materialized(corpus):
         l0, k = materialize(entry.model)
         out.append((entry, l0, k))
     return out
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """A list that gains one entry per np.linalg.eigvals call in the test."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting_eigvals(*args, **kwargs):
+        calls.append(1)
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    return calls

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from eigencount import (
+    Dense,
     NormKind,
+    OperatorModel,
+    Zero,
     approx_numbers,
     count_bound_disk,
     count_bound_disk_simple,
@@ -26,7 +29,7 @@ from eigencount import (
     perturbation_determinant,
     phi_p,
     phi_p_envelope,
-    rank_n_approximant,
+    prepare,
     rank_n_factors,
     run_suites,
     scalar_factor_log,
@@ -82,8 +85,9 @@ def test_c2_compact_case_recovery_and_classical_bound(corpus):
              + 1j * rng.standard_normal((dim, dim))) / np.sqrt(dim)
         p = P_SWEEP[trials % 3]
         top = float(np.linalg.norm(m, 2))
+        prep = prepare(OperatorModel(dim, NormKind.L2, Zero(), Dense(m)))
         for s in (0.35 * top, 0.8 * top):
-            bound = koenig_count_bound(m, p, s)
+            bound = koenig_count_bound(prep, p, s).bound
             assert eigen_count_outside(m, s) <= bound + 1e-9
         trials += 1
     _report(2, f"{checked} closed-form recoveries at 1e-9 and "
@@ -142,7 +146,6 @@ def test_c5_determinant_growth_bound_on_circles(corpus):
         alpha = approx_numbers(k, NormKind.L2)
         n_rank = int(np.linalg.matrix_rank(k))
         factors = rank_n_factors(k, n_rank, NormKind.L2)
-        f = rank_n_approximant(k, n_rank, NormKind.L2)
         norm_l0 = induced_norm(l0, NormKind.L2)
         norm_k = induced_norm(k, NormKind.L2)
         p = 1.0 if models % 2 == 0 else 2.0
@@ -150,7 +153,7 @@ def test_c5_determinant_growth_bound_on_circles(corpus):
             for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
                 lam = t * np.exp(1j * theta)
                 sample = perturbation_determinant(full, factors, lam, p)
-                rhs = det_bound_rhs(l0, k, f, lam, p, 0.0, n_rank,
+                rhs = det_bound_rhs(l0, k, factors, lam, p, 0.0, n_rank,
                                     NormKind.L2, alpha)
                 assert sample.log_abs - rhs <= 1e-9
                 points += 1

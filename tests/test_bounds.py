@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from eigencount import (
     AdmissibilityError,
+    Certainty,
     Dense,
     ExteriorDisk,
     NormKind,
@@ -183,9 +184,76 @@ def test_koenig_count_bound_dominates_oracle():
         dim = int(rng.integers(3, 12))
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         norm_k = float(np.linalg.norm(m, 2))
+        prep = prepare(OperatorModel(dim, NormKind.L2, Zero(), Dense(m)))
         for s in (0.3 * norm_k, 0.7 * norm_k):
-            bound = koenig_count_bound(m, 1.0, s)
+            bound = koenig_count_bound(prep, 1.0, s).bound
             assert eigen_count_outside(m, s) <= bound + 1e-9
+
+
+def test_koenig_count_bound_reports_the_classical_form(corpus):
+    entry = next(e for e in corpus if isinstance(e.model.base, Zero))
+    prep = prepare(entry.model)
+    report = koenig_count_bound(prep, 1.5, 2.0)
+    sv = np.linalg.svd(prep.k, compute_uv=False)
+    assert (report.kind, report.n_rank, report.alpha_mode) == (
+        "koenig_classical", entry.model.dim, Certainty.EXACT)
+    assert report.t_star is report.eps is report.gamma_p is None
+    assert report.phi_value == 1.0 and report.target == 2.0
+    assert report.alpha_sum == float(np.sum(sv ** 1.5))
+    assert report.bound == report.c_p / 2.0 ** 1.5 * report.alpha_sum
+    assert report.c_p == 2.0 * (2.0 * np.e) ** 0.75
+    assert koenig_count_bound(entry.model, 1.5, 2.0) == report
+
+
+def test_koenig_count_bound_takes_one_svd_per_prepared(corpus, monkeypatch):
+    entry = next(e for e in corpus if isinstance(e.model.base, Zero))
+    prep = prepare(entry.model)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for s in sweep_radii(prep.norm_l0, prep.norm_k):
+        for p in (0.5, 1.0, 2.0):
+            koenig_count_bound(prep, p, s)
+    assert len(calls) == 1
+
+
+def test_koenig_count_bound_needs_a_zero_base(corpus):
+    entry = next(e for e in corpus if not isinstance(e.model.base, Zero))
+    prep = prepare(entry.model)
+    with pytest.raises(AdmissibilityError, match=r"\|\|L0\|\|"):
+        koenig_count_bound(prep, 1.0, prep.norm_l0 + prep.norm_k + 1.0)
+    zero = prepare(OperatorModel(4, NormKind.L2, Zero(), Dense(np.eye(4))))
+    for p, s in ((1.0, 0.0), (1.0, -1.0), (0.0, 2.0)):
+        with pytest.raises(AdmissibilityError):
+            koenig_count_bound(zero, p, s)
+
+
+def test_prepared_keeps_the_spectrum_and_the_raw_singular_values(monkeypatch):
+    # K = diag(1, 1e-20, 0, 0): alpha zeroes the entry past the rank, the
+    # kept singular values do not
+    k = np.diag([1.0, 1e-20, 0.0, 0.0]).astype(complex)
+    prep = prepare(OperatorModel(4, NormKind.L2, Zero(), Dense(k)))
+    assert prep.alpha.value_at(2) == 0.0
+    calls = []
+    eigvals, svd = np.linalg.eigvals, np.linalg.svd
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting(eigvals))
+    monkeypatch.setattr(np.linalg, "svd", counting(svd))
+    assert prep.singular_values[1] == 1e-20
+    assert prep.singular_values is prep.singular_values
+    assert prep.spectrum is prep.spectrum and prep.spectrum.dim == 4
+    assert sorted(calls) == ["eigvals", "svd"]
 
 
 def test_moment_bound_dominates_oracle(materialized):

@@ -13,6 +13,7 @@ from eigencount import (
     OperatorModel,
     SuiteResult,
     Zero,
+    koenig_count_bound,
     prepare,
     serialize_spec,
 )
@@ -148,30 +149,55 @@ def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
         assert len(calls) <= most
 
 
+def test_inadmissible_radius_exits_two_before_the_eigensolve(capsys, spec_path,
+                                                             eigvals_calls):
+    for s in ("-1", "0.5"):
+        eigvals_calls.clear()
+        code, out, err = _run(capsys, "bound", str(spec_path), "--p", "1", "--s", s)
+        assert code == 2, err
+        assert "need s > ||L0||" in err and out == ""
+        assert eigvals_calls == [], s
+
+
+def test_koenig_row_is_a_bound_report(capsys, tmp_path, corpus):
+    # m07 is a zero-base l2 model; the values were pinned before the row
+    # became a BoundReport
+    model = corpus[7].model
+    assert isinstance(model.base, Zero) and model.norm is NormKind.L2
+    doc = tmp_path / "m07.json"
+    doc.write_text(serialize_spec(model))
+    pinned = {"0.5": ("0x1.812ef7869f25ep+3", "0x1.34f218f025864p+2"),
+              "1": ("0x1.2e933ee8ec248p+4", "0x1.854e9d8647560p+2")}
+    for p, (bound, alpha_sum) in pinned.items():
+        code, out, err = _run(capsys, "bound", str(doc), "--p", p, "--s", "1.5")
+        assert code == 0, err
+        results = json.loads(out)["results"]
+        row = results["bounds"][-1]
+        assert row == koenig_count_bound(prepare(model), float(p), 1.5).with_oracle(
+            results["oracle_count"]).to_dict()
+        assert (row["kind"], row["n_rank"], row["alpha_mode"]) == (
+            "koenig_classical", 40, "exact")
+        assert row["t_star"] is row["eps"] is row["gamma_p"] is None
+        assert float.hex(row["bound"]) == bound
+        assert float.hex(row["alpha_sum"]) == alpha_sum
+
+
 def test_oracle_commands_eigensolve_each_matrix_once(capsys, tmp_path,
-                                                    spec_path, monkeypatch):
-    # every count, curve and moment is read from one Spectrum; example-shift
-    # adds one eigensolve per dimension for the probe's excess sum
-    calls = []
-    eigvals = np.linalg.eigvals
-
-    def counting_eigvals(*args, **kwargs):
-        calls.append(1)
-        return eigvals(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+                                                    spec_path, eigvals_calls):
+    # every count, curve and moment is read from one Spectrum, and
+    # example-shift reads its excess sum from the spectrum it counts from
     for argv in (("--s", "1.2", "--q", "2"), ("--curve", "--q", "2")):
-        calls.clear()
+        eigvals_calls.clear()
         code, _, err = _run(capsys, "oracle", str(spec_path), *argv)
         assert code == 0, err
-        assert len(calls) == 1, argv
+        assert len(eigvals_calls) == 1, argv
     coeffs = tmp_path / "b.json"
     coeffs.write_text("[[2.0, 0.0]]")
-    calls.clear()
+    eigvals_calls.clear()
     code, _, err = _run(capsys, "example-shift", "--coeffs", str(coeffs),
                         "--dims", "8,16")
     assert code == 0, err
-    assert len(calls) == 2 * 2
+    assert len(eigvals_calls) == 2
 
 
 def test_reports_echo_the_fixed_configuration(capsys, tmp_path, spec_path,

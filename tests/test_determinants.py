@@ -19,7 +19,6 @@ from eigencount import (
     materialize,
     perturbation_determinant,
     prepare,
-    rank_n_approximant,
     rank_n_factors,
     resolvent,
     scalar_factor_log,
@@ -172,12 +171,11 @@ def test_det_bound_rhs_dominates_on_circle(corpus, materialized):
     alpha = approx_numbers(k, NormKind.L2)
     n_rank = int(np.linalg.matrix_rank(k))
     factors = rank_n_factors(k, n_rank, NormKind.L2)
-    f = rank_n_approximant(k, n_rank, NormKind.L2)
     t = induced_norm(l0, NormKind.L2) + induced_norm(k, NormKind.L2) + 0.5
     for theta in np.linspace(0.0, 2 * np.pi, 32, endpoint=False):
         lam = t * np.exp(1j * theta)
         sample = perturbation_determinant(l0 + k, factors, lam, 1.0)
-        rhs = det_bound_rhs(l0, k, f, lam, 1.0, 0.0, n_rank,
+        rhs = det_bound_rhs(l0, k, factors, lam, 1.0, 0.0, n_rank,
                             NormKind.L2, alpha)
         assert sample.log_abs <= rhs + 1e-9
 
@@ -186,7 +184,7 @@ def test_det_bound_rhs_rejects_oversized_gap(materialized):
     entry, l0, k = next(
         (e, a, b) for e, a, b in materialized if e.model.norm is NormKind.L2)
     alpha = approx_numbers(k, NormKind.L2)
-    f = np.zeros_like(k)  # rank 0, so the gap is the whole perturbation
+    f = rank_n_factors(k, 0, NormKind.L2)  # rank 0: the gap is all of K
     t = induced_norm(l0, NormKind.L2) + induced_norm(k, NormKind.L2) + 0.5
     with pytest.raises(AdmissibilityError):
         # claim rank dim with eta 0: allowed gap is alpha_{dim+1} = 0 < ||K||
@@ -325,7 +323,7 @@ def test_batched_determinant_matches_per_point_on_corpus_circles(corpus):
 
 def test_batched_det_bound_rhs_equals_the_per_point_values(corpus):
     for prep, n_rank, lams, p in _corpus_circles(corpus):
-        f = rank_n_approximant(prep.k, n_rank, NormKind.L2)
+        f = rank_n_factors(prep.k, n_rank, NormKind.L2)
         batch = det_bound_rhs(prep.l0, prep.k, f, lams, p, 0.0, n_rank,
                               NormKind.L2, prep.alpha)
         beta = prep.alpha.value_at(n_rank + 1)
@@ -342,7 +340,7 @@ def test_batched_det_bound_rhs_equals_the_per_point_values(corpus):
 def test_det_bound_rhs_runs_three_svds_on_a_circle(corpus, monkeypatch):
     # ||K - F||, ||K|| and one stacked SVD of the 64 resolvents
     prep, n_rank, lams, p = next(_corpus_circles(corpus))
-    f = rank_n_approximant(prep.k, n_rank, NormKind.L2)
+    f = rank_n_factors(prep.k, n_rank, NormKind.L2)
     calls = []
     svd = np.linalg.svd
 

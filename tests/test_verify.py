@@ -15,6 +15,7 @@ from eigencount import (
     sweep_radii,
 )
 from eigencount.operators import Dense, Diagonal, Shift, Zero
+from eigencount.verify import suite_bounds
 
 
 def test_corpus_shape_and_coverage(corpus):
@@ -55,9 +56,11 @@ def test_sweep_radii_are_admissible(corpus):
 
 
 def test_quick_suites_pass():
-    for result in run_suites(["lambert", "phi", "koenig"], seed=0):
+    results = run_suites(["lambert", "phi", "koenig"], seed=0)
+    assert [(r.name, r.checks) for r in results] == [
+        ("lambert", 2040), ("phi", 149), ("koenig", 300)]
+    for result in results:
         assert result.ok, result.failures[:1]
-        assert result.checks > 0
 
 
 def test_slow_suites_pass_with_pinned_check_counts():
@@ -96,15 +99,13 @@ def test_soundness_sweep_subset_is_clean(corpus):
     assert result.checks >= 4 * 10 * 3  # three bound kinds per radius
 
 
-def test_soundness_sweep_eigensolves_each_model_once(monkeypatch):
-    calls = []
-    eigvals = np.linalg.eigvals
+def test_suite_bounds_eigensolves_each_model_once(eigvals_calls):
+    # the sweep and the moment checks share one Prepared per corpus model
+    assert suite_bounds(seed=0).ok
+    assert len(eigvals_calls) == len(regression_corpus(seed=0)) == 36
 
-    def counting_eigvals(*args, **kwargs):
-        calls.append(1)
-        return eigvals(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+def test_soundness_sweep_eigensolves_each_model_once(eigvals_calls):
     log = soundness_sweep(seed=0)
     assert log.failure_count == 0
-    assert len(calls) == len(regression_corpus(seed=0)) == 36
+    assert len(eigvals_calls) == len(regression_corpus(seed=0)) == 36
