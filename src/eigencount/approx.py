@@ -86,20 +86,23 @@ class ApproxSequence:
         return total
 
 
-def approx_numbers(m, kind: NormKind) -> ApproxSequence:
+def approx_numbers(m, kind: NormKind, sv: np.ndarray | None = None) -> ApproxSequence:
     """Approximation-number sequence of m in the given norm.
 
     l2: singular values, exact. l1/linf: sorted absolute column/row sums
     (ties broken towards the lower index), an upper-bound certificate;
     the first entry equals the induced norm and is exact. In every norm
     the entries beyond the numerical rank (numerical_rank's rule, applied
-    to the one SVD taken here) are exactly zero.
+    to the singular values of m) are exactly zero. sv, the singular
+    values of m if already computed, spares the one SVD taken here; it is
+    not modified.
     """
     m = as_matrix(m)
-    sv = singular_values(m)
+    if sv is None:
+        sv = singular_values(m)
     rank = singular_value_rank(sv)
     if kind is NormKind.L2:
-        values = sv
+        values = sv.copy()
         certainty = (Certainty.EXACT,) * len(sv)
     else:
         axis = 0 if kind is NormKind.L1 else 1

@@ -27,7 +27,7 @@ from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
 from .numerics import (NormKind, Spectrum, as_matrix, eigenvalues, induced_norm, resolvent,
                        singular_values)
-from .operators import OperatorModel, materialize
+from .operators import OperatorModel, Zero, materialize
 
 __all__ = [
     "ExteriorDisk",
@@ -225,8 +225,8 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class Prepared:
-    """A model analyzed once: its matrices, ||L0||, the alpha sequence, and
-    (on first use) the spectrum of L and the singular values of K.
+    """A model analyzed once: its matrices, ||L0||, the singular values
+    and alpha sequence of K, and (on first use) the spectrum of L.
 
     Every bound accepts a Prepared in place of an OperatorModel, so one
     analysis serves several bounds and the oracle without repeating work.
@@ -237,6 +237,7 @@ class Prepared:
     k: np.ndarray
     norm_l0: float
     alpha: ApproxSequence
+    singular_values: np.ndarray  # all of them; alpha zeroes the tail past the rank
 
     @property
     def norm_k(self) -> float:
@@ -248,18 +249,18 @@ class Prepared:
         """Clustered spectrum of L = L0 + K."""
         return eigenvalues(self.l0 + self.k)
 
-    @cached_property
-    def singular_values(self) -> np.ndarray:
-        """All singular values of K; alpha zeroes the tail past the rank."""
-        return singular_values(self.k)
-
 
 def prepare(model: OperatorModel) -> Prepared:
-    """Materialize model and compute ||L0|| and the approximation numbers of K."""
+    """Materialize model and compute ||L0|| and the approximation numbers of K.
+
+    One SVD of K serves alpha and singular_values; a zero base has norm 0
+    without one.
+    """
     l0, k = materialize(model)
-    return Prepared(model=model, l0=l0, k=k,
-                    norm_l0=induced_norm(l0, model.norm),
-                    alpha=approx_numbers(k, model.norm))
+    sv = singular_values(k)
+    norm_l0 = 0.0 if isinstance(model.base, Zero) else induced_norm(l0, model.norm)
+    return Prepared(model=model, l0=l0, k=k, norm_l0=norm_l0,
+                    alpha=approx_numbers(k, model.norm, sv), singular_values=sv)
 
 
 def _as_prepared(model: OperatorModel | Prepared) -> Prepared:

@@ -41,7 +41,7 @@ from .config import DEFAULT
 from .determinants import GammaProvenance, gamma_p_upper
 from .errors import EigencountError, SpecFormatError
 from .numerics import eigenvalues, induced_norm
-from .operators import Zero, materialize, parse_spec
+from .operators import Zero, _decode_json, materialize, parse_spec
 from .oracle import (
     count_curve,
     eigen_count_outside,
@@ -338,11 +338,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _load_coefficients(path: str) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"coefficient file is not JSON: {exc}") from exc
+    data = _decode_json(Path(path).read_bytes(), "coefficient file is not JSON")
     if not isinstance(data, list) or not data:
         raise SpecFormatError("coefficient file must hold a non-empty list")
     values = []

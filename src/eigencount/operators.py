@@ -8,7 +8,8 @@ the dual functional), diagonal, dense, zero.
 Wire format: a JSON object {"dim": N, "norm": "l1"|"l2"|"linf",
 "base": {...}, "perturbation": {...}} where every complex scalar is a
 [re, im] pair. Unknown keys are rejected so typos cannot silently change
-an experiment.
+an experiment. Documents are decoded by orjson; stdlib json reads only
+what orjson refuses (see _decode_json).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import SpecFormatError
 from .numerics import NormKind
@@ -167,6 +169,28 @@ def _materialize_one(spec, dim: int) -> np.ndarray:
 # --- wire format ---------------------------------------------------------
 
 
+def _decode_json(raw: str | bytes, what: str = "not valid JSON"):
+    """The JSON value in raw; SpecFormatError "<what>: ..." if it has none.
+
+    orjson decodes every document it accepts as stdlib json does, except
+    that it reads an integer outside [-2^63, 2^64) as the nearest float.
+    It refuses some documents the stdlib accepts (NaN and Infinity,
+    numbers that overflow a float, lone surrogates, a BOM, UTF-16 and
+    UTF-32), so only when it raises is raw decoded again by the stdlib:
+    those documents still reach the same validation, and a malformed one
+    gets the stdlib's message. Invalid UTF-8 and nesting too deep for the
+    stdlib are malformed documents too.
+    """
+    try:
+        return orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    try:
+        return json.loads(raw)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise SpecFormatError(f"{what}: {exc}") from exc
+
+
 def _check_pair(node, where: str) -> None:
     if (not isinstance(node, (list, tuple)) or len(node) != 2
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
@@ -266,10 +290,7 @@ def _parse_block(node, where: str, *, is_base: bool):
 
 def parse_spec(text: str | bytes) -> OperatorModel:
     """Parse the JSON wire format into a validated OperatorModel."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"not valid JSON: {exc}") from exc
+    doc = _decode_json(text)
     if not isinstance(doc, dict):
         raise SpecFormatError("top level must be an object")
     _reject_unknown(doc, {"dim", "norm", "base", "perturbation"}, "")

@@ -126,8 +126,8 @@ def test_bound_empirical_mode_on_corpus_model(capsys, tmp_path, corpus):
 
 def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
                                                      monkeypatch):
-    # ||L0|| and the approximation numbers of K need one SVD each on l2;
-    # a zero base adds the koenig_classical row, which needs one more
+    # on l2, ||L0|| takes one SVD and K one more, which serves alpha and
+    # the koenig_classical row of a zero base; ||0|| = 0 needs none
     rng = np.random.default_rng(3)
     l0, k = (rng.standard_normal((2, 16, 16))
              + 1j * rng.standard_normal((2, 16, 16)))
@@ -139,14 +139,14 @@ def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for base, most in ((Dense(0.1 * l0), 2), (Zero(), 3)):
+    for base, svds in ((Dense(0.1 * l0), 2), (Zero(), 1)):
         doc = tmp_path / "dense.json"
         doc.write_text(serialize_spec(OperatorModel(16, NormKind.L2, base,
                                                     Dense(k))))
         calls.clear()
         code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "3")
         assert code == 0, err
-        assert len(calls) <= most
+        assert len(calls) == svds
 
 
 def test_inadmissible_radius_exits_two_before_the_eigensolve(capsys, spec_path,
@@ -376,3 +376,35 @@ def test_exit_code_malformed_coefficients(capsys, tmp_path):
         code, _, err = _run(capsys, "example-shift", "--coeffs", str(bad), "--dims", "8")
         assert code == 3
         assert f"error: {where}: " in err
+
+
+@pytest.mark.parametrize("spec, coeffs, fragment", [
+    (b'{"dim": \x80}', b"[0.5, \x80]", "'utf-8' codec can't decode byte 0x80"),
+    (b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
+     b'"perturbation": {"kind": "dense", "entries": ' + b"[" * 100_000,
+     b"[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["invalid-utf8", "deep-nesting"])
+def test_undecodable_documents_exit_three(capsys, tmp_path, spec, coeffs, fragment):
+    # both were exit 1: a bare codec message and a RecursionError traceback
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(spec)
+    code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "2")
+    assert (code, out) == (3, "")
+    assert "error: not valid JSON: " in err and fragment in err
+    doc.write_bytes(coeffs)
+    code, out, err = _run(capsys, "example-shift", "--coeffs", str(doc), "--dims", "8")
+    assert (code, out) == (3, "")
+    assert "error: coefficient file is not JSON: " in err and fragment in err
+
+
+def test_deep_balanced_nesting_exits_three(capsys, tmp_path):
+    # orjson decodes it; the element checks reject it
+    deep = b"[" * 100_000 + b"]" * 100_000
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
+                    b'"perturbation": {"kind": "dense", "entries": ' + deep + b"}}")
+    code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "2")
+    assert code == 3 and "error: perturbation.entries[0]" in err
+    doc.write_bytes(deep)
+    code, _, err = _run(capsys, "example-shift", "--coeffs", str(doc), "--dims", "8")
+    assert code == 3 and "error: [0]: " in err

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigencount import (
     Dense,
@@ -273,3 +275,136 @@ def test_serialize_matches_the_element_loop():
         assert text == _loop_serialize(model)
         again = parse_spec(text)
         assert again == model
+
+
+# --- decoding: orjson against the stdlib json it replaced ------------------
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, 0.1)
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(_EDGE_FLOATS).map(repr),
+    st.integers(-10 ** 300, 10 ** 300).map(str),
+    st.integers(2 ** 63 - 2, 2 ** 64 + 2).map(str),
+    # long decimals, rounded to the nearest float by each decoder
+    st.builds("{}{}.{}e{}".format, st.sampled_from(["", "-"]),
+              st.integers(0, 9), st.text("0123456789", min_size=1, max_size=40),
+              st.integers(-340, 300)),
+)
+
+
+@st.composite
+def _documents(draw):
+    """Text of a well-formed document of random kinds, dim and numbers."""
+    dim = draw(st.integers(1, 4))
+
+    def pairs():
+        return "[%s]" % ", ".join("[%s, %s]" % (draw(_NUMBER_TEXT), draw(_NUMBER_TEXT))
+                                  for _ in range(dim))
+
+    def block(kind):
+        if kind in ("shift", "zero"):
+            return '{"kind": "%s"}' % kind
+        if kind == "diagonal":
+            return '{"kind": "diagonal", "values": %s}' % pairs()
+        if kind == "dense":
+            return '{"kind": "dense", "entries": [%s]}' % ", ".join(
+                pairs() for _ in range(dim))
+        return '{"kind": "rank_one", "left": %s, "right": %s}' % (pairs(), pairs())
+
+    norm = draw(st.sampled_from(["l1", "l2", "linf"]))
+    base = block(draw(st.sampled_from(["shift", "zero", "diagonal", "dense"])))
+    pert = block(draw(st.sampled_from(["zero", "diagonal", "dense", "rank_one"])))
+    return '{"dim": %d, "norm": "%s", "base": %s, "perturbation": %s}' % (
+        dim, norm, base, pert)
+
+
+_BLOCK_ARRAYS = ("values", "entries", "left", "right")
+
+
+def _stdlib_arrays(text: str) -> list:
+    """The reference: stdlib json.loads, then one numpy conversion per block."""
+    doc = json.loads(text)
+    return [np.asarray(doc[role][key], dtype=float).view(np.complex128)[..., 0]
+            for role in ("base", "perturbation") for key in _BLOCK_ARRAYS
+            if key in doc[role]]
+
+
+def _model_arrays(model) -> list:
+    return [getattr(spec, key) for spec in (model.base, model.perturbation)
+            for key in _BLOCK_ARRAYS if hasattr(spec, key)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(_documents())
+def test_decoding_matches_stdlib_json_bit_for_bit(text):
+    expected = _stdlib_arrays(text)
+    for raw in (text, text.encode()):
+        got = _model_arrays(parse_spec(raw))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_HEAD = ('{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
+         '"perturbation": {"kind": "diagonal", "values": [[0.5, 0], %s]}}')
+
+
+@pytest.mark.parametrize("raw, location, message", [
+    # stdlib json reads these; the element checks reject them
+    (_HEAD % "[NaN, 0]", "perturbation.values",
+     "perturbation.values: entries must be finite"),
+    (_HEAD % "[0, -Infinity]", "perturbation.values",
+     "perturbation.values: entries must be finite"),
+    (_HEAD % "[1e400, 0]", "perturbation.values",
+     "perturbation.values: entries must be finite"),
+    (_HEAD % "[1, %d]" % 10 ** 400, "perturbation.values[1]",
+     "perturbation.values[1]: integer too large for a float"),
+    ('{"dim": 2, "norm": "\\ud800", "base": {"kind": "zero"}, '
+     '"perturbation": {"kind": "zero"}}', "norm",
+     "norm: unknown norm tag '\\ud800'; expected one of l1, l2, linf"),
+    # not JSON: the stdlib's message
+    (_HEAD % "[1, 0]" + " x", "",
+     "not valid JSON: Extra data: line 1 column 120 (char 119)"),
+    ("", "", "not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+])
+def test_malformed_documents_keep_the_stdlib_outcome(raw, location, message):
+    for doc in (raw, raw.encode()):
+        with pytest.raises(SpecFormatError) as info:
+            parse_spec(doc)
+        assert info.value.location == location
+        assert str(info.value) == message
+
+
+def test_documents_only_the_stdlib_reads_still_parse():
+    text = _HEAD % "[-0.0, 2]"
+    model = parse_spec(text)
+    assert np.array_equal(_bits(model.perturbation.values), _bits([0.5, complex(-0.0, 2)]))
+    for raw in (text.encode("utf-16"), text.encode("utf-32"),
+                text.encode("utf-16-le"), b"\xef\xbb\xbf" + text.encode()):
+        assert parse_spec(raw) == model
+
+
+def test_stdlib_json_decodes_only_what_orjson_refuses(monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counting_loads(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    parse_spec(serialize_spec(_sample_model()).encode())
+    parse_spec(_HEAD % "[%d, 0]" % 2 ** 64)
+    assert calls == []
+    with pytest.raises(SpecFormatError, match="entries must be finite"):
+        parse_spec(_HEAD % "[NaN, 0]")
+    assert calls == [1]
+
+
+def test_dim_past_two_to_the_64_is_not_an_integer():
+    # orjson reads an integer literal of 2^64 or more as a float
+    text = '{"dim": %d, "norm": "l2", "base": {"kind": "zero"}, "perturbation": {"kind": "zero"}}'
+    with pytest.raises(SpecFormatError, match="dim must be a positive integer"):
+        parse_spec(text % 2 ** 64)
