@@ -225,19 +225,34 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class Prepared:
-    """A model analyzed once: its matrices, ||L0||, the singular values
-    and alpha sequence of K, and (on first use) the spectrum of L.
+    """A materialized model whose analysis is computed on first use, then kept:
+    ||L0||, the singular values and alpha sequence of K, and the spectrum of L.
 
     Every bound accepts a Prepared in place of an OperatorModel, so one
-    analysis serves several bounds and the oracle without repeating work.
+    analysis serves several bounds and the oracle without repeating work,
+    and a caller pays only for the quantities it reads.
     """
 
     model: OperatorModel
     l0: np.ndarray
     k: np.ndarray
-    norm_l0: float
-    alpha: ApproxSequence
-    singular_values: np.ndarray  # all of them; alpha zeroes the tail past the rank
+
+    @cached_property
+    def norm_l0(self) -> float:
+        """||L0||; a zero base has norm 0 without an SVD."""
+        if isinstance(self.model.base, Zero):
+            return 0.0
+        return induced_norm(self.l0, self.model.norm)
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """All singular values of K; alpha zeroes the tail past the rank in its own copy."""
+        return singular_values(self.k)
+
+    @cached_property
+    def alpha(self) -> ApproxSequence:
+        """Approximation numbers of K, read from the one SVD of singular_values."""
+        return approx_numbers(self.k, self.model.norm, self.singular_values)
 
     @property
     def norm_k(self) -> float:
@@ -251,16 +266,8 @@ class Prepared:
 
 
 def prepare(model: OperatorModel) -> Prepared:
-    """Materialize model and compute ||L0|| and the approximation numbers of K.
-
-    One SVD of K serves alpha and singular_values; a zero base has norm 0
-    without one.
-    """
-    l0, k = materialize(model)
-    sv = singular_values(k)
-    norm_l0 = 0.0 if isinstance(model.base, Zero) else induced_norm(l0, model.norm)
-    return Prepared(model=model, l0=l0, k=k, norm_l0=norm_l0,
-                    alpha=approx_numbers(k, model.norm, sv), singular_values=sv)
+    """Materialize model; every analysis waits for its first use."""
+    return Prepared(model, *materialize(model))
 
 
 def _as_prepared(model: OperatorModel | Prepared) -> Prepared:

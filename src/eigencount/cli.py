@@ -40,14 +40,13 @@ from .bounds import (
 from .config import DEFAULT
 from .determinants import GammaProvenance, gamma_p_upper
 from .errors import EigencountError, SpecFormatError
-from .numerics import eigenvalues, induced_norm
-from .operators import Zero, _decode_json, materialize, parse_spec
+from .operators import Zero, _decode_json, parse_spec
 from .oracle import (
+    blaschke_divergence_probe,
     count_curve,
     eigen_count_outside,
     lacunary_coefficients,
     moment_sum,
-    shift_example,
 )
 from .verify import SUITE_NAMES, run_suites
 
@@ -272,9 +271,8 @@ def _cmd_oracle(args) -> int:
         raise ValueError("nothing to compute: pass --s, --curve, or --q")
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
-    l0, k = materialize(model)
-    spec = eigenvalues(l0 + k)
-    norm_l0 = induced_norm(l0, model.norm)
+    prep = prepare(model)
+    spec, norm_l0 = prep.spectrum, prep.norm_l0
 
     results: dict = {"dim": model.dim, "norm": model.norm.value,
                      "norm_l0": norm_l0}
@@ -368,13 +366,9 @@ def _cmd_example_shift(args) -> int:
         family = lacunary_coefficients
 
     header = ["dim", "excess_sum"] + [f"n_above_{s}" for s in _EXAMPLE_RADII]
-    rows = []
-    for dim in args.dims:
-        model, _ = shift_example(family(dim), dim)
-        l0, k = materialize(model)
-        spec = eigenvalues(l0 + k)
-        counts = [eigen_count_outside(spec, s) for s in _EXAMPLE_RADII]
-        rows.append([dim, moment_sum(spec, 1.0, 1.0)] + counts)
+    rows = [[row.dim, row.excess_sum]
+            + [eigen_count_outside(row.spectrum, s) for s in _EXAMPLE_RADII]
+            for row in blaschke_divergence_probe(family, args.dims).rows]
     _emit_csv(header, rows, args.out)
     return 0
 

@@ -343,10 +343,11 @@ def det_bound_rhs(l0, k, f, lam, p: float, eta: float, n_rank: int,
     / (1 - (alpha_{N+1} + eta) ||(lam - L0)^{-1}||)^p, valid whenever
     ||K - F|| <= alpha_{N+1} + eta and the denominator base is positive;
     both conditions are checked, the second at every lam. F = left @ right.T
-    is the factor pair f that perturbation_determinant takes. lam is a point
-    or a 1-D array of points (then an array of exponents is returned):
-    ||K - F|| and ||K|| are computed once per call, and the resolvent
-    norms one stacked solve per point_blocks block.
+    is the factor pair f that perturbation_determinant takes, and alpha is
+    K's own sequence: ||K|| is read from it as alpha_1, exact in every norm.
+    lam is a point or a 1-D array of points (then an array of exponents is
+    returned): ||K - F|| is computed once per call, and the resolvent norms
+    one stacked solve per point_blocks block.
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
@@ -362,7 +363,7 @@ def det_bound_rhs(l0, k, f, lam, p: float, eta: float, n_rank: int,
 
     beta = alpha.value_at(n_rank + 1) + eta
     gap = induced_norm(k - left @ right.T, kind)
-    scale = max(1.0, induced_norm(k, kind))
+    scale = max(1.0, alpha.value_at(1))
     if gap > beta + DEFAULT.pair_gap_rtol * scale:
         raise AdmissibilityError(
             f"||K - F|| = {gap:.6e} exceeds alpha_{n_rank + 1} + eta = {beta:.6e}; "

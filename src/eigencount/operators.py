@@ -15,11 +15,10 @@ what orjson refuses (see _decode_json).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
-import orjson
 
 from .errors import SpecFormatError
 from .numerics import NormKind
@@ -43,25 +42,27 @@ class Shift:
 
 
 @dataclass(frozen=True, eq=False)
-class Diagonal:
-    values: np.ndarray
+class _ArrayBlock:
+    """Every field a complex array; equal to a block of its type with equal arrays."""
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        for f in fields(self):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype=complex))
 
     def __eq__(self, other):
-        return isinstance(other, Diagonal) and np.array_equal(self.values, other.values)
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
-class Dense:
+class Diagonal(_ArrayBlock):
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Dense(_ArrayBlock):
     entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
-
-    def __eq__(self, other):
-        return isinstance(other, Dense) and np.array_equal(self.entries, other.entries)
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,11 @@ class Zero:
 
 
 @dataclass(frozen=True, eq=False)
-class RankOne:
+class RankOne(_ArrayBlock):
     """left * right^T; right is entered as the dual functional's coefficients."""
 
     left: np.ndarray
     right: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "left", np.asarray(self.left, dtype=complex))
-        object.__setattr__(self, "right", np.asarray(self.right, dtype=complex))
-
-    def __eq__(self, other):
-        return (isinstance(other, RankOne)
-                and np.array_equal(self.left, other.left)
-                and np.array_equal(self.right, other.right))
 
 
 BASE_KINDS = (Shift, Diagonal, Dense, Zero)
@@ -178,16 +170,19 @@ def _decode_json(raw: str | bytes, what: str = "not valid JSON"):
     numbers that overflow a float, lone surrogates, a BOM, UTF-16 and
     UTF-32), so only when it raises is raw decoded again by the stdlib:
     those documents still reach the same validation, and a malformed one
-    gets the stdlib's message. Invalid UTF-8 and nesting too deep for the
-    stdlib are malformed documents too.
+    gets the stdlib's message. Invalid UTF-8, nesting too deep for the
+    stdlib and integers past its digit limit are malformed documents too.
+    orjson is imported here, so commands that decode no JSON never load it.
     """
+    import orjson
+
     try:
         return orjson.loads(raw)
     except orjson.JSONDecodeError:
         pass
     try:
         return json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SpecFormatError(f"{what}: {exc}") from exc
 
 

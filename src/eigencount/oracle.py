@@ -11,7 +11,7 @@ to every number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -346,6 +346,7 @@ def lacunary_coefficients(dim: int) -> np.ndarray:
 class ProbeRow:
     dim: int
     excess_sum: float
+    spectrum: Spectrum = field(compare=False)  # the eigensolve the sum was read from
 
 
 @dataclass(frozen=True)
@@ -366,7 +367,9 @@ def blaschke_divergence_probe(b_family: Callable[[int], Sequence[complex]],
     for dim in dims:
         model, _ = shift_example(np.asarray(b_family(dim), dtype=complex), dim)
         l0, k = materialize(model)
-        rows.append(ProbeRow(dim=dim, excess_sum=moment_sum(l0 + k, 1.0, 1.0)))
+        spectrum = eigenvalues(l0 + k)
+        rows.append(ProbeRow(dim=dim, excess_sum=moment_sum(spectrum, 1.0, 1.0),
+                             spectrum=spectrum))
     if not rows:
         raise ValueError("need at least one dimension to probe")
     first, last = rows[0].excess_sum, rows[-1].excess_sum

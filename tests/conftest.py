@@ -28,15 +28,25 @@ def materialized(corpus):
     return out
 
 
+def _count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 @pytest.fixture
 def eigvals_calls(monkeypatch):
     """A list that gains one entry per np.linalg.eigvals call in the test."""
-    calls = []
-    eigvals = np.linalg.eigvals
+    return _count_calls(monkeypatch, "eigvals")
 
-    def counting_eigvals(*args, **kwargs):
-        calls.append(1)
-        return eigvals(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    return calls
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that gains one entry per np.linalg.svd call in the test."""
+    return _count_calls(monkeypatch, "svd")

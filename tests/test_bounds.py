@@ -205,22 +205,14 @@ def test_koenig_count_bound_reports_the_classical_form(corpus):
     assert koenig_count_bound(entry.model, 1.5, 2.0) == report
 
 
-def test_koenig_count_bound_takes_one_svd_per_prepared(corpus, monkeypatch):
-    # the one SVD is prepare's, shared by alpha and the classical bound
+def test_koenig_count_bound_takes_one_svd_per_prepared(corpus, svd_calls):
+    # the one SVD of K is shared by alpha and the classical bound
     entry = next(e for e in corpus if isinstance(e.model.base, Zero))
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     prep = prepare(entry.model)
     for s in sweep_radii(prep.norm_l0, prep.norm_k):
         for p in (0.5, 1.0, 2.0):
             koenig_count_bound(prep, p, s)
-    assert len(calls) == 1
+    assert len(svd_calls) == 1
 
 
 def test_koenig_count_bound_needs_a_zero_base(corpus):
@@ -234,27 +226,35 @@ def test_koenig_count_bound_needs_a_zero_base(corpus):
             koenig_count_bound(zero, p, s)
 
 
-def test_prepared_keeps_the_spectrum_and_the_raw_singular_values(monkeypatch):
+def test_prepared_keeps_the_spectrum_and_the_raw_singular_values(svd_calls,
+                                                                 eigvals_calls):
     # K = diag(1, 1e-20, 0, 0): alpha zeroes the entry past the rank, the
-    # kept singular values do not; both come from the one SVD in prepare
+    # kept singular values do not; both come from the one SVD of K
     k = np.diag([1.0, 1e-20, 0.0, 0.0]).astype(complex)
     prep = prepare(OperatorModel(4, NormKind.L2, Zero(), Dense(k)))
     assert prep.alpha.value_at(2) == 0.0
-    calls = []
-    eigvals, svd = np.linalg.eigvals, np.linalg.svd
-
-    def counting(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigvals", counting(eigvals))
-    monkeypatch.setattr(np.linalg, "svd", counting(svd))
+    svd_calls.clear()
     assert prep.singular_values[1] == 1e-20
     assert prep.singular_values is prep.singular_values
     assert prep.spectrum is prep.spectrum and prep.spectrum.dim == 4
-    assert calls == ["eigvals"]
+    assert (svd_calls, eigvals_calls) == ([], [1])
+
+
+def test_prepare_computes_each_quantity_on_first_use(corpus, svd_calls,
+                                                     eigvals_calls):
+    # m07 (zero base) and m01 (diagonal base) are l2: ||L0|| takes an SVD
+    # only for the nonzero base, and one SVD of K serves alpha, ||K|| and
+    # the singular values
+    for index, base_svds in ((7, 0), (1, 1)):
+        svd_calls.clear()
+        prep = prepare(corpus[index].model)
+        assert prep.model.norm is NormKind.L2
+        assert (svd_calls, eigvals_calls) == ([], [])
+        assert (prep.norm_l0 == 0.0) == (base_svds == 0)
+        assert len(svd_calls) == base_svds
+        assert prep.norm_k == prep.alpha.value_at(1) > 0.0
+        assert len(prep.singular_values) == prep.model.dim
+        assert len(svd_calls) == base_svds + 1 and eigvals_calls == []
 
 
 def test_moment_bound_dominates_oracle(materialized):

@@ -124,29 +124,37 @@ def test_bound_empirical_mode_on_corpus_model(capsys, tmp_path, corpus):
     assert all(results["oracle_count"] <= row["bound"] for row in rows)
 
 
-def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
-                                                     monkeypatch):
-    # on l2, ||L0|| takes one SVD and K one more, which serves alpha and
-    # the koenig_classical row of a zero base; ||0|| = 0 needs none
+def _dense_l2_docs(tmp_path):
+    # dim-16 l2 documents with a dense K, on a dense and on a zero base
     rng = np.random.default_rng(3)
     l0, k = (rng.standard_normal((2, 16, 16))
              + 1j * rng.standard_normal((2, 16, 16)))
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for base, svds in ((Dense(0.1 * l0), 2), (Zero(), 1)):
+    for base in (Dense(0.1 * l0), Zero()):
         doc = tmp_path / "dense.json"
         doc.write_text(serialize_spec(OperatorModel(16, NormKind.L2, base,
                                                     Dense(k))))
-        calls.clear()
+        yield doc, isinstance(base, Zero)
+
+
+def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
+                                                     svd_calls):
+    # on l2, ||L0|| takes one SVD and K one more, which serves alpha and
+    # the koenig_classical row of a zero base; ||0|| = 0 needs none
+    for doc, zero_base in _dense_l2_docs(tmp_path):
+        svd_calls.clear()
         code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "3")
         assert code == 0, err
-        assert len(calls) == svds
+        assert len(svd_calls) == (1 if zero_base else 2)
+
+
+def test_oracle_takes_an_svd_only_for_a_nonzero_base(capsys, tmp_path,
+                                                     svd_calls):
+    # the oracle reads ||L0|| and never K's singular values
+    for doc, zero_base in _dense_l2_docs(tmp_path):
+        svd_calls.clear()
+        code, _, err = _run(capsys, "oracle", str(doc), "--s", "1.2", "--q", "2")
+        assert code == 0, err
+        assert len(svd_calls) == (0 if zero_base else 1)
 
 
 def test_inadmissible_radius_exits_two_before_the_eigensolve(capsys, spec_path,
@@ -383,9 +391,14 @@ def test_exit_code_malformed_coefficients(capsys, tmp_path):
     (b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
      b'"perturbation": {"kind": "dense", "entries": ' + b"[" * 100_000,
      b"[" * 100_000, "maximum recursion depth exceeded"),
-], ids=["invalid-utf8", "deep-nesting"])
+    (b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
+     b'"perturbation": {"kind": "diagonal", "values": [[1' + b"0" * 4_400
+     + b', 0], [1, 0]]}}', b"[0.5, 1" + b"0" * 4_400 + b"]",
+     "Exceeds the limit (4300 digits)"),
+], ids=["invalid-utf8", "deep-nesting", "oversized-integer"])
 def test_undecodable_documents_exit_three(capsys, tmp_path, spec, coeffs, fragment):
-    # both were exit 1: a bare codec message and a RecursionError traceback
+    # all were exit 1: a bare codec message, a RecursionError traceback and
+    # a bare integer-conversion message
     doc = tmp_path / "doc.json"
     doc.write_bytes(spec)
     code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "2")

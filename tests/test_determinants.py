@@ -337,20 +337,14 @@ def test_batched_det_bound_rhs_equals_the_per_point_values(corpus):
                              / (1.0 - beta * res_norm) ** p)
 
 
-def test_det_bound_rhs_runs_three_svds_on_a_circle(corpus, monkeypatch):
-    # ||K - F||, ||K|| and one stacked SVD of the 64 resolvents
+def test_det_bound_rhs_runs_two_svds_on_a_circle(corpus, svd_calls):
+    # ||K - F|| and one stacked SVD of the 64 resolvents; ||K|| is alpha_1
     prep, n_rank, lams, p = next(_corpus_circles(corpus))
     f = rank_n_factors(prep.k, n_rank, NormKind.L2)
-    calls = []
-    svd = np.linalg.svd
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    det_bound_rhs(prep.l0, prep.k, f, lams, p, 0.0, n_rank, NormKind.L2, prep.alpha)
-    assert len(lams) == 64 and len(calls) <= 3
+    alpha = prep.alpha
+    svd_calls.clear()
+    det_bound_rhs(prep.l0, prep.k, f, lams, p, 0.0, n_rank, NormKind.L2, alpha)
+    assert len(lams) == 64 and len(svd_calls) == 2
 
 
 def test_scalar_lam_gives_scalar_fields():

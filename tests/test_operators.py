@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +128,10 @@ def test_component_equality_is_by_value():
     assert a == b and a != c
     assert Shift() == Shift()
     assert Zero() != Shift()
+    # equality is by exact type: the same numbers in another block differ
+    v = np.array([1.0, 2.0])
+    assert Diagonal(v) != Dense(np.diag(v)) and Diagonal(v) != Dense(v)
+    assert RankOne(v, v) == RankOne(v, v.astype(complex)) != RankOne(v, 2 * v)
 
 
 def _dense_doc():
@@ -401,6 +409,19 @@ def test_stdlib_json_decodes_only_what_orjson_refuses(monkeypatch):
     with pytest.raises(SpecFormatError, match="entries must be finite"):
         parse_spec(_HEAD % "[NaN, 0]")
     assert calls == [1]
+
+
+def test_importing_the_cli_leaves_orjson_unloaded():
+    # orjson is imported by the first decode, so verify and gamma never load it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, eigencount.cli; print('orjson' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert (probe.returncode, probe.stdout) == (0, "False\n"), probe.stderr
 
 
 def test_dim_past_two_to_the_64_is_not_an_integer():
