@@ -65,6 +65,7 @@ from .numerics import (
     induced_norm,
     numerical_rank,
     resolvent,
+    resolvent_norms,
     shifted_solve,
     singular_value_rank,
     singular_values,
@@ -110,7 +111,7 @@ __all__ = [
     # numerics
     "NormKind", "Spectrum", "as_matrix", "eigenvalues", "singular_values",
     "induced_norm", "numerical_rank", "singular_value_rank", "resolvent",
-    "shifted_solve",
+    "resolvent_norms", "shifted_solve",
     # operators
     "OperatorModel", "Shift", "Diagonal", "Dense", "Zero", "RankOne",
     "materialize", "parse_spec", "serialize_spec",

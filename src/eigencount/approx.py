@@ -86,6 +86,12 @@ class ApproxSequence:
         return total
 
 
+def _ranked_sums(m: np.ndarray, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
+    # abs column (l1) or row (linf) sums and their ranking; the certificate needs one rule
+    sums = np.sum(np.abs(m), axis=0 if kind is NormKind.L1 else 1)
+    return sums, np.argsort(-sums, kind="stable")
+
+
 def approx_numbers(m, kind: NormKind, sv: np.ndarray | None = None) -> ApproxSequence:
     """Approximation-number sequence of m in the given norm.
 
@@ -105,9 +111,7 @@ def approx_numbers(m, kind: NormKind, sv: np.ndarray | None = None) -> ApproxSeq
         values = sv.copy()
         certainty = (Certainty.EXACT,) * len(sv)
     else:
-        axis = 0 if kind is NormKind.L1 else 1
-        sums = np.sum(np.abs(m), axis=axis)
-        order = np.argsort(-sums, kind="stable")
+        sums, order = _ranked_sums(m, kind)
         values = sums[order].astype(float)
         certainty = tuple(
             Certainty.EXACT if (j == 0 or j >= rank) else Certainty.UPPER_BOUND
@@ -138,9 +142,7 @@ def rank_n_factors(m, n: int, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
     if kind is NormKind.L2:
         u, sv, vh = np.linalg.svd(m)
         return u[:, :n] * sv[:n], vh[:n].T
-    axis = 0 if kind is NormKind.L1 else 1
-    sums = np.sum(np.abs(m), axis=axis)
-    keep = np.argsort(-sums, kind="stable")[:n]
+    keep = _ranked_sums(m, kind)[1][:n]
     unit = np.eye(dim, dtype=complex)[:, keep]
     if kind is NormKind.L1:
         return m[:, keep], unit

@@ -25,8 +25,7 @@ import numpy as np
 from .approx import ApproxSequence, Certainty, approx_numbers, koenig_constant
 from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
-from .numerics import (NormKind, Spectrum, as_matrix, eigenvalues, induced_norm, resolvent,
-                       singular_values)
+from .numerics import Spectrum, eigenvalues, induced_norm, resolvent_norms, singular_values
 from .operators import OperatorModel, Zero, materialize
 
 __all__ = [
@@ -223,14 +222,14 @@ class BoundReport:
 # --- shared plumbing -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prepared:
     """A materialized model whose analysis is computed on first use, then kept:
     ||L0||, the singular values and alpha sequence of K, and the spectrum of L.
 
     Every bound accepts a Prepared in place of an OperatorModel, so one
     analysis serves several bounds and the oracle without repeating work,
-    and a caller pays only for the quantities it reads.
+    and a caller pays only for the quantities it reads. == is identity.
     """
 
     model: OperatorModel
@@ -473,27 +472,15 @@ def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:
     return q * gamma.c_p * envelope * bracket * norm_k ** (q - p - 1.0) * alpha_sum
 
 
-def pseudospectral_epsilon(l0, t: float, kind: NormKind) -> float:
+def pseudospectral_epsilon(prep: Prepared, t: float) -> float:
     """Sampled pseudospectral gap 1 / max ||(lam - L0)^{-1}|| on |lam| = t.
 
     The resolvent norm of the exterior region peaks on the boundary
     circle, so sampling it there at 64 equally spaced points estimates
     the certified gap from above; results derived from this value are
-    therefore NOT certified and are flagged as such by the callers.
+    therefore NOT certified and are flagged as such by the callers. A
+    circle through the base spectrum raises SingularResolventError.
     """
-    l0 = as_matrix(l0)
-    worst = 0.0
-    eye = np.eye(l0.shape[0], dtype=complex)
-    for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
-        lam = t * complex(math.cos(theta), math.sin(theta))
-        if kind is NormKind.L2:
-            smallest = float(np.linalg.svd(lam * eye - l0, compute_uv=False)[-1])
-            norm = math.inf if smallest == 0.0 else 1.0 / smallest
-        else:
-            norm = induced_norm(resolvent(l0, lam), kind)
-        worst = max(worst, norm)
-    if worst == 0.0 or math.isinf(worst):
-        raise AdmissibilityError(
-            f"resolvent norm on |lam| = {t} is degenerate; the circle meets "
-            "the base spectrum")
-    return 1.0 / worst
+    circle = np.array([t * complex(math.cos(theta), math.sin(theta))
+                       for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)])
+    return 1.0 / float(np.max(resolvent_norms(prep.l0, circle, prep.model.norm)))

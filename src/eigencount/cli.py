@@ -227,7 +227,7 @@ def _cmd_bound(args) -> int:
     reports.append(region)
     if args.mode == "empirical":
         # same circle as the certified optimum, gap measured by sampling
-        eps = pseudospectral_epsilon(prep.l0, region.t_star, model.norm)
+        eps = pseudospectral_epsilon(prep, region.t_star)
         reports.append(count_bound_region(
             prep, args.p, RegionSpec(target, t=region.t_star), n_rank=args.n,
             epsilon=eps))

@@ -19,11 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .approx import ApproxSequence, koenig_constant
+from .approx import koenig_constant
 from .config import DEFAULT
 from .errors import AdmissibilityError, EigenvalueError, MatrixError
-from .numerics import (NormKind, Spectrum, as_matrix, induced_norm, point_blocks, resolvent,
-                       shifted_solve)
+from .numerics import Spectrum, as_matrix, induced_norm, resolvent_norms, shifted_solve
 
 __all__ = [
     "GammaProvenance",
@@ -335,50 +334,40 @@ def perturbation_determinant(l, f, lam, p: float) -> DetSample:
     return DetSample(lam=points, value=value, log_abs=log_abs)
 
 
-def det_bound_rhs(l0, k, f, lam, p: float, eta: float, n_rank: int,
-                  kind: NormKind, alpha: ApproxSequence):
+def det_bound_rhs(prep, f, lam, p: float, n_rank: int):
     """Certified exponent bounding log|perturbation determinant| at lam.
 
-    Returns C_p ||(lam - L0)^{-1}||^p sum_{j<=N} (alpha_{N+1} + eta + alpha_j)^p
-    / (1 - (alpha_{N+1} + eta) ||(lam - L0)^{-1}||)^p, valid whenever
-    ||K - F|| <= alpha_{N+1} + eta and the denominator base is positive;
-    both conditions are checked, the second at every lam. F = left @ right.T
-    is the factor pair f that perturbation_determinant takes, and alpha is
-    K's own sequence: ||K|| is read from it as alpha_1, exact in every norm.
-    lam is a point or a 1-D array of points (then an array of exponents is
-    returned): ||K - F|| is computed once per call, and the resolvent norms
-    one stacked solve per point_blocks block.
+    L0, K, the norm and K's alpha sequence come from the Prepared record
+    prep, with ||K|| read as alpha_1, exact in every norm. Returns C_p
+    ||(lam - L0)^{-1}||^p sum_{j<=N} (alpha_{N+1} + alpha_j)^p / (1 -
+    alpha_{N+1} ||(lam - L0)^{-1}||)^p, valid whenever ||K - F|| <=
+    alpha_{N+1} and the denominator base is positive; both are checked,
+    the second at every lam. F = left @ right.T is the factor pair f of
+    perturbation_determinant; a 1-D array lam gives one exponent per point.
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
-    if eta < 0:
-        raise AdmissibilityError(f"eta must be non-negative, got {eta}")
     if n_rank < 0:
         raise AdmissibilityError(f"N must be non-negative, got {n_rank}")
-    l0 = as_matrix(l0)
-    k = as_matrix(k)
-    left, right = _factor_pair(f, k.shape[0])
+    left, right = _factor_pair(f, prep.k.shape[0])
     lams = _points(lam)
     points = lams.reshape(-1)
 
-    beta = alpha.value_at(n_rank + 1) + eta
-    gap = induced_norm(k - left @ right.T, kind)
-    scale = max(1.0, alpha.value_at(1))
-    if gap > beta + DEFAULT.pair_gap_rtol * scale:
+    beta = prep.alpha.value_at(n_rank + 1)
+    gap = induced_norm(prep.k - left @ right.T, prep.model.norm)
+    if gap > beta + DEFAULT.pair_gap_rtol * max(1.0, prep.norm_k):
         raise AdmissibilityError(
-            f"||K - F|| = {gap:.6e} exceeds alpha_{n_rank + 1} + eta = {beta:.6e}; "
-            "the approximant is not admissible for this N and eta")
+            f"||K - F|| = {gap:.6e} exceeds alpha_{n_rank + 1} = {beta:.6e}; "
+            "the approximant is not admissible for this N")
 
-    res_norm = np.empty(len(points))
-    for block in point_blocks(len(points), l0.shape[0]):
-        res_norm[block] = induced_norm(resolvent(l0, points[block]), kind)
+    res_norm = resolvent_norms(prep.l0, points, prep.model.norm)
     bad = np.flatnonzero(beta * res_norm >= 1.0)
     if len(bad):
         j = int(bad[0])
         raise AdmissibilityError(
-            f"(alpha_{n_rank + 1} + eta) * ||(lam - L0)^{{-1}}|| = "
+            f"alpha_{n_rank + 1} * ||(lam - L0)^{{-1}}|| = "
             f"{beta * res_norm[j]:.6e} must be below 1 at lam = {complex(points[j])}")
 
-    total = alpha.head_power_sum(p, n_rank, offset=beta)
+    total = prep.alpha.head_power_sum(p, n_rank, offset=beta)
     rhs = gamma_p_upper(p).c_p * res_norm ** p * total / (1.0 - beta * res_norm) ** p
     return float(rhs[0]) if lams.ndim == 0 else rhs

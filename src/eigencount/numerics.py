@@ -4,7 +4,7 @@ A square complex numpy array is read as the matrix of an operator on
 (C^n, ||.||) for one of the three classical vector norms. Eigen- and
 singular-value work is delegated to LAPACK via numpy.linalg; this module
 adds the multiset view of a spectrum (clustered multiplicities), exact
-induced norms, and residual-checked shifted solves and resolvents.
+induced norms, and residual-checked solves, resolvents and resolvent norms.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "singular_value_rank",
     "induced_norm",
     "resolvent",
+    "resolvent_norms",
     "shifted_solve",
     "point_blocks",
 ]
@@ -200,6 +201,19 @@ def resolvent(m, lam) -> np.ndarray:
     """
     m = as_matrix(m)
     return shifted_solve(m, lam, np.eye(m.shape[0], dtype=complex))
+
+
+def resolvent_norms(m, lams, kind: NormKind) -> np.ndarray:
+    """||(lam - m)^{-1}|| in the norm induced by kind, at each lam of a 1-D array.
+
+    The resolvents are residual-checked, one point_blocks stack at a time: in
+    every norm, SingularResolventError names the first lam on the spectrum."""
+    m = as_matrix(m)
+    lams = np.asarray(lams, dtype=complex)
+    norms = np.empty(len(lams))
+    for block in point_blocks(len(lams), m.shape[0]):
+        norms[block] = induced_norm(resolvent(m, lams[block]), kind)
+    return norms
 
 
 def shifted_solve(m, lam, rhs: np.ndarray) -> np.ndarray:

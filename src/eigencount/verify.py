@@ -453,8 +453,7 @@ def suite_det(seed: int = 0) -> SuiteResult:
                 lams = np.array([
                     t * complex(math.cos(theta), math.sin(theta))
                     for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)])
-                rhs = det_bound_rhs(l0, k, factors, lams, p, 0.0, n_rank,
-                                    NormKind.L2, prep.alpha)
+                rhs = det_bound_rhs(prep, factors, lams, p, n_rank)
                 samples = perturbation_determinant(l0 + k, factors, lams, p)
                 for lam, log_abs, bound in zip(lams, samples.log_abs, rhs):
                     log.check(log_abs <= bound + 1e-9,

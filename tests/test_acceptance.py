@@ -141,9 +141,9 @@ def test_c5_determinant_growth_bound_on_circles(corpus):
     for entry in corpus:
         if entry.model.norm is not NormKind.L2:
             continue
-        l0, k = materialize(entry.model)
+        prep = prepare(entry.model)
+        l0, k = prep.l0, prep.k
         full = l0 + k
-        alpha = approx_numbers(k, NormKind.L2)
         n_rank = int(np.linalg.matrix_rank(k))
         factors = rank_n_factors(k, n_rank, NormKind.L2)
         norm_l0 = induced_norm(l0, NormKind.L2)
@@ -153,8 +153,7 @@ def test_c5_determinant_growth_bound_on_circles(corpus):
             for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
                 lam = t * np.exp(1j * theta)
                 sample = perturbation_determinant(full, factors, lam, p)
-                rhs = det_bound_rhs(l0, k, factors, lam, p, 0.0, n_rank,
-                                    NormKind.L2, alpha)
+                rhs = det_bound_rhs(prep, factors, lam, p, n_rank)
                 assert sample.log_abs - rhs <= 1e-9
                 points += 1
         models += 1

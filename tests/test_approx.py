@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,10 @@ KINDS = (NormKind.L1, NormKind.L2, NormKind.LINF)
 def _random_matrix(seed, dim=6):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+# a weighted cyclic permutation: its column sums and its row sums tie in pairs
+_TIED_SUMS = np.roll(np.eye(5), 1, axis=0) * np.array([3.0, 3.0j, -1.0, 1.0j, 0.5])
 
 
 def test_l2_sequence_is_exact_singular_values():
@@ -84,8 +90,7 @@ def test_head_power_sum_matches_direct_loop():
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_sequence_certifies_a_rank_n_approximant(seed):
     """alpha_j is a certificate: some rank-(j-1) F achieves ||K - F|| <= alpha_j."""
-    m = _random_matrix(seed, dim=5)
-    for kind in KINDS:
+    for m, kind in itertools.product((_random_matrix(seed, dim=5), _TIED_SUMS), KINDS):
         seq = approx_numbers(m, kind)
         for n in range(6):
             f = rank_n_approximant(m, n, kind)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,13 @@ from eigencount import (
     AdmissibilityError,
     Certainty,
     Dense,
+    Diagonal,
     ExteriorDisk,
     NormKind,
     OperatorModel,
     Point,
     RegionSpec,
+    SingularResolventError,
     Zero,
     approx_numbers,
     count_bound_disk,
@@ -28,6 +32,7 @@ from eigencount import (
     phi_p_envelope,
     prepare,
     pseudospectral_epsilon,
+    resolvent_norms,
     shift_example,
     sweep_radii,
     t_star,
@@ -273,18 +278,31 @@ def test_moment_bound_rejects_small_exponent(materialized):
 
 def test_pseudospectral_epsilon_at_least_certified_gap():
     model, _ = shift_example(np.array([2.0 + 0j]), 16)
-    l0, _ = materialize(model)
     t = 1.4
-    eps = pseudospectral_epsilon(l0, t, model.norm)
+    eps = pseudospectral_epsilon(prepare(model), t)
     assert eps >= (t - 1.0) - 1e-9  # 1 / sup||R|| >= t - ||L0||
+
+
+def test_a_circle_through_the_base_spectrum_fails_alike_in_every_norm(corpus):
+    # the first of the 64 samples on |lam| = 1.2 is the eigenvalue 1.2 of L0
+    for kind in NormKind:
+        model = OperatorModel(2, kind, Diagonal(np.array([1.2, 0.1])), Zero())
+        with pytest.raises(SingularResolventError):
+            pseudospectral_epsilon(prepare(model), 1.2)
+    # on l2 as in l1 and linf, the gap is one over the largest checked norm
+    prep = prepare(next(e.model for e in corpus if e.model.norm is NormKind.L2))
+    t = prep.norm_l0 + 0.5
+    circle = [t * complex(math.cos(theta), math.sin(theta))
+              for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)]
+    assert pseudospectral_epsilon(prep, t) == 1.0 / max(
+        resolvent_norms(prep.l0, circle, NormKind.L2))
 
 
 def test_empirical_region_bound_tightens_and_is_flagged():
     model, _ = shift_example(np.array([2.0 + 0j]), 16)
-    l0, _ = materialize(model)
     s = 1.6
     certified = count_bound_region(model, 1.0, RegionSpec(ExteriorDisk(s)))
-    eps = pseudospectral_epsilon(l0, certified.t_star, model.norm)
+    eps = pseudospectral_epsilon(prepare(model), certified.t_star)
     empirical = count_bound_region(
         model, 1.0, RegionSpec(ExteriorDisk(s), t=certified.t_star), epsilon=eps)
     assert certified.certified
@@ -305,6 +323,14 @@ def test_bound_report_serialization_round_trip(materialized):
     assert set(doc) >= {"p", "n_rank", "t_star", "eps", "gamma_p", "c_p",
                         "phi_value", "alpha_sum", "alpha_mode", "bound",
                         "admissible", "certified"}
+
+
+def test_prepared_records_compare_by_identity(corpus):
+    # two records of m01 hold equal arrays; == must not ask them for a truth value
+    first, second = prepare(corpus[1].model), prepare(corpus[1].model)
+    assert first == first
+    assert first != second
+    assert len({first, second}) == 2
 
 
 def test_prepared_model_gives_the_same_reports(materialized):

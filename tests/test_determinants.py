@@ -7,9 +7,9 @@ from eigencount import (
     GammaProvenance,
     MatrixError,
     NormKind,
+    Prepared,
     SingularResolventError,
     Spectrum,
-    approx_numbers,
     det_bound_rhs,
     det_regularized,
     det_regularized_log,
@@ -168,28 +168,26 @@ def test_det_bound_rhs_dominates_on_circle(corpus, materialized):
     entry, l0, k = next(
         (e, a, b) for e, a, b in materialized
         if e.model.norm is NormKind.L2 and e.model.dim <= 16)
-    alpha = approx_numbers(k, NormKind.L2)
+    prep = Prepared(entry.model, l0, k)
     n_rank = int(np.linalg.matrix_rank(k))
     factors = rank_n_factors(k, n_rank, NormKind.L2)
     t = induced_norm(l0, NormKind.L2) + induced_norm(k, NormKind.L2) + 0.5
     for theta in np.linspace(0.0, 2 * np.pi, 32, endpoint=False):
         lam = t * np.exp(1j * theta)
         sample = perturbation_determinant(l0 + k, factors, lam, 1.0)
-        rhs = det_bound_rhs(l0, k, factors, lam, 1.0, 0.0, n_rank,
-                            NormKind.L2, alpha)
+        rhs = det_bound_rhs(prep, factors, lam, 1.0, n_rank)
         assert sample.log_abs <= rhs + 1e-9
 
 
 def test_det_bound_rhs_rejects_oversized_gap(materialized):
     entry, l0, k = next(
         (e, a, b) for e, a, b in materialized if e.model.norm is NormKind.L2)
-    alpha = approx_numbers(k, NormKind.L2)
+    prep = Prepared(entry.model, l0, k)
     f = rank_n_factors(k, 0, NormKind.L2)  # rank 0: the gap is all of K
     t = induced_norm(l0, NormKind.L2) + induced_norm(k, NormKind.L2) + 0.5
     with pytest.raises(AdmissibilityError):
-        # claim rank dim with eta 0: allowed gap is alpha_{dim+1} = 0 < ||K||
-        det_bound_rhs(l0, k, f, t + 0j, 1.0, 0.0, k.shape[0],
-                      NormKind.L2, alpha)
+        # claim rank dim: allowed gap is alpha_{dim+1} = 0 < ||K||
+        det_bound_rhs(prep, f, t + 0j, 1.0, k.shape[0])
 
 
 def _dense_route_log_abs(l, factors, lam, p):
@@ -324,13 +322,11 @@ def test_batched_determinant_matches_per_point_on_corpus_circles(corpus):
 def test_batched_det_bound_rhs_equals_the_per_point_values(corpus):
     for prep, n_rank, lams, p in _corpus_circles(corpus):
         f = rank_n_factors(prep.k, n_rank, NormKind.L2)
-        batch = det_bound_rhs(prep.l0, prep.k, f, lams, p, 0.0, n_rank,
-                              NormKind.L2, prep.alpha)
+        batch = det_bound_rhs(prep, f, lams, p, n_rank)
         beta = prep.alpha.value_at(n_rank + 1)
         total = prep.alpha.head_power_sum(p, n_rank, offset=beta)
         for lam, value in zip(lams, batch):
-            assert value == det_bound_rhs(prep.l0, prep.k, f, lam, p, 0.0, n_rank,
-                                          NormKind.L2, prep.alpha)
+            assert value == det_bound_rhs(prep, f, lam, p, n_rank)
             # the formula as it was evaluated one lam at a time
             res_norm = induced_norm(resolvent(prep.l0, lam), NormKind.L2)
             assert value == (gamma_p_upper(p).c_p * res_norm ** p * total
@@ -343,7 +339,7 @@ def test_det_bound_rhs_runs_two_svds_on_a_circle(corpus, svd_calls):
     f = rank_n_factors(prep.k, n_rank, NormKind.L2)
     alpha = prep.alpha
     svd_calls.clear()
-    det_bound_rhs(prep.l0, prep.k, f, lams, p, 0.0, n_rank, NormKind.L2, alpha)
+    det_bound_rhs(prep, f, lams, p, n_rank)
     assert len(lams) == 64 and len(svd_calls) == 2
 
 
