@@ -192,12 +192,10 @@ def point_blocks(count: int, dim: int):
 
 
 def resolvent(m, lam) -> np.ndarray:
-    """Inverse of (lam - m), with a condition-scaled residual check.
+    """Inverse of (lam - m), residual-checked as in shifted_solve.
 
-    Raises SingularResolventError naming lam when lam is an eigenvalue or
-    close enough to one that the solve cannot be trusted. A 1-D array of
-    lam gives the (k, dim, dim) stack of inverses; callers bound its size
-    with point_blocks.
+    A 1-D array of lam gives the (k, dim, dim) stack of inverses; callers
+    bound its size with point_blocks.
     """
     m = as_matrix(m)
     return shifted_solve(m, lam, np.eye(m.shape[0], dtype=complex))
@@ -231,10 +229,12 @@ def shifted_solve(m, lam, rhs: np.ndarray) -> np.ndarray:
     if lams.ndim > 1:
         raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lams.shape}")
     rhs_norm = float(np.linalg.norm(rhs))
-    if lams.ndim == 0:
-        return _solve_block(m, lams.reshape(1), rhs, rhs_norm)[0]
+    blocks = list(point_blocks(lams.size, m.shape[0]))
+    if len(blocks) == 1:  # one block is returned as solved, without a copy
+        x = _solve_block(m, lams.reshape(-1), rhs, rhs_norm)
+        return x.reshape(lams.shape + np.shape(rhs))
     x = np.empty((len(lams),) + np.shape(rhs), dtype=complex)
-    for block in point_blocks(len(lams), m.shape[0]):
+    for block in blocks:
         x[block] = _solve_block(m, lams[block], rhs, rhs_norm)
     return x
 
