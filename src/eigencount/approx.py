@@ -61,18 +61,22 @@ class ApproxSequence:
         if np.any(self.values < 0.0) or np.any(np.diff(self.values) > slack):
             raise ValueError("approximation numbers must be non-negative and non-increasing")
 
+    @cached_property
+    def _floats(self) -> list[float]:
+        # values as Python floats, which the rank sweeps read faster than numpy scalars
+        return np.asarray(self.values, dtype=float).tolist()
+
     def value_at(self, j: int) -> float:
         """alpha_j, 1-based; zero beyond the stored length."""
         if j < 1:
             raise ValueError("approximation numbers are indexed from 1")
-        if j > len(self.values):
-            return 0.0
-        return float(self.values[j - 1])
+        floats = self._floats
+        return floats[j - 1] if j <= len(floats) else 0.0
 
     @property
     def rank(self) -> int:
         """Number of nonzero entries; alpha_j = 0 for every j > rank."""
-        return int(np.count_nonzero(self.values))
+        return len(self._floats) - self._floats.count(0.0)
 
     @cached_property
     def all_exact(self) -> bool:
@@ -80,9 +84,10 @@ class ApproxSequence:
 
     def head_power_sum(self, p: float, n: int, offset: float = 0.0) -> float:
         """sum_{j<=n} (offset + alpha_j)^p, reading alpha_j = 0 past the end."""
+        floats = self._floats
         total = 0.0
-        for j in range(1, n + 1):
-            total += (offset + self.value_at(j)) ** p
+        for j in range(n):
+            total += (offset + (floats[j] if j < len(floats) else 0.0)) ** p
         return total
 
 

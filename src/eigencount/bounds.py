@@ -16,6 +16,7 @@ its admissibility preconditions hold; the tests enforce exactly that.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -128,8 +129,9 @@ class ExteriorDisk:
     s: float
 
     def __post_init__(self):
-        if not (self.s > 0.0):
-            raise AdmissibilityError(f"target radius must be positive, got {self.s}")
+        if not (0.0 < self.s < math.inf):
+            raise AdmissibilityError(
+                f"target radius must be positive and finite, got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,10 @@ class Point:
     """Target set {lam0}; the bound caps the algebraic multiplicity."""
 
     lam0: complex
+
+    def __post_init__(self):
+        if not cmath.isfinite(self.lam0):
+            raise AdmissibilityError(f"target point must be finite, got {self.lam0}")
 
 
 @dataclass(frozen=True)
@@ -274,8 +280,10 @@ def _as_prepared(model: OperatorModel | Prepared) -> Prepared:
 
 
 def _check_exterior(prep: Prepared, p: float, s: float) -> None:
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    if not (0.0 < p < math.inf):
+        raise AdmissibilityError(f"p must be positive and finite, got {p}")
+    if not math.isfinite(s):
+        raise AdmissibilityError(f"target radius s must be finite, got {s}")
     if s <= prep.norm_l0:
         raise AdmissibilityError(
             f"need s > ||L0|| = {prep.norm_l0:.12g}, got s = {s}; no exterior "

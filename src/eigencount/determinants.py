@@ -122,12 +122,26 @@ def scalar_factor_log(lam: complex, n: int) -> float:
 _RADII_PER_BLOCK = 256  # radii evaluated together; bounds the 256 x (128n+1) temporaries
 
 
-def _factor_log_abs(n: int, r, theta, coefs) -> np.ndarray:
+def _angles(n: int, theta) -> tuple:
+    # e^{i theta} and cos(j theta) for 1 <= j < n, what _factor_log_abs reads
+    return np.exp(1j * theta), tuple(np.cos(j * theta) for j in range(1, n))
+
+
+@lru_cache(maxsize=None)  # one entry per order; gamma_p_upper admits n <= 41
+def _circle_tables(n: int) -> tuple:
+    # the angle grid of order n on [0, pi], its _angles, sin(n theta) and sin((n-1) theta)
+    grid = np.linspace(0.0, math.pi, 128 * n + 1)
+    return grid, _angles(n, grid), np.sin(n * grid), np.sin((n - 1) * grid)
+
+
+def _factor_log_abs(r, angles, coefs) -> np.ndarray:
     # log|(1-lam) exp(sum_{j<n} lam^j/j)| at lam = r e^{i theta}, with
-    # coefs[j-1] = r^j / j; r, theta and the coefs broadcast together
-    val = np.log(np.abs(1.0 - r * np.exp(1j * theta)))
-    for j in range(1, n):
-        val += coefs[j - 1] * np.cos(j * theta)
+    # angles = _angles(n, theta) and coefs[j-1] = r^j / j; r, theta and
+    # the coefs broadcast together
+    unit, cosines = angles
+    val = np.log(np.abs(1.0 - r * unit))
+    for coef, cos in zip(coefs, cosines):
+        val += coef * cos
     return val
 
 
@@ -145,9 +159,9 @@ def _circle_log_max(n: int, r: float) -> float:
     def psi(theta: float) -> float:
         return math.sin(n * theta) - r * math.sin((n - 1) * theta)
 
-    grid = np.linspace(0.0, math.pi, 128 * n + 1)
-    best = float(np.max(_factor_log_abs(n, r, grid, coefs)))
-    vals = np.sin(n * grid) - r * np.sin((n - 1) * grid)
+    grid, angles, sin_n, sin_prev = _circle_tables(n)
+    best = float(np.max(_factor_log_abs(r, angles, coefs)))
+    vals = sin_n - r * sin_prev
     flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
     roots = []
     for i in flips:
@@ -156,31 +170,31 @@ def _circle_log_max(n: int, r: float) -> float:
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             fmid = psi(mid)
-            if flo * fmid <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
+            step = (lo, mid, flo) if flo * fmid <= 0.0 else (mid, hi, fmid)
+            if step == (lo, hi, flo):
+                break  # a fixed point of the step: no further step changes a bit
+            lo, hi, flo = step
         roots.append(0.5 * (lo + hi))
     if roots:
-        best = max(best, float(np.max(_factor_log_abs(n, r, np.asarray(roots), coefs))))
+        best = max(best, float(np.max(
+            _factor_log_abs(r, _angles(n, np.asarray(roots)), coefs))))
     return best
 
 
 def _circle_log_max_many(n: int, radii: np.ndarray) -> np.ndarray:
     # _circle_log_max(n, r) for every r > 0 in radii, bit for bit: the same
-    # angle grid, and the same 90 bisection steps run on the sign changes
+    # angle tables, and the same bisection steps run on the sign changes
     # of all radii of a block at once. r^j / j and log1p stay Python
     # scalar operations, whose numpy counterparts round differently.
     if n == 1:
         return np.array([math.log1p(float(r)) for r in radii])
-    grid = np.linspace(0.0, math.pi, 128 * n + 1)
-    sin_n, sin_prev = np.sin(n * grid), np.sin((n - 1) * grid)
+    grid, angles, sin_n, sin_prev = _circle_tables(n)
     out = np.empty(len(radii))
     for start in range(0, len(radii), _RADII_PER_BLOCK):
         r = radii[start:start + _RADII_PER_BLOCK]
         coefs = [np.array([float(x) ** j / j for x in r]) for j in range(1, n)]
-        best = np.max(_factor_log_abs(n, r[:, None], grid,
-                                      [c[:, None] for c in coefs]), axis=1)
+        best = np.max(_factor_log_abs(r[:, None], angles, [c[:, None] for c in coefs]),
+                      axis=1)
         vals = sin_n - r[:, None] * sin_prev
         rows, cols = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
         lo, hi, flo, r_flip = grid[cols], grid[cols + 1], vals[rows, cols], r[rows]
@@ -188,13 +202,23 @@ def _circle_log_max_many(n: int, radii: np.ndarray) -> np.ndarray:
             mid = 0.5 * (lo + hi)
             fmid = np.sin(n * mid) - r_flip * np.sin((n - 1) * mid)
             to_left = flo * fmid <= 0.0
-            hi = np.where(to_left, mid, hi)
-            lo = np.where(to_left, lo, mid)
-            flo = np.where(to_left, flo, fmid)
+            step = (np.where(to_left, lo, mid), np.where(to_left, mid, hi),
+                    np.where(to_left, flo, fmid))
+            if all(map(np.array_equal, step, (lo, hi, flo))):
+                break  # a fixed point of the step: no further step changes a bit
+            lo, hi, flo = step
         np.maximum.at(best, rows, _factor_log_abs(
-            n, r_flip, 0.5 * (lo + hi), [c[rows] for c in coefs]))
+            r_flip, _angles(n, 0.5 * (lo + hi)), [c[rows] for c in coefs]))
         out[start:start + len(r)] = best
     return out
+
+
+@lru_cache(maxsize=None)  # one entry per order, like _circle_tables
+def _grid_envelope(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # gamma_p_upper's radius grid and _circle_log_max_many on it; exponents
+    # of one order n = ceil(p) share both
+    grid = np.logspace(-8.0, 6.0, 1500)
+    return grid, _circle_log_max_many(n, grid)
 
 
 def _tail_envelope(n: int, r: float) -> float:
@@ -220,16 +244,18 @@ def gamma_p_upper(p: float) -> GammaP:
     The numerically found supremum is inflated by 1e-12 relative so float
     noise can never put the returned constant below a ratio value.
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    # every ratio divides by r ** p, down to the grid's smallest radius 1e-8
+    if not (0.0 < p < math.inf and 1e-8 ** p > 0.0):
+        raise AdmissibilityError(
+            f"p must be positive and below about 40.5, where 1e-8 ** p underflows; got {p}")
     n = math.ceil(p)
 
     def ratio(r: float) -> float:
         return _envelope(n, r) / r ** p
 
-    grid = np.logspace(-8.0, 6.0, 1500)
-    ratios = [min(float(c), _tail_envelope(n, float(r))) / float(r) ** p
-              for r, c in zip(grid, _circle_log_max_many(n, grid))]
+    grid, envelope = _grid_envelope(n)
+    ratios = [min(c, _tail_envelope(n, r)) / r ** p
+              for r, c in zip(grid.tolist(), envelope.tolist())]
     k = int(np.argmax(ratios))
     best_r, best = float(grid[k]), ratios[k]
 

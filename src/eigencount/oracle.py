@@ -52,7 +52,7 @@ def eigen_count_outside(m, s: float) -> int:
 
     m is a matrix or its Spectrum, so that one eigensolve serves many radii.
     """
-    if s < 0:
+    if not (s >= 0):
         raise ValueError(f"radius must be non-negative, got {s}")
     return _spectrum(m).count_where(lambda lam: abs(lam) > s)
 
@@ -107,8 +107,8 @@ def moment_sum(m, base: float, q: float) -> float:
 
     m is a matrix or its Spectrum.
     """
-    if q <= 0:
-        raise ValueError(f"moment exponent must be positive, got {q}")
+    if not (0.0 < q < math.inf):
+        raise ValueError(f"moment exponent must be positive and finite, got {q}")
     spec = _spectrum(m)
     total = 0.0
     for lam, mult in zip(spec.values, spec.multiplicities):

@@ -219,20 +219,20 @@ def _bisect_w(x: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _grid_max(f: Callable[[float], float], lo: float, hi: float,
-              points: int = 4001, refine: int = 150) -> float:
-    # dense grid followed by golden-section refinement of the best cell
-    ts = np.linspace(lo, hi, points)[1:-1]
-    vals = [f(float(t)) for t in ts]
+def _grid_max(f: Callable, lo: float, hi: float) -> float:
+    # dense grid, evaluated by f as one array, followed by golden-section
+    # refinement of the best cell, evaluated by f one float at a time
+    ts = np.linspace(lo, hi, 4001)[1:-1]
+    vals = f(ts)
     k = int(np.argmax(vals))
-    best = vals[k]
+    best = float(vals[k])
     a = float(ts[max(0, k - 1)])
     b = float(ts[min(len(ts) - 1, k + 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(refine):
+    for _ in range(150):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
@@ -241,7 +241,7 @@ def _grid_max(f: Callable[[float], float], lo: float, hi: float,
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
-    return max(best, fc, fd)
+    return float(max(best, fc, fd))
 
 
 def _spectrum_of(values) -> Spectrum:
@@ -288,7 +288,7 @@ def suite_phi(seed: int = 0) -> SuiteResult:
         for x in _PHI_X_GRID:
             value = phi_p(p, x)
             # the profile is the reciprocal of the largest (t-x)^p log(1/t)
-            peak = _grid_max(lambda t: (t - x) ** p * math.log(1.0 / t), x, 1.0)
+            peak = _grid_max(lambda t: (t - x) ** p * np.log(1.0 / t), x, 1.0)
             reference = 1.0 / peak
             log.check(abs(value - reference) <= 1e-6 * reference,
                       kind="maximization", p=p, x=x, value=value,

@@ -13,6 +13,7 @@ from eigencount import (
     induced_norm,
     koenig_check,
     koenig_constant,
+    prepare,
     rank_n_approximant,
     rank_n_factors,
     singular_values,
@@ -84,6 +85,26 @@ def test_head_power_sum_matches_direct_loop():
     direct = sum((0.3 + a) ** 1.7 for a in [2.0, 1.5])
     assert seq.head_power_sum(1.7, 2, offset=0.3) == pytest.approx(direct, rel=1e-14)
     assert seq.head_power_sum(1.0, 0) == 0.0
+
+
+def test_alpha_read_as_floats_matches_the_numpy_arithmetic(corpus):
+    for entry in corpus:
+        alpha = prepare(entry.model).alpha
+        values = alpha.values
+        assert alpha.rank == np.count_nonzero(values)
+
+        def old_value_at(j):
+            return float(values[j - 1]) if j <= len(values) else 0.0
+
+        for j in range(1, len(values) + 3):
+            got = alpha.value_at(j)
+            assert type(got) is float and got == old_value_at(j)
+        for p, n in itertools.product((0.5, 1.0, 2.0), range(len(values) + 2)):
+            for offset in (0.0, old_value_at(n + 1)):
+                total = 0.0
+                for j in range(1, n + 1):
+                    total += (offset + old_value_at(j)) ** p
+                assert alpha.head_power_sum(p, n, offset) == total
 
 
 @settings(deadline=None, max_examples=40)

@@ -355,6 +355,28 @@ def test_exit_code_inadmissible(capsys, spec_path):
     assert _run(capsys, "gamma", "--p", "-2")[0] == 2
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("gamma", "--p", "nan"), 2),
+    (("gamma", "--p", "inf"), 2),
+    (("gamma", "--p", "41"), 2),
+    (("gamma", "--p", "60"), 2),
+    (("bound", "SPEC", "--p", "nan", "--s", "1.5"), 2),
+    (("bound", "SPEC", "--p", "inf", "--s", "1.5"), 2),
+    (("bound", "SPEC", "--p", "1", "--s", "inf"), 2),
+    (("bound", "SPEC", "--p", "1", "--s", "nan"), 2),
+    (("bound", "SPEC", "--p", "1", "--point", "inf,0"), 2),
+    (("oracle", "SPEC", "--s", "nan"), 1),
+    (("oracle", "SPEC", "--s", "1", "--q", "nan"), 1),
+    (("oracle", "SPEC", "--s", "1", "--q", "inf"), 1),
+])
+def test_non_finite_or_out_of_range_parameters_are_typed_errors(
+        capsys, spec_path, argv, expected):
+    argv = [str(spec_path) if arg == "SPEC" else arg for arg in argv]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_code_malformed_spec(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 3}')

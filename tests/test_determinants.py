@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from eigencount import (
     scalar_factor_log,
     shift_example,
 )
+from eigencount import determinants
 from eigencount.determinants import _circle_log_max, _circle_log_max_many
 from eigencount.verify import _winding_cases
 
@@ -122,10 +125,28 @@ def test_blocked_circle_envelope_matches_the_scalar_one(n):
 
 
 def test_gamma_rejects_bad_exponent():
-    with pytest.raises(AdmissibilityError):
-        gamma_p_upper(0.0)
-    with pytest.raises(AdmissibilityError):
-        gamma_p_upper(-1.0)
+    # 1e-8 ** p, the ratio's divisor at the smallest grid radius, underflows from p ~ 40.5
+    for p in (0.0, -1.0, math.nan, math.inf, 40.5, 1e6):
+        with pytest.raises(AdmissibilityError):
+            gamma_p_upper(p)
+
+
+def test_gamma_envelope_is_computed_once_per_order(monkeypatch):
+    orders = []
+    blocked = determinants._circle_log_max_many
+
+    def counting(n, radii):
+        orders.append(n)
+        return blocked(n, radii)
+
+    monkeypatch.setattr(determinants, "_circle_log_max_many", counting)
+    gamma_p_upper.cache_clear()
+    determinants._grid_envelope.cache_clear()
+    gamma_p_upper(1.5)
+    gamma_p_upper(2.0)  # the same order n = 2 as p = 1.5
+    assert orders == [2]
+    gamma_p_upper(3.0)
+    assert orders == [2, 3]
 
 
 def test_gamma_p_user_supplied_validation():
