@@ -59,7 +59,7 @@ def lambert_w(x: float) -> float:
     below e and log x - log log x from e upward. Residual |w e^w - x|
     lands well below 1e-13 max(1, x) on the whole domain.
     """
-    if not (x >= 0.0):
+    if not (0.0 <= x < math.inf):
         raise ValueError(f"lambert_w is defined on [0, inf), got {x}")
     if x == 0.0:
         return 0.0
@@ -75,20 +75,35 @@ def lambert_w(x: float) -> float:
     return w
 
 
+def _lambert_scale(p: float) -> float:
+    # e^{1/p} / p, the scale of the Lambert W argument of phi_p and t_star
+    if p <= 0:
+        raise AdmissibilityError(f"p must be positive, got {p}")
+    try:
+        scale = math.exp(1.0 / p) / p
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise AdmissibilityError(
+            f"p must be at least about 0.0014221, below which e^(1/p) / p "
+            f"overflows a float; got {p}")
+    return scale
+
+
 def phi_p(p: float, x: float) -> float:
     """Profile factor of the optimized disk bound.
 
     phi_p(x) = W((1/p) e^{1/p} x)^p / ((1/p - W((1/p) e^{1/p} x))^{p+1} x^p)
     for 0 < x < 1, continued by phi_p(0) = p e. Diverges as x -> 1.
+    Defined for p >= ~0.0014221, where e^{1/p} / p is a finite float.
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    scale = _lambert_scale(p)
     if x < 0.0 or x >= 1.0:
         raise AdmissibilityError(
             f"phi_p needs 0 <= x < 1 (strictly inside the disk), got x = {x}")
     if x == 0.0:
         return p * math.e
-    w = lambert_w(math.exp(1.0 / p) / p * x)
+    w = lambert_w(scale * x)
     return (w / x) ** p / (1.0 / p - w) ** (p + 1.0)
 
 
@@ -107,10 +122,9 @@ def t_star(p: float, a: float, s: float) -> float:
 
     a is the base norm plus the (N+1)-th approximation number; the
     optimizer is a / (p W((a / (p s)) e^{1/p})), with the a -> 0 limit
-    s e^{-1/p}.
+    s e^{-1/p}. Defined for the p that phi_p takes.
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    _lambert_scale(p)
     if not (0.0 <= a < s):
         raise AdmissibilityError(
             f"need 0 <= a < s for an intermediate radius, got a = {a}, s = {s}")
@@ -460,6 +474,8 @@ def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:
     """
     if p <= 0:
         raise AdmissibilityError(f"p must be positive, got {p}")
+    if not math.isfinite(q):
+        raise AdmissibilityError(f"moment exponent q must be finite, got {q}")
     prep = _as_prepared(model)
     norm_l0, norm_k = prep.norm_l0, prep.norm_k
     gamma = gamma_p_upper(p)

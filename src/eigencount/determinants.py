@@ -275,9 +275,9 @@ def gamma_p_upper(p: float) -> GammaP:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
             fc = ratio(math.exp(c))
-    for r in (math.exp(c), math.exp(d)):
-        if ratio(r) > best:
-            best, best_r = ratio(r), r
+    for r, value in ((math.exp(c), fc), (math.exp(d), fd)):
+        if value > best:
+            best, best_r = value, r
 
     best *= 1.0 + 1e-12
     if p == 1.0 and best <= 1.0:

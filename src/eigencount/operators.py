@@ -14,7 +14,9 @@ what orjson refuses (see _decode_json).
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 from dataclasses import dataclass, fields
 from itertools import chain
 
@@ -173,17 +175,36 @@ def _decode_json(raw: str | bytes, what: str = "not valid JSON"):
     gets the stdlib's message. Invalid UTF-8, nesting too deep for the
     stdlib and integers past its digit limit are malformed documents too.
     orjson is imported here, so commands that decode no JSON never load it.
+    The cyclic GC is paused while either decoder builds the tree.
     """
     import orjson
 
-    try:
-        return orjson.loads(raw)
-    except orjson.JSONDecodeError:
-        pass
-    try:
-        return json.loads(raw)
-    except (ValueError, RecursionError) as exc:
-        raise SpecFormatError(f"{what}: {exc}") from exc
+    with _GCPaused():
+        try:
+            return orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+        try:
+            return json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise SpecFormatError(f"{what}: {exc}") from exc
+
+
+class _GCPaused:
+    """The cyclic GC off inside the with block, and as the caller had it after.
+
+    A dense dim-600 document decodes into 720,000 lists, each counted as a
+    GC allocation: enough to start several full collections, which find
+    nothing, since a JSON tree holds no reference cycles.
+    """
+
+    def __enter__(self):
+        self.was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self.was_enabled:
+            gc.enable()
 
 
 def _check_pair(node, where: str) -> None:
@@ -216,34 +237,61 @@ def _check_matrix(node, where: str) -> None:
                                   f"{where}[{i}]")
 
 
+def _leaves(node, depth: int):
+    # the items depth lists below node, as one iterator; map and chain over
+    # it keep the loop out of bytecode
+    for _ in range(depth):
+        node = chain.from_iterable(node)
+    return node
+
+
 def _only_numbers(node, depth: int) -> bool:
     # numpy reads true as 1.0, null as nan and "1.5" as 1.5, so the leaf
-    # types are checked too; map and chain keep the loop out of bytecode
-    leaves = node
-    for _ in range(depth):
-        leaves = chain.from_iterable(leaves)
-    return set(map(type, leaves)) <= {int, float}
+    # types are checked too
+    return set(map(type, _leaves(node, depth))) <= {int, float}
+
+
+def _block_shape(node, depth: int) -> tuple[int, ...] | None:
+    # (n, 2) or (rows, cols, 2) when each nesting level of the block has a
+    # single length and the innermost lists are pairs, else None. A str or
+    # dict in place of a pair has a length other than 2 or str items, which
+    # the leaf check rejects. An empty vector or empty rows get the pair
+    # axis too, so that they reach the model's shape errors.
+    if type(node) is not list or (depth == 2 and not node):
+        return None
+    vectors = node if depth == 2 else [node]
+    if set(map(type, vectors)) != {list}:
+        return None
+    widths = set(map(len, vectors))
+    if len(widths) != 1:
+        return None
+    width = widths.pop()
+    try:
+        if width and set(map(len, _leaves(vectors, 1))) != {2}:
+            return None
+    except TypeError:  # a number, bool or null in place of a pair
+        return None
+    return (len(node), width, 2) if depth == 2 else (width, 2)
 
 
 def _as_complex_array(node, where: str, depth: int) -> np.ndarray:
     """The [re, im] pairs of a block nested depth lists deep, bit for bit.
 
     depth is 1 for a vector and 2 for a matrix. A well-formed block is
-    checked by one numpy conversion; only a malformed one is walked
+    read in one flat pass over its leaves; only a malformed one is walked
     element by element, to name the first offending element.
     """
-    try:
-        a = np.asarray(node, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        a = None
-    if a is not None and a.shape[depth - 1:] == (0,):
-        a = a.reshape(a.shape + (2,))  # an empty vector or empty rows: no pairs
-    if (a is None or a.ndim != depth + 1 or a.shape[-1] != 2
-            or not _only_numbers(node, depth)):
-        (_check_vector if depth == 1 else _check_matrix)(node, where)
-        raise SpecFormatError("expected [re, im] pairs", where)
-    # the view keeps the sign of a zero imaginary part, re + 1j * im does not
-    return a.view(np.complex128)[..., 0]
+    shape = _block_shape(node, depth)
+    if shape is not None and _only_numbers(node, depth):
+        try:
+            flat = np.fromiter(_leaves(node, depth), float, count=math.prod(shape))
+        except OverflowError:  # an integer too large for a float
+            pass
+        else:
+            # the view keeps the sign of a zero imaginary part, re + 1j * im does not
+            return flat.reshape(shape).view(np.complex128)[..., 0]
+    (_check_vector if depth == 1 else _check_matrix)(node, where)
+    raise SpecFormatError("expected [re, im] pairs", where)
 
 
 def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
@@ -285,7 +333,13 @@ def _parse_block(node, where: str, *, is_base: bool):
 
 def parse_spec(text: str | bytes) -> OperatorModel:
     """Parse the JSON wire format into a validated OperatorModel."""
-    doc = _decode_json(text)
+    # the blocks are read and the tree freed before the GC resumes, since
+    # a collection that starts while the tree lives walks all its lists
+    with _GCPaused():
+        return _model_from_doc(_decode_json(text))
+
+
+def _model_from_doc(doc) -> OperatorModel:
     if not isinstance(doc, dict):
         raise SpecFormatError("top level must be an object")
     _reject_unknown(doc, {"dim", "norm", "base", "perturbation"}, "")

@@ -125,8 +125,8 @@ def moment_from_curve(curve: CountCurve, base: float, q: float) -> float:
     count * ((hi - base)^q - (lo - base)^q); the identity with moment_sum
     is exact up to rounding.
     """
-    if q <= 0:
-        raise ValueError(f"moment exponent must be positive, got {q}")
+    if not (0.0 < q < math.inf):
+        raise ValueError(f"moment exponent must be positive and finite, got {q}")
     total = 0.0
     for i in range(len(curve.radii)):
         lo = max(float(curve.radii[i]), base)

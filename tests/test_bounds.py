@@ -70,6 +70,12 @@ def test_lambert_w_rejects_negative():
         lambert_w(-0.5)
 
 
+def test_lambert_w_rejects_infinity():
+    # the Halley step on inf is inf / inf, which would return nan
+    with pytest.raises(ValueError, match="inf"):
+        lambert_w(math.inf)
+
+
 def _phi_oracle(p: float, x: float) -> float:
     # 1 / max over t in (x, 1) of (t - x)^p log(1/t), on a dense grid
     t = np.linspace(x, 1.0, 200001)[1:-1]
@@ -98,6 +104,24 @@ def test_phi_rejects_out_of_range():
         phi_p(1.0, -0.1)
     with pytest.raises(AdmissibilityError):
         phi_p(0.0, 0.5)
+
+
+@pytest.mark.parametrize("p", [0.001, 0.00141])
+def test_p_too_small_for_the_lambert_argument_is_inadmissible(p):
+    # e^{1/p} / p overflows a float: math.exp raises at p = 0.001, and at
+    # p = 0.00141 the quotient is inf, on which W was nan
+    for args in ((p, 0.5), (p, 0.0)):
+        with pytest.raises(AdmissibilityError, match=r"0\.0014221.*got " + str(p)):
+            phi_p(*args)
+    for args in ((p, 0.5, 1.5), (p, 0.0, 1.5)):
+        with pytest.raises(AdmissibilityError, match=r"0\.0014221.*got " + str(p)):
+            t_star(*args)
+    model, _ = shift_example(np.array([2.0 + 0j]), 12)
+    with pytest.raises(AdmissibilityError, match=r"0\.0014221"):
+        count_bound_disk(model, p, 1.5)
+    # just above the limit both stay finite
+    assert math.isfinite(phi_p(0.0014221, 0.5))
+    assert 0.5 < t_star(0.0014221, 0.5, 1.5) < 1.5
 
 
 def test_t_star_is_the_interior_maximum():
@@ -274,6 +298,13 @@ def test_moment_bound_rejects_small_exponent(materialized):
     entry, _, _ = materialized[2]
     with pytest.raises(AdmissibilityError):
         moment_bound(entry.model, 1.0, 1.5)  # needs q > p + 1 when L0 != 0
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_moment_bound_rejects_a_non_finite_exponent(materialized, q):
+    entry, _, _ = materialized[2]
+    with pytest.raises(AdmissibilityError):
+        moment_bound(entry.model, 1.0, q)
 
 
 def test_pseudospectral_epsilon_at_least_certified_gap():

@@ -365,6 +365,8 @@ def test_exit_code_inadmissible(capsys, spec_path):
     (("bound", "SPEC", "--p", "1", "--s", "inf"), 2),
     (("bound", "SPEC", "--p", "1", "--s", "nan"), 2),
     (("bound", "SPEC", "--p", "1", "--point", "inf,0"), 2),
+    (("bound", "SPEC", "--p", "0.001", "--s", "1.5"), 2),
+    (("bound", "SPEC", "--p", "0.00141", "--s", "1.5"), 2),
     (("oracle", "SPEC", "--s", "nan"), 1),
     (("oracle", "SPEC", "--s", "1", "--q", "nan"), 1),
     (("oracle", "SPEC", "--s", "1", "--q", "inf"), 1),

@@ -389,3 +389,22 @@ def test_batched_determinant_names_the_first_eigenvalue_in_the_array():
         with pytest.raises(SingularResolventError) as info:
             perturbation_determinant(l, (left, right), np.array(lams), 1.0)
         assert info.value.lam == first
+
+
+def test_cold_gamma_evaluates_each_golden_point_once(monkeypatch):
+    # two starting points and one new point per each of the 80 golden steps;
+    # the closing comparison reuses their values
+    radii = []
+    scalar = determinants._circle_log_max
+
+    def counting(n, r):
+        radii.append(r)
+        return scalar(n, r)
+
+    monkeypatch.setattr(determinants, "_circle_log_max", counting)
+    for p in P_GRID:
+        gamma_p_upper.cache_clear()
+        radii.clear()
+        gamma_p_upper(p)
+        assert len(radii) == 82
+    gamma_p_upper.cache_clear()

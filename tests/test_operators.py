@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from eigencount import (
     parse_spec,
     serialize_spec,
 )
+from eigencount import operators
 
 
 def _sample_model():
@@ -188,6 +190,16 @@ def _set(path, value):
      "entries must be finite"),
     (_set(("perturbation", "left", 0), [float("-inf"), 0.0]), "perturbation.left",
      "entries must be finite"),
+    # a str or dict has a length, so these pass a length check and fail on type
+    (_set(("base", "entries", 1, 2), "12"), "base.entries[1][2]", "[re, im] pairs"),
+    (_set(("base", "entries", 1, 2), {"a": 1, "b": 2}), "base.entries[1][2]",
+     "[re, im] pairs"),
+    (_set(("base", "entries", 1), "abc"), "base.entries[1]", "list of [re, im] pairs"),
+    (_set(("base", "entries"), [[], {}, []]), "base.entries[1]", "list of [re, im] pairs"),
+    (_set(("perturbation", "left"), {}), "perturbation.left", "list of [re, im] pairs"),
+    (_set(("perturbation", "left", 1), ["1.5", 0.0]), "perturbation.left[1]",
+     "[re, im] pairs"),
+    (_set(("perturbation", "left", 1), [1.0]), "perturbation.left[1]", "[re, im] pairs"),
 ])
 def test_malformed_blocks_name_the_offending_element(mutate, location, fragment):
     doc = _dense_doc()
@@ -204,6 +216,8 @@ _EDGE_PAIRS = [
     [5e-324, -5e-324], [1.1125369292536007e-308, -2.225073858507201e-308],
     [1.7976931348623157e308, -1.7976931348623157e308],
     [1e308, -9.999999999999999e307], [0.1, -1 / 3],
+    # integer leaves, read by orjson as int from -2^63 up to 2^64 - 1
+    [0, -0], [2 ** 53 + 1, 2 ** 63], [2 ** 64 - 1, -2 ** 63],
 ]
 
 
@@ -218,10 +232,11 @@ def test_parse_is_bit_exact():
                        "base": {"kind": "diagonal", "values": _EDGE_PAIRS},
                        "perturbation": {"kind": "dense", "entries": rows}})
     model = parse_spec(text)
-    expected = [complex(re, im) for re, im in _EDGE_PAIRS]
+    expected = [complex(float(re), float(im)) for re, im in _EDGE_PAIRS]
     assert np.array_equal(_bits(model.base.values), _bits(expected))
     assert np.array_equal(_bits(model.perturbation.entries),
-                          _bits([[complex(re, im) for re, im in row] for row in rows]))
+                          _bits([[complex(float(re), float(im)) for re, im in row]
+                                 for row in rows]))
 
     text = json.dumps({"dim": dim, "norm": "l1", "base": {"kind": "zero"},
                        "perturbation": {"kind": "rank_one", "left": _EDGE_PAIRS,
@@ -409,6 +424,66 @@ def test_stdlib_json_decodes_only_what_orjson_refuses(monkeypatch):
     with pytest.raises(SpecFormatError, match="entries must be finite"):
         parse_spec(_HEAD % "[NaN, 0]")
     assert calls == [1]
+
+
+def _collections_during(fn, *args) -> list:
+    """The generation of each GC collection that starts while fn(*args) runs."""
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    # from zero allocations, so the few made before a pause cannot start one
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(record)
+    return starts
+
+
+def _dense_text(dim: int) -> str:
+    rng = np.random.default_rng(dim)
+    entries = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return serialize_spec(OperatorModel(dim, NormKind.L2, Dense(entries), Zero()))
+
+
+def test_no_gc_collection_starts_while_parsing():
+    # 10,100 lists, each a GC allocation: about 14 collections with the GC on
+    text = _dense_text(100)
+    assert gc.isenabled()
+    assert len(_collections_during(json.loads, text)) >= 10
+    assert _collections_during(operators._decode_json, text) == []
+    assert _collections_during(operators._decode_json, text.encode()) == []
+    # nor while the blocks are read: the tree is gone before the GC resumes
+    assert _collections_during(parse_spec, text) == []
+    # orjson refuses NaN, so the stdlib decodes this one
+    doc = json.loads(text)
+    doc["base"]["entries"][0][0] = [float("nan"), 0.0]
+    refused = json.dumps(doc)
+    with pytest.raises(SpecFormatError, match="entries must be finite"):
+        parse_spec(refused)
+    assert _collections_during(operators._decode_json, refused) == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_decoding_leaves_the_gc_as_the_caller_had_it(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse_spec(serialize_spec(_sample_model()))
+        assert gc.isenabled() is enabled
+        with pytest.raises(SpecFormatError, match="not valid JSON"):
+            parse_spec(b"not json at all")
+        assert gc.isenabled() is enabled
+        with pytest.raises(SpecFormatError, match="entries must be finite"):
+            parse_spec(_HEAD % "[NaN, 0]")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_importing_the_cli_leaves_orjson_unloaded():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,15 @@ def test_moment_sum_hand_value():
     assert moment_sum(m, 1.0, 2.0) == pytest.approx(4.25, rel=1e-12)
     with pytest.raises(ValueError):
         moment_sum(m, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_moment_exponent_must_be_finite(q):
+    m = np.diag([3.0, 1.5, 0.2]).astype(complex)
+    with pytest.raises(ValueError, match="finite"):
+        moment_sum(m, 1.0, q)
+    with pytest.raises(ValueError, match="finite"):
+        moment_from_curve(count_curve(m), 1.0, q)
 
 
 def test_oracles_accept_a_spectrum_in_place_of_the_matrix():
