@@ -334,9 +334,11 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
     or the profile raises AdmissibilityError) is skipped; a fixed n_rank
     raises instead. The report's circle is t (or t_star at the winning N)
     and its gap epsilon (or t - ||L0||); an explicit epsilon marks the
-    report non-certified.
+    report non-certified. A p outside the range of phi_p and t_star is
+    rejected before the sweep, as no N can mend it.
     """
     _check_exterior(prep, p, s)
+    _lambert_scale(p)
     norm_l0 = prep.norm_l0
     gamma = gamma_p_upper(p)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,6 +136,11 @@ class _Log:
 class CorpusEntry:
     name: str
     model: OperatorModel
+
+    @cached_property
+    def prepared(self) -> Prepared:
+        """The model's one shared analysis, made on first use."""
+        return prepare(self.model)
 
 
 def _complex_array(rng, shape, scale: float = 1.0) -> np.ndarray:
@@ -442,7 +448,7 @@ def suite_det(seed: int = 0) -> SuiteResult:
     entries = [e for e in regression_corpus(seed)
                if e.model.norm is NormKind.L2 and e.model.dim <= 24][:4]
     for which, entry in enumerate(entries):
-        prep = prepare(entry.model)
+        prep = entry.prepared
         l0, k = prep.l0, prep.k
         rank = prep.alpha.rank
         p = (1.0, 2.0)[which % 2]
@@ -474,8 +480,8 @@ def suite_det(seed: int = 0) -> SuiteResult:
     return log.result("det")
 
 
-def _sweep_one(entry: CorpusEntry, prep: Prepared, p_values: Sequence[float],
-               log: _Log) -> None:
+def _sweep_one(entry: CorpusEntry, p_values: Sequence[float], log: _Log) -> None:
+    prep = entry.prepared
     compact = isinstance(entry.model.base, Zero)
     for s in sweep_radii(prep.norm_l0, prep.norm_k):
         oracle = eigen_count_outside(prep.spectrum, s)
@@ -515,21 +521,19 @@ def soundness_sweep(entries: Sequence[CorpusEntry] | None = None,
         entries = regression_corpus(seed)
     log = _Log()
     for entry in entries:
-        _sweep_one(entry, prepare(entry.model), p_values, log)
+        _sweep_one(entry, p_values, log)
     return log
 
 
 def suite_bounds(seed: int = 0) -> SuiteResult:
     """Soundness sweep, bound identities, optimizer checks, moment identity."""
     entries = regression_corpus(seed)
-    prepared = [prepare(entry.model) for entry in entries]
-    log = _Log()
-    for entry, prep in zip(entries, prepared):
-        _sweep_one(entry, prep, _SWEEP_P, log)
+    log = soundness_sweep(entries)
     rng = np.random.default_rng(seed)
 
     # the region bound through the optimal circle reproduces the disk bound
-    for entry, prep in zip(entries, prepared):
+    for entry in entries:
+        prep = entry.prepared
         s = prep.norm_l0 + 0.5 * (prep.norm_k + 1.0)
         dim = entry.model.dim
         t = t_star(1.0, prep.norm_l0, s)
@@ -562,7 +566,8 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
                           t=grid_t, peak=peak, value=value)
 
     # counting measure integrates to the moment sum, piece by piece
-    for entry, prep in zip(entries, prepared):
+    for entry in entries:
+        prep = entry.prepared
         curve = count_curve(prep.spectrum)
         for q in (1.5, 2.0, 3.0):
             lhs = moment_from_curve(curve, prep.norm_l0, q)
@@ -572,7 +577,8 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
                       integral=lhs, direct=rhs)
 
     # moment bound soundness on admissible exponents
-    for entry, prep in zip(entries, prepared):
+    for entry in entries:
+        prep = entry.prepared
         pairs = [(1.0, 2.5), (0.5, 2.0)]
         if isinstance(entry.model.base, Zero):
             pairs.append((1.0, 1.5))
@@ -584,7 +590,8 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
                       direct=direct, bound=bound)
 
     # zero base: the full-rank disk bound collapses to the classical form
-    for entry, prep in zip(entries, prepared):
+    for entry in entries:
+        prep = entry.prepared
         if not isinstance(entry.model.base, Zero):
             continue
         dim = entry.model.dim

@@ -379,6 +379,13 @@ def test_non_finite_or_out_of_range_parameters_are_typed_errors(
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_a_tiny_p_is_rejected_before_the_rank_sweep(capsys, spec_path):
+    code, out, err = _run(capsys, "bound", str(spec_path), "--p", "0.001", "--s", "1.5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: p must be at least about 0.0014221")
+    assert "no admissible N" not in err
+
+
 def test_exit_code_malformed_spec(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 3}')

@@ -27,7 +27,7 @@ from eigencount import (
     shift_example,
 )
 from eigencount import determinants
-from eigencount.determinants import _circle_log_max, _circle_log_max_many
+from eigencount.determinants import _circle_log_max
 from eigencount.verify import _winding_cases
 
 P_GRID = (0.5, 1.0, 1.5, 2.0, 3.0)
@@ -117,11 +117,56 @@ def test_gamma_is_bit_stable(p):
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 5))
-def test_blocked_circle_envelope_matches_the_scalar_one(n):
+def test_circle_maximum_of_each_radius_alone_equals_the_batch(n):
     # 300 radii cross the boundary between two blocks
     radii = np.logspace(-8.0, 6.0, 1500)[::5]
-    expected = np.array([_circle_log_max(n, float(r)) for r in radii])
-    assert np.array_equal(_circle_log_max_many(n, radii), expected)
+    alone = np.array([_circle_log_max(n, radii[i:i + 1])[0] for i in range(len(radii))])
+    assert np.array_equal(_circle_log_max(n, radii), alone)
+
+
+def _mp_circle_log_max(n: int, r: float):
+    # 40-digit maximum of the factor log over |lam| = r, taken over theta = 0,
+    # pi and the critical angles, found as the eigenvalues of the Jacobi matrix
+    import mpmath
+
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        jacobi = mpmath.zeros(n - 1, n - 1)
+        for k in range(n - 2):
+            jacobi[k, k + 1] = jacobi[k + 1, k] = mpmath.mpf(1) / 2
+        jacobi[n - 2, n - 2] = r / 2
+        cosines = mpmath.eigsy(jacobi, eigvals_only=True)
+        angles = [mpmath.mpf(0), mpmath.pi] + [mpmath.acos(c) for c in cosines if abs(c) <= 1]
+
+        def factor_log(theta):
+            lam = r * mpmath.expj(theta)
+            return mpmath.log(abs(1 - lam)) + sum(
+                r ** j * mpmath.cos(j * theta) / j for j in range(1, n))
+
+        return max(factor_log(theta) for theta in angles)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8))
+def test_circle_maximum_matches_a_40_digit_reference(n):
+    # n / (n-1) (1 - 4e-5) puts a critical angle inside the first grid cell
+    for r in (0.3, 0.9, n / (n - 1) * (1 - 4e-5), 1.7, 3.0, 25.0):
+        ref = _mp_circle_log_max(n, r)
+        value = float(_circle_log_max(n, np.array([r]))[0])
+        assert abs(value - float(ref)) <= 1e-14 * max(1.0, abs(float(ref))), (r, value, ref)
+
+
+def test_order_two_circle_maximum_is_half_the_squared_radius():
+    # at cos theta = r / 2, |1 - lam| = 1 and the factor log is r^2 / 2 exactly;
+    # log|1 - lam| is computed to about one ulp of 1, which ulps of r^2 / 2
+    # cover only from r = 1 on. Past r = 1.99985 the critical angle lies in
+    # the first cell of the angle grid.
+    radii = np.concatenate([np.linspace(0.0, 2.0, 4002)[1:-1],
+                            2.0 - np.geomspace(1e-10, 1.5e-4, 40)])
+    values = _circle_log_max(2, radii)
+    for r, value in zip(radii.tolist(), values.tolist()):
+        half = r * r / 2
+        slack = 4 * math.ulp(half) + (0.0 if r >= 1.0 else 2 * math.ulp(1.0))
+        assert value >= half - slack, (r, value - half)
 
 
 def test_gamma_rejects_bad_exponent():
@@ -133,13 +178,14 @@ def test_gamma_rejects_bad_exponent():
 
 def test_gamma_envelope_is_computed_once_per_order(monkeypatch):
     orders = []
-    blocked = determinants._circle_log_max_many
+    circle_log_max = determinants._circle_log_max
 
     def counting(n, radii):
-        orders.append(n)
-        return blocked(n, radii)
+        if len(radii) > 1:  # the radius grid, not a golden-section point
+            orders.append(n)
+        return circle_log_max(n, radii)
 
-    monkeypatch.setattr(determinants, "_circle_log_max_many", counting)
+    monkeypatch.setattr(determinants, "_circle_log_max", counting)
     gamma_p_upper.cache_clear()
     determinants._grid_envelope.cache_clear()
     gamma_p_upper(1.5)
@@ -395,11 +441,12 @@ def test_cold_gamma_evaluates_each_golden_point_once(monkeypatch):
     # two starting points and one new point per each of the 80 golden steps;
     # the closing comparison reuses their values
     radii = []
-    scalar = determinants._circle_log_max
+    circle_log_max = determinants._circle_log_max
 
     def counting(n, r):
-        radii.append(r)
-        return scalar(n, r)
+        if len(r) == 1:  # a golden-section point, not the radius grid
+            radii.append(r[0])
+        return circle_log_max(n, r)
 
     monkeypatch.setattr(determinants, "_circle_log_max", counting)
     for p in P_GRID:

@@ -15,6 +15,7 @@ from eigencount import (
     sweep_radii,
 )
 from eigencount.operators import Dense, Diagonal, Shift, Zero
+from eigencount import verify
 from eigencount.verify import suite_bounds
 
 
@@ -99,10 +100,20 @@ def test_soundness_sweep_subset_is_clean(corpus):
     assert result.checks >= 4 * 10 * 3  # three bound kinds per radius
 
 
-def test_suite_bounds_eigensolves_each_model_once(eigvals_calls):
-    # the sweep and the moment checks share one Prepared per corpus model
+def test_suite_bounds_eigensolves_each_model_once(eigvals_calls, monkeypatch):
+    # the sweep and the moment checks share one Prepared per corpus model,
+    # and the sweep is soundness_sweep itself
+    sweeps = []
+    sweep = verify.soundness_sweep
+
+    def counting(*args, **kwargs):
+        sweeps.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "soundness_sweep", counting)
     assert suite_bounds(seed=0).ok
     assert len(eigvals_calls) == len(regression_corpus(seed=0)) == 36
+    assert len(sweeps) == 1
 
 
 def test_soundness_sweep_eigensolves_each_model_once(eigvals_calls):
