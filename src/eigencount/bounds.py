@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -77,8 +78,8 @@ def lambert_w(x: float) -> float:
 
 def _lambert_scale(p: float) -> float:
     # e^{1/p} / p, the scale of the Lambert W argument of phi_p and t_star
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    if not (0.0 < p < math.inf):
+        raise AdmissibilityError(f"p must be positive and finite, got {p}")
     try:
         scale = math.exp(1.0 / p) / p
     except OverflowError:
@@ -98,7 +99,7 @@ def phi_p(p: float, x: float) -> float:
     Defined for p >= ~0.0014221, where e^{1/p} / p is a finite float.
     """
     scale = _lambert_scale(p)
-    if x < 0.0 or x >= 1.0:
+    if not (0.0 <= x < 1.0):
         raise AdmissibilityError(
             f"phi_p needs 0 <= x < 1 (strictly inside the disk), got x = {x}")
     if x == 0.0:
@@ -109,9 +110,9 @@ def phi_p(p: float, x: float) -> float:
 
 def phi_p_envelope(p: float, x: float) -> float:
     """Elementary envelope (p+1)^{p+1} / p^p / (1-x)^{p+1} dominating phi_p."""
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
-    if x < 0.0 or x >= 1.0:
+    if not (0.0 < p < math.inf):
+        raise AdmissibilityError(f"p must be positive and finite, got {p}")
+    if not (0.0 <= x < 1.0):
         raise AdmissibilityError(
             f"the envelope needs 0 <= x < 1, got x = {x}")
     return (p + 1.0) ** (p + 1.0) / p ** p / (1.0 - x) ** (p + 1.0)
@@ -125,6 +126,8 @@ def t_star(p: float, a: float, s: float) -> float:
     s e^{-1/p}. Defined for the p that phi_p takes.
     """
     _lambert_scale(p)
+    if not math.isfinite(s):
+        raise AdmissibilityError(f"target radius s must be finite, got {s}")
     if not (0.0 <= a < s):
         raise AdmissibilityError(
             f"need 0 <= a < s for an intermediate radius, got a = {a}, s = {s}")
@@ -220,23 +223,15 @@ class BoundReport:
         return replace(self, oracle_count=count)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "target": [self.target.real, self.target.imag],
-            "n_rank": self.n_rank,
-            "t_star": self.t_star,
-            "eps": self.eps,
-            "gamma_p": self.gamma_p,
-            "c_p": self.c_p,
-            "phi_value": self.phi_value,
-            "alpha_sum": self.alpha_sum,
-            "alpha_mode": self.alpha_mode.value,
-            "bound": self.bound,
-            "admissible": self.admissible,
-            "certified": self.certified,
-            "oracle_count": self.oracle_count,
-        }
+        """The fields in declaration order; a complex number as [re, im],
+        an enum as its value."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value.value if isinstance(value, Enum) else value
 
 
 # --- shared plumbing -------------------------------------------------------

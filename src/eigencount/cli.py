@@ -21,12 +21,14 @@ import io
 import json
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .bounds import (
+    BoundReport,
     ExteriorDisk,
     Point,
     RegionSpec,
@@ -50,11 +52,10 @@ from .oracle import (
 )
 from .verify import SUITE_NAMES, run_suites
 
-_BOUND_COLUMNS = (
-    "kind", "p", "target_re", "target_im", "n_rank", "t_star", "eps",
-    "gamma_p", "c_p", "phi_value", "alpha_sum", "alpha_mode", "bound",
-    "admissible", "certified", "oracle_count",
-)
+# one column per BoundReport field, two (re, im) for the complex target
+_BOUND_COLUMNS = tuple(chain.from_iterable(
+    (f"{f.name}_re", f"{f.name}_im") if f.type == "complex" else (f.name,)
+    for f in dataclasses.fields(BoundReport)))
 
 _EXAMPLE_RADII = (1.0, 1.1, 1.25, 1.5, 2.0)
 
@@ -200,12 +201,10 @@ def _emit_csv(header, rows, out: str | None) -> None:
 
 
 def _bound_csv_rows(rows: list[dict]):
+    # to_dict keeps the field order, so the cells line up with _BOUND_COLUMNS
     for row in rows:
-        flat = dict(row)
-        target = flat.pop("target")
-        flat["target_re"], flat["target_im"] = target
-        yield ["" if flat.get(col) is None else flat.get(col)
-               for col in _BOUND_COLUMNS]
+        cells = chain.from_iterable(v if isinstance(v, list) else (v,) for v in row.values())
+        yield ["" if v is None else v for v in cells]
 
 
 # --- subcommands ------------------------------------------------------------

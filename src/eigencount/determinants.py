@@ -201,6 +201,8 @@ def gamma_p_upper(p: float) -> GammaP:
     refinement. The r -> 0 and r -> infinity limits of the ratio vanish
     for every p except p = 1, where the limit 1 at r -> 0 is the supremum
     and is included analytically (so gamma_p_upper(1).value == 1.0).
+    A p below about 0.07238 is rejected: its ratio peaks past the grid's
+    last radius 1e6, so no grid value bounds it.
     The numerically found supremum is inflated by 1e-12 relative so float
     noise can never put the returned constant below a ratio value.
     """
@@ -240,6 +242,13 @@ def gamma_p_upper(p: float) -> GammaP:
         if value > best:
             best, best_r = value, r
 
+    # a maximiser at the grid's last radius, to rounding, means the ratio
+    # still rises at 1e6: for n = 1 it peaks near r = e^(1/p), past the grid
+    if best_r >= grid[-1] * (1.0 - 1e-9):
+        raise AdmissibilityError(
+            f"p must be at least about 0.07238, below which envelope(r) / r^p peaks "
+            f"past the radius grid; got {p}, whose ratio {best:.12g} still rises at "
+            f"r = {grid[-1]:g}")
     best *= 1.0 + 1e-12
     if p == 1.0 and best <= 1.0:
         best, best_r = 1.0, 0.0

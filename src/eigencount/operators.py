@@ -17,8 +17,9 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,14 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Shift:
-    """Truncated shift: basis vector e_j maps to e_{j+1}, the last to 0."""
+class _Block:
+    """A block kind: its wire tag, its complex array fields and its matrix.
 
+    Each array field is declared with _array, in wire order. The arrays
+    are converted to complex on construction; == compares the kind and
+    the arrays, and the hash is the kind's.
+    """
 
-@dataclass(frozen=True, eq=False)
-class _ArrayBlock:
-    """Every field a complex array; equal to a block of its type with equal arrays."""
+    tag: ClassVar[str]
 
     def __post_init__(self):
         for f in fields(self):
@@ -56,32 +58,99 @@ class _ArrayBlock:
             np.array_equal(getattr(self, f.name), getattr(other, f.name))
             for f in fields(self))
 
+    def __hash__(self):
+        return hash(type(self))
+
+    def matrix(self, dim: int) -> np.ndarray:
+        """The dim x dim matrix of the block."""
+        raise NotImplementedError
+
+    def check(self, dim: int, where: str) -> None:
+        """SpecFormatError unless every array has its shape for dim and is finite."""
+        for f in fields(self):
+            arr, name = getattr(self, f.name), f"{where}.{f.name}"
+            if arr.shape != (dim,) * f.metadata["depth"]:
+                raise SpecFormatError(
+                    f.metadata["shape_error"].format(dim=dim, shape=arr.shape), name)
+            if not np.all(np.isfinite(arr)):
+                raise SpecFormatError("entries must be finite", name)
+
+    @classmethod
+    def from_doc(cls, node: dict, where: str):
+        """The block of a wire object whose kind is cls.tag."""
+        arrays = fields(cls)
+        _reject_unknown(node, {"kind", *(f.name for f in arrays)}, where)
+        for f in arrays:
+            if f.name not in node:
+                raise SpecFormatError(f"{cls.tag} block needs '{f.name}'", where)
+        return cls(*(_as_complex_array(node[f.name], f"{where}.{f.name}", f.metadata["depth"])
+                     for f in arrays))
+
+    def to_doc(self) -> dict:
+        """The wire object of the block."""
+        return {"kind": self.tag, **{f.name: _pairs(getattr(self, f.name)) for f in fields(self)}}
+
+
+def _array(depth: int, shape_error: str):
+    # a block's array field: depth 1 for a vector of dim entries, 2 for a
+    # dim x dim matrix; shape_error is formatted with dim and shape
+    return field(metadata={"depth": depth, "shape_error": shape_error})
+
 
 @dataclass(frozen=True, eq=False)
-class Diagonal(_ArrayBlock):
-    values: np.ndarray
+class Shift(_Block):
+    """Truncated shift: basis vector e_j maps to e_{j+1}, the last to 0."""
+
+    tag = "shift"
+
+    def matrix(self, dim: int) -> np.ndarray:
+        return np.eye(dim, k=-1, dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
-class Dense(_ArrayBlock):
-    entries: np.ndarray
+class Diagonal(_Block):
+    tag = "diagonal"
+    values: np.ndarray = _array(1, "diagonal needs exactly dim = {dim} values, got {shape}")
+
+    def matrix(self, dim: int) -> np.ndarray:
+        return np.diag(self.values)
 
 
-@dataclass(frozen=True)
-class Zero:
+@dataclass(frozen=True, eq=False)
+class Dense(_Block):
+    tag = "dense"
+    entries: np.ndarray = _array(2, "dense block must be {dim} x {dim}, got {shape}")
+
+    def matrix(self, dim: int) -> np.ndarray:
+        return self.entries.copy()
+
+
+@dataclass(frozen=True, eq=False)
+class Zero(_Block):
     """The zero operator."""
 
+    tag = "zero"
+
+    def matrix(self, dim: int) -> np.ndarray:
+        return np.zeros((dim, dim), dtype=complex)
+
 
 @dataclass(frozen=True, eq=False)
-class RankOne(_ArrayBlock):
+class RankOne(_Block):
     """left * right^T; right is entered as the dual functional's coefficients."""
 
-    left: np.ndarray
-    right: np.ndarray
+    tag = "rank_one"
+    left: np.ndarray = _array(1, "rank_one left vector needs length {dim}, got {shape}")
+    right: np.ndarray = _array(1, "rank_one right vector needs length {dim}, got {shape}")
+
+    def matrix(self, dim: int) -> np.ndarray:
+        return np.outer(self.left, self.right)
 
 
-BASE_KINDS = (Shift, Diagonal, Dense, Zero)
-PERT_KINDS = (RankOne, Diagonal, Dense, Zero)
+# the kinds each role admits, by wire tag
+BASE_KINDS = {kind.tag: kind for kind in (Shift, Diagonal, Dense, Zero)}
+PERT_KINDS = {kind.tag: kind for kind in (RankOne, Diagonal, Dense, Zero)}
+_ROLES = {"base": BASE_KINDS, "perturbation": PERT_KINDS}
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +163,11 @@ class OperatorModel:
     def __post_init__(self):
         if self.dim < 1:
             raise SpecFormatError("dim must be a positive integer", "dim")
-        if not isinstance(self.base, BASE_KINDS):
-            raise SpecFormatError(f"unsupported base kind {type(self.base).__name__}",
-                                  "base")
-        if not isinstance(self.perturbation, PERT_KINDS):
-            raise SpecFormatError(
-                f"unsupported perturbation kind {type(self.perturbation).__name__}",
-                "perturbation")
-        _check_shapes(self.base, self.dim, "base")
-        _check_shapes(self.perturbation, self.dim, "perturbation")
+        for role, kinds in _ROLES.items():
+            block = getattr(self, role)
+            if not isinstance(block, tuple(kinds.values())):
+                raise SpecFormatError(f"unsupported {role} kind {type(block).__name__}", role)
+            block.check(self.dim, role)
 
     def __eq__(self, other):
         return (isinstance(other, OperatorModel)
@@ -112,52 +177,9 @@ class OperatorModel:
                 and self.perturbation == other.perturbation)
 
 
-def _check_shapes(spec, dim: int, where: str) -> None:
-    if isinstance(spec, Diagonal):
-        if spec.values.shape != (dim,):
-            raise SpecFormatError(
-                f"diagonal needs exactly dim = {dim} values, got {spec.values.shape}",
-                f"{where}.values")
-        _require_finite(spec.values, f"{where}.values")
-    elif isinstance(spec, Dense):
-        if spec.entries.shape != (dim, dim):
-            raise SpecFormatError(
-                f"dense block must be {dim} x {dim}, got {spec.entries.shape}",
-                f"{where}.entries")
-        _require_finite(spec.entries, f"{where}.entries")
-    elif isinstance(spec, RankOne):
-        for name, vec in (("left", spec.left), ("right", spec.right)):
-            if vec.shape != (dim,):
-                raise SpecFormatError(
-                    f"rank_one {name} vector needs length {dim}, got {vec.shape}",
-                    f"{where}.{name}")
-            _require_finite(vec, f"{where}.{name}")
-
-
-def _require_finite(arr, where: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise SpecFormatError("entries must be finite", where)
-
-
 def materialize(model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
     """Concrete (base, perturbation) matrices for the model."""
-    return (_materialize_one(model.base, model.dim),
-            _materialize_one(model.perturbation, model.dim))
-
-
-def _materialize_one(spec, dim: int) -> np.ndarray:
-    if isinstance(spec, Shift):
-        m = np.zeros((dim, dim), dtype=complex)
-        idx = np.arange(dim - 1)
-        m[idx + 1, idx] = 1.0
-        return m
-    if isinstance(spec, Diagonal):
-        return np.diag(spec.values)
-    if isinstance(spec, Dense):
-        return spec.entries.copy()
-    if isinstance(spec, RankOne):
-        return np.outer(spec.left, spec.right)
-    return np.zeros((dim, dim), dtype=complex)
+    return model.base.matrix(model.dim), model.perturbation.matrix(model.dim)
 
 
 # --- wire format ---------------------------------------------------------
@@ -300,35 +322,15 @@ def _reject_unknown(node: dict, allowed: set[str], where: str) -> None:
         raise SpecFormatError(f"unknown keys {extra}", where)
 
 
-def _parse_block(node, where: str, *, is_base: bool):
+def _parse_block(node, role: str):
     if not isinstance(node, dict):
-        raise SpecFormatError("expected an object with a 'kind' tag", where)
+        raise SpecFormatError("expected an object with a 'kind' tag", role)
     kind = node.get("kind")
-    if kind == "shift" and is_base:
-        _reject_unknown(node, {"kind"}, where)
-        return Shift()
-    if kind == "zero":
-        _reject_unknown(node, {"kind"}, where)
-        return Zero()
-    if kind == "diagonal":
-        _reject_unknown(node, {"kind", "values"}, where)
-        if "values" not in node:
-            raise SpecFormatError("diagonal block needs 'values'", where)
-        return Diagonal(_as_complex_array(node["values"], f"{where}.values", 1))
-    if kind == "dense":
-        _reject_unknown(node, {"kind", "entries"}, where)
-        if "entries" not in node:
-            raise SpecFormatError("dense block needs 'entries'", where)
-        return Dense(_as_complex_array(node["entries"], f"{where}.entries", 2))
-    if kind == "rank_one" and not is_base:
-        _reject_unknown(node, {"kind", "left", "right"}, where)
-        for key in ("left", "right"):
-            if key not in node:
-                raise SpecFormatError(f"rank_one block needs '{key}'", where)
-        return RankOne(_as_complex_array(node["left"], f"{where}.left", 1),
-                       _as_complex_array(node["right"], f"{where}.right", 1))
-    role = "base" if is_base else "perturbation"
-    raise SpecFormatError(f"unknown {role} kind {kind!r}", f"{where}.kind")
+    # a str test first: an unhashable tag such as [1] is an unknown kind too
+    block = _ROLES[role].get(kind) if isinstance(kind, str) else None
+    if block is None:
+        raise SpecFormatError(f"unknown {role} kind {kind!r}", f"{role}.kind")
+    return block.from_doc(node, role)
 
 
 def parse_spec(text: str | bytes) -> OperatorModel:
@@ -355,25 +357,12 @@ def _model_from_doc(doc) -> OperatorModel:
         norm = NormKind.parse(doc["norm"])
     except ValueError as exc:
         raise SpecFormatError(str(exc), "norm") from exc
-    base = _parse_block(doc["base"], "base", is_base=True)
-    pert = _parse_block(doc["perturbation"], "perturbation", is_base=False)
-    return OperatorModel(dim=dim, norm=norm, base=base, perturbation=pert)
+    return OperatorModel(dim=dim, norm=norm, base=_parse_block(doc["base"], "base"),
+                         perturbation=_parse_block(doc["perturbation"], "perturbation"))
 
 
 def _pairs(arr: np.ndarray) -> list:
     return np.stack([arr.real, arr.imag], -1).tolist()
-
-
-def _block_doc(spec) -> dict:
-    if isinstance(spec, Shift):
-        return {"kind": "shift"}
-    if isinstance(spec, Zero):
-        return {"kind": "zero"}
-    if isinstance(spec, Diagonal):
-        return {"kind": "diagonal", "values": _pairs(spec.values)}
-    if isinstance(spec, Dense):
-        return {"kind": "dense", "entries": _pairs(spec.entries)}
-    return {"kind": "rank_one", "left": _pairs(spec.left), "right": _pairs(spec.right)}
 
 
 def serialize_spec(model: OperatorModel) -> str:
@@ -381,7 +370,7 @@ def serialize_spec(model: OperatorModel) -> str:
     doc = {
         "dim": model.dim,
         "norm": model.norm.value,
-        "base": _block_doc(model.base),
-        "perturbation": _block_doc(model.perturbation),
+        "base": model.base.to_doc(),
+        "perturbation": model.perturbation.to_doc(),
     }
     return json.dumps(doc, sort_keys=True)

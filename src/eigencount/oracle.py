@@ -10,6 +10,7 @@ to every number.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -199,6 +200,9 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], center: complex,
     of 65536 points runs out (then a ContourError reports the failure
     rather than guessing).
     """
+    if not (cmath.isfinite(center) and math.isfinite(radius)):
+        raise ValueError(
+            f"center and radius must be finite, got center = {center}, radius = {radius}")
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
 

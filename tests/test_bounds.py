@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from eigencount import (
     AdmissibilityError,
+    BoundReport,
     Certainty,
     Dense,
     Diagonal,
@@ -28,6 +30,7 @@ from eigencount import (
     lambert_w,
     moment_bound,
     moment_sum,
+    parse_spec,
     phi_p,
     phi_p_envelope,
     prepare,
@@ -356,6 +359,13 @@ def test_bound_report_serialization_round_trip(materialized):
                         "admissible", "certified"}
 
 
+def test_bound_report_dict_follows_the_field_order(spec_path):
+    report = count_bound_disk(parse_spec(spec_path.read_bytes()), 1.0, 1.5)
+    doc = report.to_dict()
+    assert list(doc) == [f.name for f in dataclasses.fields(BoundReport)]
+    assert doc["target"] == [1.5, 0.0] and doc["alpha_mode"] == report.alpha_mode.value
+
+
 def test_prepared_records_compare_by_identity(corpus):
     # two records of m01 hold equal arrays; == must not ask them for a truth value
     first, second = prepare(corpus[1].model), prepare(corpus[1].model)
@@ -440,3 +450,24 @@ def test_auto_rank_is_the_first_minimum_over_every_fixed_rank(corpus):
                 for bound in (count_bound_disk, count_bound_disk_simple):
                     expected = _first_minimum_over_fixed_ranks(bound, prep, p, s)
                     assert bound(prep, p, s).to_dict() == expected.to_dict()
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("fn, args, fragment", [
+    (phi_p_envelope, (_NAN, 0.5), "p must be positive and finite, got nan"),
+    (phi_p_envelope, (_INF, 0.5), "p must be positive and finite, got inf"),
+    (phi_p_envelope, (1.0, _NAN), "got x = nan"),
+    (phi_p, (_NAN, 0.5), "p must be positive and finite, got nan"),
+    (phi_p, (_INF, 0.5), "p must be positive and finite, got inf"),
+    (phi_p, (1.0, _NAN), "got x = nan"),
+    (t_star, (_NAN, 0.5, 1.0), "p must be positive and finite, got nan"),
+    (t_star, (_INF, 0.5, 1.0), "p must be positive and finite, got inf"),
+    (t_star, (1.0, 0.5, _INF), "target radius s must be finite, got inf"),
+])
+def test_scalar_profiles_reject_non_finite_inputs(fn, args, fragment):
+    # these returned nan, or raised a bare ValueError or ZeroDivisionError
+    with pytest.raises(AdmissibilityError) as info:
+        fn(*args)
+    assert str(info.value).endswith(fragment)

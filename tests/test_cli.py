@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import io
 import json
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eigencount import (
     DEFAULT,
+    BoundReport,
     Dense,
     NormKind,
     OperatorModel,
@@ -17,7 +20,10 @@ from eigencount import (
     prepare,
     serialize_spec,
 )
+from eigencount import cli
 from eigencount.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv):
@@ -40,6 +46,26 @@ def test_bound_json_report(capsys, spec_path):
         assert row["certified"] is True
     assert results["oracle_count"] == 1
     assert "wall_time_s=" in err
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("bound_p1_s1.5.json", ("--p", "1", "--s", "1.5")),
+    ("bound_p1_s1.5.csv", ("--p", "1", "--s", "1.5", "--format", "csv")),
+    ("bound_p1_point2.json", ("--p", "1", "--point", "2,0")),
+])
+def test_bound_stdout_matches_the_golden_file(capsys, monkeypatch, golden, argv):
+    # the report echoes the spec path, so it runs from the repo root with
+    # the relative path the golden files were made with
+    monkeypatch.chdir(ROOT)
+    code, out, _ = _run(capsys, "bound", "specs/shift_rank_one.json", *argv)
+    assert code == 0
+    assert out == (ROOT / "tests" / "golden" / golden).read_text()
+
+
+def test_bound_columns_follow_the_report_fields():
+    names = [f.name for f in dataclasses.fields(BoundReport)]
+    assert cli._BOUND_COLUMNS == tuple(chain.from_iterable(
+        (f"{n}_re", f"{n}_im") if n == "target" else (n,) for n in names))
 
 
 def test_bound_report_is_byte_identical_on_rerun(capsys, spec_path):
@@ -367,6 +393,8 @@ def test_exit_code_inadmissible(capsys, spec_path):
     (("bound", "SPEC", "--p", "1", "--point", "inf,0"), 2),
     (("bound", "SPEC", "--p", "0.001", "--s", "1.5"), 2),
     (("bound", "SPEC", "--p", "0.00141", "--s", "1.5"), 2),
+    (("bound", "SPEC", "--p", "0.05", "--s", "1.5"), 2),
+    (("gamma", "--p", "0.05"), 2),
     (("oracle", "SPEC", "--s", "nan"), 1),
     (("oracle", "SPEC", "--s", "1", "--q", "nan"), 1),
     (("oracle", "SPEC", "--s", "1", "--q", "inf"), 1),

@@ -116,6 +116,27 @@ def test_gamma_is_bit_stable(p):
     assert (gamma.value.hex(), gamma.r_star.hex()) == GAMMA_HEX[p]
 
 
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.07188, 0.0723])
+def test_gamma_rejects_a_ratio_still_rising_at_the_grid_end(p):
+    # log(1 + r) / r^p peaks near r = e^(1/p), past the grid's 1e6: at
+    # p = 0.05 the grid gave 6.924 where the ratio at e^20 is 7.358
+    with pytest.raises(AdmissibilityError) as info:
+        gamma_p_upper(p)
+    assert str(info.value).startswith("p must be at least about 0.07238")
+    assert f"got {p}, " in str(info.value) and "r = 1e+06" in str(info.value)
+
+
+def test_gamma_keeps_an_interior_peak_of_the_last_grid_cell():
+    # the grid's argmax is its last radius, but the refinement finds the
+    # peak inside the last cell, so the constant is certified
+    p = 0.0724
+    grid, envelope = determinants._grid_envelope(1)
+    assert int(np.argmax(envelope / grid ** p)) == len(grid) - 1
+    gamma = gamma_p_upper(p)
+    assert grid[-2] < gamma.r_star < grid[-1] * (1 - 1e-3)
+    assert gamma.value >= math.log1p(grid[-1]) / grid[-1] ** p
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, 5))
 def test_circle_maximum_of_each_radius_alone_equals_the_batch(n):
     # 300 radii cross the boundary between two blocks

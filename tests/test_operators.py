@@ -210,6 +210,84 @@ def test_malformed_blocks_name_the_offending_element(mutate, location, fragment)
     assert fragment in str(info.value)
 
 
+def _drop(role, key):
+    return lambda d: d[role].pop(key)
+
+
+_LEFT = [[1.0, 0.0]] * 3
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_set(("perturbation",), {"kind": "shift"}),
+     "perturbation.kind: unknown perturbation kind 'shift'"),
+    (_set(("base",), {"kind": "rank_one", "left": _LEFT, "right": _LEFT}),
+     "base.kind: unknown base kind 'rank_one'"),
+    (_set(("base", "kind"), [1]), "base.kind: unknown base kind [1]"),
+    (_set(("perturbation", "kind"), {"a": 1}),
+     "perturbation.kind: unknown perturbation kind {'a': 1}"),
+    (_drop("base", "kind"), "base.kind: unknown base kind None"),
+    (_set(("perturbation", "kind"), 7), "perturbation.kind: unknown perturbation kind 7"),
+    (_drop("base", "entries"), "base: dense block needs 'entries'"),
+    (_set(("base",), {"kind": "diagonal"}), "base: diagonal block needs 'values'"),
+    (_set(("perturbation",), {"kind": "diagonal"}),
+     "perturbation: diagonal block needs 'values'"),
+    (_set(("perturbation",), {"kind": "dense"}),
+     "perturbation: dense block needs 'entries'"),
+    (_drop("perturbation", "left"), "perturbation: rank_one block needs 'left'"),
+    (_drop("perturbation", "right"), "perturbation: rank_one block needs 'right'"),
+    (_set(("perturbation",), {"kind": "rank_one"}),
+     "perturbation: rank_one block needs 'left'"),
+    (_set(("base", "bogus"), 1), "base: unknown keys ['bogus']"),
+    (_set(("base",), {"kind": "zero", "values": _LEFT}), "base: unknown keys ['values']"),
+    (_set(("base",), {"kind": "diagonal", "values": _LEFT[:2]}),
+     "base.values: diagonal needs exactly dim = 3 values, got (2,)"),
+    (_set(("base", "entries"), [[], [], []]),
+     "base.entries: dense block must be 3 x 3, got (3, 0)"),
+    (_set(("perturbation",), {"kind": "dense", "entries": [_LEFT] * 2}),
+     "perturbation.entries: dense block must be 3 x 3, got (2, 3)"),
+    (_set(("perturbation", "left"), _LEFT[:1]),
+     "perturbation.left: rank_one left vector needs length 3, got (1,)"),
+    (_set(("perturbation", "right"), _LEFT * 2),
+     "perturbation.right: rank_one right vector needs length 3, got (6,)"),
+])
+def test_block_table_errors_keep_their_exact_messages(mutate, message):
+    doc = _dense_doc()
+    mutate(doc)
+    with pytest.raises(SpecFormatError) as info:
+        parse_spec(json.dumps(doc))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("base, pert, message", [
+    (RankOne(np.ones(2), np.ones(2)), Zero(), "base: unsupported base kind RankOne"),
+    (Zero(), Shift(), "perturbation: unsupported perturbation kind Shift"),
+    (Zero(), RankOne(np.ones(2), np.ones(3)),
+     "perturbation.right: rank_one right vector needs length 2, got (3,)"),
+    (Diagonal([1.0, np.inf]), Zero(), "base.values: entries must be finite"),
+])
+def test_models_reject_blocks_outside_their_role(base, pert, message):
+    with pytest.raises(SpecFormatError) as info:
+        OperatorModel(2, NormKind.L2, base, pert)
+    assert str(info.value) == message
+
+
+def test_each_kind_is_one_class_and_one_table_entry():
+    assert operators.BASE_KINDS == {"shift": Shift, "diagonal": Diagonal,
+                                    "dense": Dense, "zero": Zero}
+    assert operators.PERT_KINDS == {"rank_one": RankOne, "diagonal": Diagonal,
+                                    "dense": Dense, "zero": Zero}
+    v = np.array([1.0, 2j])
+    for block in (Shift(), Zero(), Diagonal(v), Dense(np.outer(v, v)), RankOne(v, v)):
+        doc = block.to_doc()
+        assert doc["kind"] == block.tag
+        assert type(block).from_doc(doc, "base") == block
+        assert block.matrix(2).shape == (2, 2)
+    # == is by kind and arrays, and the hash is the kind's
+    assert Shift() == Shift() and hash(Shift()) == hash(Shift())
+    assert {Zero(), Zero(), Shift()} == {Zero(), Shift()}
+    assert hash(Diagonal(v)) == hash(Diagonal(2 * v)) and Diagonal(v) != Diagonal(2 * v)
+
+
 _EDGE_PAIRS = [
     [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [3, -7], [0, -0],
     [2 ** 53 + 1, -(2 ** 64 + 1)], [10 ** 300, -10 ** 300],

@@ -232,3 +232,13 @@ def test_probe_lacunary_family_grows():
     assert sums[0] == pytest.approx(0.8768, abs=2e-3)
     assert sums[-1] == pytest.approx(1.158, abs=2e-2)
     assert result.growth > 1.25
+
+
+@pytest.mark.parametrize("center, radius", [
+    (float("nan"), 1.0), (complex(0.0, float("nan")), 1.0), (complex(float("inf"), 0.0), 1.0),
+    (0.0, float("nan")), (0.0, float("inf")),
+])
+def test_winding_count_rejects_a_non_finite_contour(center, radius):
+    # a nan contour used to end in "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="center and radius must be finite"):
+        winding_count(lambda z: z - 0.5, center, radius)
