@@ -61,6 +61,7 @@ from .numerics import (
     NormKind,
     Spectrum,
     as_matrix,
+    cluster_radius,
     eigenvalues,
     induced_norm,
     numerical_rank,
@@ -89,6 +90,7 @@ from .oracle import (
     eigen_count_outside,
     jensen_check,
     lacunary_coefficients,
+    low_rank_count_outside,
     moment_from_curve,
     moment_sum,
     shift_example,
@@ -109,7 +111,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # numerics
-    "NormKind", "Spectrum", "as_matrix", "eigenvalues", "singular_values",
+    "NormKind", "Spectrum", "as_matrix", "cluster_radius", "eigenvalues", "singular_values",
     "induced_norm", "numerical_rank", "singular_value_rank", "resolvent",
     "resolvent_norms", "shifted_solve",
     # operators
@@ -128,7 +130,7 @@ __all__ = [
     "count_bound_disk_simple", "count_bound_region", "koenig_count_bound",
     "moment_bound", "pseudospectral_epsilon",
     # oracle
-    "CountCurve", "eigen_count_outside", "count_curve", "moment_sum",
+    "CountCurve", "eigen_count_outside", "low_rank_count_outside", "count_curve", "moment_sum",
     "moment_from_curve", "winding_count", "winding_from_samples",
     "JensenVerdict", "jensen_check", "shift_example", "lacunary_coefficients",
     "blaschke_divergence_probe",

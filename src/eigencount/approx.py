@@ -22,9 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT
-from .numerics import (NormKind, as_matrix, eigenvalues, singular_value_rank,
-                       singular_values)
+from .numerics import (NormKind, as_matrix, cluster_radius, eigenvalues,
+                       singular_value_rank, singular_values)
 
 __all__ = [
     "Certainty",
@@ -181,7 +180,7 @@ def koenig_check(k_matrix, p: float) -> tuple[float, float]:
         raise ValueError("p must be positive")
     m = as_matrix(k_matrix)
     spec = eigenvalues(m)
-    cutoff = DEFAULT.cluster_rtol * float(np.linalg.norm(m))
+    cutoff = cluster_radius(m)
     lhs = 0.0
     for lam, mult in zip(spec.values, spec.multiplicities):
         if abs(lam) > cutoff:

@@ -29,6 +29,7 @@ from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
 from .numerics import Spectrum, eigenvalues, induced_norm, resolvent_norms, singular_values
 from .operators import OperatorModel, Zero, materialize
+from .oracle import eigen_count_outside, low_rank_count_outside
 
 __all__ = [
     "ExteriorDisk",
@@ -245,6 +246,10 @@ class Prepared:
     Every bound accepts a Prepared in place of an OperatorModel, so one
     analysis serves several bounds and the oracle without repeating work,
     and a caller pays only for the quantities it reads. == is identity.
+    count_outside(s), the oracle count of `bound`, needs no spectrum when K
+    has a numerical rank far below dim: it is then the certified winding
+    number of a small determinant, and the spectrum serves only as the
+    fallback.
     """
 
     model: OperatorModel
@@ -277,6 +282,22 @@ class Prepared:
     def spectrum(self) -> Spectrum:
         """Clustered spectrum of L = L0 + K."""
         return eigenvalues(self.l0 + self.k)
+
+    def count_outside(self, s: float) -> int:
+        """Number of eigenvalues of L outside |lambda| = s, with multiplicity.
+
+        When 8 (rank + 4) <= dim, so that the low-rank sketch costs a small
+        part of an eigensolve, this is low_rank_count_outside's certified
+        count; where that gives none, and for every other model, it is
+        eigen_count_outside of the spectrum.
+        """
+        rank = self.alpha.rank
+        if 8 * (rank + 4) <= self.model.dim:
+            count = low_rank_count_outside(self.l0, self.k, self.norm_l0, rank,
+                                           self.model.norm, s)
+            if count is not None:
+                return count
+        return eigen_count_outside(self.spectrum, s)
 
 
 def prepare(model: OperatorModel) -> Prepared:

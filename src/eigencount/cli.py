@@ -42,6 +42,7 @@ from .bounds import (
 from .config import DEFAULT
 from .determinants import GammaProvenance, gamma_p_upper
 from .errors import EigencountError, SpecFormatError
+from .numerics import cluster_radius
 from .operators import Zero, _decode_json, parse_spec
 from .oracle import (
     blaschke_divergence_probe,
@@ -234,9 +235,9 @@ def _cmd_bound(args) -> int:
         reports.append(koenig_count_bound(prep, args.p, args.s))
 
     if args.point is None:
-        oracle = eigen_count_outside(prep.spectrum, args.s)
+        oracle = prep.count_outside(args.s)
     else:  # the multiplicity of the point, to the clustering radius
-        near = DEFAULT.cluster_rtol * max(1.0, float(np.linalg.norm(prep.l0 + prep.k)))
+        near = max(DEFAULT.cluster_rtol, cluster_radius(prep.l0 + prep.k))
         oracle = prep.spectrum.count_where(lambda v: abs(complex(v) - args.point) <= near)
     rows = [r.with_oracle(oracle).to_dict() for r in reports]
     results = {

@@ -61,7 +61,7 @@ class GammaP:
     r_star: float = float("nan")  # radius where the envelope ratio peaks
 
     def __post_init__(self):
-        if self.p <= 0:
+        if not (self.p > 0):  # a NaN p fails this too
             raise AdmissibilityError(f"p must be positive, got {self.p}")
         if not (self.value >= 1e-3):
             raise AdmissibilityError(

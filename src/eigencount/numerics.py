@@ -9,6 +9,7 @@ induced norms, and residual-checked solves, resolvents and resolvent norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,6 +22,7 @@ __all__ = [
     "NormKind",
     "Spectrum",
     "as_matrix",
+    "cluster_radius",
     "eigenvalues",
     "singular_values",
     "numerical_rank",
@@ -116,12 +118,29 @@ def _cluster(raw: np.ndarray, radius: float) -> Spectrum:
     return Spectrum(np.asarray(reps, dtype=complex), np.asarray(counts, dtype=int))
 
 
+def cluster_radius(m) -> float:
+    """``DEFAULT.cluster_rtol * ||m||_F``, finite for every finite m.
+
+    The Frobenius norm is taken of m scaled by the power of two of its
+    largest entry (at most 2^1020, so that the scale stays finite), which
+    is exact, so that the sum of squares neither overflows (entries past
+    about 1e154) nor underflows.
+    """
+    m = as_matrix(m)
+    peak = float(np.max(np.abs(m)))
+    if peak == 0.0:
+        return 0.0
+    exponent = max(math.frexp(peak)[1], -1020)
+    scaled = float(np.linalg.norm(m * math.ldexp(1.0, -exponent)))
+    return math.ldexp(DEFAULT.cluster_rtol * scaled, exponent)
+
+
 def eigenvalues(m) -> Spectrum:
     """Clustered spectrum of m.
 
     The raw eigenvalues come from the dense LAPACK solver; values closer
-    than ``DEFAULT.cluster_rtol * ||m||_F`` are merged and reported once with
-    their combined multiplicity.
+    than cluster_radius(m) are merged and reported once with their
+    combined multiplicity.
     """
     m = as_matrix(m)
     try:
@@ -129,25 +148,27 @@ def eigenvalues(m) -> Spectrum:
     except np.linalg.LinAlgError as exc:
         raise EigenvalueError(f"eigenvalue iteration failed to converge: {exc}",
                               matrix=m) from exc
-    radius = DEFAULT.cluster_rtol * float(np.linalg.norm(m))
-    return _cluster(raw, radius)
+    return _cluster(raw, cluster_radius(m))
 
 
 def _as_matrices(m) -> np.ndarray:
-    # as_matrix for one matrix, or the same checks on a (k, dim, dim) stack
-    if np.ndim(m) != 3:
-        return as_matrix(m)
+    # a finite complex matrix of any non-empty shape, or a (k, rows, cols) stack
     m = np.asarray(m, dtype=complex)
-    if m.shape[1] != m.shape[2] or m.shape[1] == 0:
-        raise MatrixError(f"expected a stack of square matrices, got shape {m.shape}")
+    if m.ndim not in (2, 3) or 0 in m.shape[-2:]:
+        raise MatrixError(f"expected a matrix or a stack of matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise MatrixError("matrix entries must be finite")
     return m
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values of m, non-increasing; one row per matrix of a stack."""
+    """Singular values of m, non-increasing; one row per matrix of a stack.
+
+    m may be rectangular; it has min(rows, cols) singular values."""
     m = _as_matrices(m)
+    rows, cols = m.shape[-2:]
+    if rows != cols:  # the square triangular factor has the same singular values
+        m = np.linalg.qr(m if rows > cols else np.swapaxes(m, -1, -2), mode="r")
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -171,8 +192,9 @@ def induced_norm(m, kind: NormKind):
     """Operator norm of m induced by the given vector norm.
 
     l1 is the largest absolute column sum, linf the largest absolute row
-    sum, and l2 the largest singular value (no power iteration). A
-    (k, dim, dim) stack gives the k norms as an array.
+    sum, and l2 the largest singular value (no power iteration). m may be
+    rectangular, a map between spaces carrying the same kind of norm. A
+    (k, rows, cols) stack gives the k norms as an array.
     """
     m = _as_matrices(m)
     if kind is NormKind.L1:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 from itertools import chain
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from eigencount import (
     DEFAULT,
     BoundReport,
     Dense,
+    Diagonal,
     NormKind,
     OperatorModel,
     SuiteResult,
@@ -480,3 +482,50 @@ def test_deep_balanced_nesting_exits_three(capsys, tmp_path):
     doc.write_bytes(deep)
     code, _, err = _run(capsys, "example-shift", "--coeffs", str(doc), "--dims", "8")
     assert code == 3 and "error: [0]: " in err
+
+
+def _low_rank_l2_doc(tmp_path, dim=128):
+    # a dense base with ||L0||_2 = 0.8 and a dense rank-2 K whose two
+    # outliers land well outside |lambda| = 1.6
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    l0 = 0.8 * g / np.linalg.norm(g, 2)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
+    k = (u * np.array([2.5, -3.0j])) @ u.conj().T
+    doc = tmp_path / "low_rank.json"
+    doc.write_text(serialize_spec(OperatorModel(dim, NormKind.L2, Dense(l0), Dense(k))))
+    return doc
+
+
+def test_bound_counts_a_low_rank_model_without_an_eigensolve(capsys, tmp_path,
+                                                             monkeypatch, eigvals_calls):
+    doc = _low_rank_l2_doc(tmp_path)
+    argv = ("bound", str(doc), "--p", "1", "--s", "1.6")
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    assert eigvals_calls == []
+    assert json.loads(out)["results"]["oracle_count"] == 2
+    # the eigensolve fallback prints the same bytes
+    monkeypatch.setattr("eigencount.bounds.low_rank_count_outside", lambda *args: None)
+    assert _run(capsys, *argv)[:2] == (0, out)
+    assert len(eigvals_calls) == 1
+
+
+def test_counts_survive_entries_past_the_frobenius_overflow(capsys, tmp_path, corpus):
+    # m07 (zero base, sparse diagonal K, l2, dim 40) has 4 eigenvalues
+    # outside 0.5; scaled by 2^520, ||L||_F overflowed and the one cluster
+    # left gave the count 0, with only a RuntimeWarning on stderr
+    model = corpus[7].model
+    scale = 2.0 ** 520
+    doc = tmp_path / "m07_scaled.json"
+    doc.write_text(serialize_spec(OperatorModel(
+        model.dim, model.norm, model.base, Diagonal(model.perturbation.values * scale))))
+    s = repr(0.5 * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", s)
+        assert code == 0, err
+        assert json.loads(out)["results"]["oracle_count"] == 4
+        code, out, err = _run(capsys, "oracle", str(doc), "--s", s)
+        assert code == 0, err
+        assert json.loads(out)["results"]["count"]["value"] == 4

@@ -223,6 +223,13 @@ def test_gamma_p_user_supplied_validation():
         GammaP(1.0, 0.0, GammaProvenance.ENVELOPE_CERTIFIED)
 
 
+@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0])
+def test_gamma_p_rejects_a_p_that_is_not_positive(p):
+    # NaN <= 0 is false, so a NaN p used to construct, with a NaN c_p
+    with pytest.raises(AdmissibilityError, match="p must be positive"):
+        GammaP(p, 1.0, GammaProvenance.ENVELOPE_CERTIFIED)
+
+
 @pytest.mark.parametrize("p", P_GRID)
 def test_scalar_envelope_dominance_random(p):
     rng = np.random.default_rng(11)

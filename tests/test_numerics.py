@@ -1,12 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencount import (
+    DEFAULT,
     NormKind,
     SingularResolventError,
     as_matrix,
+    cluster_radius,
     eigenvalues,
     induced_norm,
     numerical_rank,
@@ -99,3 +104,32 @@ def test_resolvent_residual_check_near_spectrum():
     m = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(SingularResolventError):
         resolvent(m, 2.0 + 1e-16)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (7, 1), (1, 4), (4, 5, 3)])
+def test_induced_norm_accepts_rectangular_matrices(shape):
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for kind, order in ((NormKind.L1, 1), (NormKind.L2, 2), (NormKind.LINF, np.inf)):
+        expected = np.linalg.norm(m, order, axis=(-2, -1))
+        assert np.allclose(induced_norm(m, kind), expected, rtol=1e-13, atol=0.0)
+    with pytest.raises(MatrixError):
+        induced_norm(np.zeros((0, 3)), NormKind.L1)
+
+
+def test_cluster_radius_is_exact_under_power_of_two_scaling():
+    # ||m||_F of entries near 1e156 overflowed to inf, which merged every
+    # eigenvalue into one cluster
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    radius = cluster_radius(m)
+    assert radius == DEFAULT.cluster_rtol * float(np.linalg.norm(m))
+    for exponent in (-1000, 520, 1000):
+        scaled = m * 2.0 ** exponent
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cluster_radius(scaled) == math.ldexp(radius, exponent)
+            spec = eigenvalues(scaled)
+        assert len(spec.values) == 6
+    assert cluster_radius(np.zeros((3, 3))) == 0.0
+    assert cluster_radius(np.full((2, 2), 1e-310)) > 0.0  # subnormal entries

@@ -7,16 +7,20 @@ from hypothesis import strategies as st
 
 from eigencount import (
     ContourError,
+    NormKind,
     blaschke_divergence_probe,
     count_curve,
     eigen_count_outside,
     eigenvalues,
     jensen_check,
     lacunary_coefficients,
+    low_rank_count_outside,
     materialize,
     moment_from_curve,
     moment_sum,
+    regression_corpus,
     shift_example,
+    sweep_radii,
     winding_count,
     winding_from_samples,
 )
@@ -242,3 +246,41 @@ def test_winding_count_rejects_a_non_finite_contour(center, radius):
     # a nan contour used to end in "cannot convert float NaN to integer"
     with pytest.raises(ValueError, match="center and radius must be finite"):
         winding_count(lambda z: z - 0.5, center, radius)
+
+
+# certified counts of low_rank_count_outside over the ten sweep radii of each
+# of the 36 corpus models; every other case falls back to the eigensolve
+LOW_RANK_CERTIFIED = {0: 350, 3: 354}
+
+
+@pytest.mark.parametrize("seed", sorted(LOW_RANK_CERTIFIED))
+def test_low_rank_count_equals_the_eigensolve_on_the_corpus(seed):
+    certified = 0
+    for entry in regression_corpus(seed):
+        prep = entry.prepared
+        for s in sweep_radii(prep.norm_l0, prep.norm_k):
+            count = low_rank_count_outside(prep.l0, prep.k, prep.norm_l0,
+                                           prep.alpha.rank, entry.model.norm, s)
+            if count is not None:
+                certified += 1
+                assert count == eigen_count_outside(prep.spectrum, s), (entry.name, s)
+    assert certified == LOW_RANK_CERTIFIED[seed]
+
+
+@pytest.mark.parametrize("kind", list(NormKind))
+def test_low_rank_count_refuses_an_eigenvalue_on_the_circle(kind):
+    s, dim = 1.5, 16
+    k = np.zeros((dim, dim), dtype=complex)
+    k[0, 0] = s
+    l0 = np.zeros_like(k)
+    assert low_rank_count_outside(l0, k, 0.0, 1, kind, s) is None
+    # just off the circle the same model is counted
+    assert low_rank_count_outside(l0, k, 0.0, 1, kind, 0.9 * s) == 1
+    assert low_rank_count_outside(l0, k, 0.0, 1, kind, 1.1 * s) == 0
+
+
+def test_low_rank_count_needs_the_circle_outside_the_base():
+    l0 = 0.5 * np.eye(12, dtype=complex)
+    k = np.zeros_like(l0)
+    for s in (0.5, 0.25, math.nan, math.inf):
+        assert low_rank_count_outside(l0, k, 0.5, 0, NormKind.L2, s) is None
