@@ -67,10 +67,16 @@ _TAIL = 2.0 ** -40          # tail bound below which the series is cut
 _MIN_SAMPLES = 64
 _MAX_SAMPLES = 1 << 12
 _U = float(np.finfo(float).eps)
+# The kernel's cost model, in nanoseconds measured in-process on a 2-CPU x86-64
+# VM (numpy 2.4 with OpenBLAS; the table is in BENCH_16.json): the dense
+# eigensolve it replaces takes about 2.5 dim^3 + 1000 dim^2, the sketch
+# 25 dim^2 + 2e5, a series term 0.25 dim^2 width + 8e4, and a circle sample
+# width^2 times 250, or 1000 on l2, whose norms take small SVDs.
+_NS_SAMPLE = {NormKind.L1: 250.0, NormKind.L2: 1000.0, NormKind.LINF: 250.0}
 
 
 def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,
-                           s: float) -> int | None:
+                           s: float, budget: float = math.inf) -> int | None:
     """Certified number of eigenvalues of l0 + k outside |lambda| = s, or None.
 
     For s > ||l0|| and K = Q B + E with Q of width r = rank + 4,
@@ -91,8 +97,13 @@ def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,
     Numer. Math. 1988), and
     rho ||E|| (1 + rho ||Q|| ||B|| max_j ||F(lam_j)^{-1}|| / (1 - delta_j)) < 1,
     so that no eigenvalue crosses the circle as E is switched on. M starts
-    at 64 and doubles up to 4096. In every other case, among them a series
-    that needs more than 256 terms, the answer is None, never a guess.
+    at 64 and grows, at least doubling, to what the worst sample asks for.
+    budget caps the modelled work as a multiple of the dense eigensolve's:
+    before the sketch, each series term and each round of samples, the
+    answer is None if the step would pass it, or if the series needs more
+    than 256 terms or the circle more than 4096 samples. In every such
+    case, as whenever the certificate fails, the answer is None, never a
+    guess.
     """
     dim = l0.shape[0]
     width = rank + _SKETCH_OVERSAMPLE
@@ -107,14 +118,20 @@ def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,
     with np.errstate(all="ignore"):
         try:
             return _sketched_winding(l0 * scale, k * scale, norm_l0 * scale,
-                                     width, kind, s)
+                                     width, kind, s, budget)
         except (MatrixError, EigenvalueError, np.linalg.LinAlgError):
             return None  # a non-finite intermediate, or a factorization failed
 
 
-def _sketched_winding(l0, k, norm_l0, width, kind, s):
+def _sketched_winding(l0, k, norm_l0, width, kind, s, budget):
     # low_rank_count_outside on the scaled problem, s near 1; k is a copy it may overwrite
     dim = l0.shape[0]
+    allowance = budget * (2.5 * dim + 1e3) * dim * dim
+    term_cost = 0.25 * dim * dim * width + 8e4
+    sample_cost = _NS_SAMPLE[kind] * width * width
+    spent = 25.0 * dim * dim + 2e5 + term_cost  # the sketch and the first term
+    if not spent + _MIN_SAMPLES * sample_cost <= allowance:  # a NaN budget too
+        return None
     tiny = dim * float(np.finfo(float).smallest_subnormal)  # underflow in scaling
     # a dim-term dot product errs by about dim u per entry, and an entrywise
     # bound costs at most another factor dim in an induced norm
@@ -146,7 +163,9 @@ def _sketched_winding(l0, k, norm_l0, width, kind, s):
         tail = norm_b * induced_norm(p, kind) * rho
         if tail <= _TAIL:
             break
-        if len(coeffs) > _MAX_TERMS or not math.isfinite(tail):
+        spent += term_cost
+        if (len(coeffs) > _MAX_TERMS or not math.isfinite(tail)
+                or not spent + _MIN_SAMPLES * sample_cost <= allowance):
             return None
     coeffs = np.asarray(coeffs)
     weights = induced_norm(coeffs[1:], kind)
@@ -161,28 +180,36 @@ def _sketched_winding(l0, k, norm_l0, width, kind, s):
 
     samples = _MIN_SAMPLES
     while True:
+        spent += samples * sample_cost
         folded = np.zeros((samples, width, width), dtype=complex)
         for start in range(0, len(coeffs), samples):
             chunk = coeffs[start:start + samples]
             folded[:len(chunk)] += chunk
         f = identity - np.fft.fft(folded, axis=0)
         inv = np.linalg.inv(f)
-        # ||F^{-1}|| <= ||X|| / (1 - ||I - F X||) for the computed inverse X
-        slack = 1.0 - induced_norm(identity - f @ inv, kind)
+        # ||F^{-1}|| <= ||X|| / (1 - ||I - F X||) for the computed inverse X;
+        # the computed residual errs by at most width^2 u ||F|| ||X||, and
+        # ||F|| <= 1 + total, with the same factor width^2 as gamma
+        inv_norms = induced_norm(inv, kind)
+        slack = 1.0 - (induced_norm(identity - f @ inv, kind)
+                       + 4.0 * _U * width * width * (1.0 + total) * inv_norms)
         if not np.all(slack > 0.5):
             return None
-        inv_norms = induced_norm(inv, kind) / slack
+        inv_norms = inv_norms / slack
         sample_tau = tau + 4.0 * _U * (width + math.log2(samples)) * (1.0 + total)
         step = deriv * 2.0 * math.pi * s / samples
         delta = inv_norms * (step + sample_tau)
         if float(np.max(delta)) < limit:
             break
         worst = float(np.max(inv_norms))
-        if worst * sample_tau >= limit or samples >= _MAX_SAMPLES:
+        if worst * sample_tau >= limit:
             return None  # finer sampling cannot certify this circle
-        # the spacing the worst sample so far asks for, at least twice as fine
+        # the spacing the worst sample so far asks for, at least twice as fine;
+        # a finer grid keeps these samples, so it can only ask for more
         wanted = 2.0 * math.pi * s * deriv * worst / (limit - worst * sample_tau)
-        samples = min(_MAX_SAMPLES, max(2 * samples, 1 << math.ceil(math.log2(wanted))))
+        samples = max(2 * samples, 1 << math.ceil(math.log2(wanted)))
+        if samples > _MAX_SAMPLES or not spent + samples * sample_cost <= allowance:
+            return None
 
     if not (rho * norm_e * (1.0 + rho * norm_q * norm_b
                             * float(np.max(inv_norms / (1.0 - delta)))) < 1.0):

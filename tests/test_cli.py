@@ -506,7 +506,7 @@ def test_bound_counts_a_low_rank_model_without_an_eigensolve(capsys, tmp_path,
     assert eigvals_calls == []
     assert json.loads(out)["results"]["oracle_count"] == 2
     # the eigensolve fallback prints the same bytes
-    monkeypatch.setattr("eigencount.bounds.low_rank_count_outside", lambda *args: None)
+    monkeypatch.setattr("eigencount.bounds.low_rank_count_outside", lambda *args, **kwargs: None)
     assert _run(capsys, *argv)[:2] == (0, out)
     assert len(eigvals_calls) == 1
 
