@@ -164,8 +164,8 @@ KOENIG_FACTOR = 2.0  # times (2e)^{p/2}; see koenig_check
 
 def koenig_constant(p: float) -> float:
     """2 (2e)^{p/2}: the constant tying eigenvalue p-sums to alpha p-sums."""
-    if p <= 0:
-        raise ValueError(f"exponent must be positive, got {p}")
+    if not (0.0 < p < math.inf):
+        raise ValueError(f"exponent must be positive and finite, got {p}")
     return KOENIG_FACTOR * (2.0 * math.e) ** (p / 2.0)
 
 
@@ -176,8 +176,8 @@ def koenig_check(k_matrix, p: float) -> tuple[float, float]:
     2 (2e)^{p/2} sum_j sigma_j^p. The inequality lhs <= rhs holds for
     every p > 0.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not (0.0 < p < math.inf):
+        raise ValueError(f"p must be positive and finite, got {p}")
     m = as_matrix(k_matrix)
     spec = eigenvalues(m)
     cutoff = cluster_radius(m)

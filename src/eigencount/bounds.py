@@ -490,8 +490,8 @@ def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:
     Needs q > p + 1 when L0 is nonzero; q > p suffices for L0 = 0, where
     the bound is q C_p a ||K||^{q-p}/(q-p) sum_j alpha_j^p.
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    if not (0.0 < p < math.inf):
+        raise AdmissibilityError(f"p must be positive and finite, got {p}")
     if not math.isfinite(q):
         raise AdmissibilityError(f"moment exponent q must be finite, got {q}")
     prep = _as_prepared(model)

@@ -14,10 +14,11 @@ angle derivative is r^n sin(theta) (U_{n-1}(c) - r U_{n-2}(c)) / |1 - lam|^2,
 c = cos theta, U the Chebyshev polynomials of the second kind. By
 c U_k = (U_{k+1} + U_{k-1}) / 2 its zeros c are the eigenvalues of the
 (n-1) x (n-1) Jacobi matrix with 1/2 off the diagonal and diagonal
-(0, ..., 0, r/2), besides theta = 0 and pi. A grid of 128n + 1 angles is
-evaluated too: near r = 0 rounding decides the maximum, and the reported
-Gamma_p rest on the grid (without it Gamma_2 moves from 0.5000021 to
-0.5000000077).
+(0, ..., 0, r/2), besides theta = 0 and pi; the maximum is taken over
+these n + 1 angles alone. Gamma_2 comes out as 0.5000000077, above the
+exact 1/2 (the circle maximum is r^2 / 2 for 0 < r < 2) by rounding near
+r = 0: at the critical angle |1 - lam| = 1, and log|1 - lam| carries an
+error of about one ulp of 1, which at r_star = 1.7e-4 is 7.7e-9 r^2.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class GammaP:
     r_star: float = float("nan")  # radius where the envelope ratio peaks
 
     def __post_init__(self):
-        if not (self.p > 0):  # a NaN p fails this too
-            raise AdmissibilityError(f"p must be positive, got {self.p}")
+        if not (0.0 < self.p < math.inf):
+            raise AdmissibilityError(f"p must be positive and finite, got {self.p}")
         if not (self.value >= 1e-3):
             raise AdmissibilityError(
                 f"gamma constant {self.value} is implausibly small (< 1e-3)")
@@ -129,37 +130,24 @@ def scalar_factor_log(lam: complex, n: int) -> float:
 # --- certified scalar envelope -------------------------------------------
 
 
-_RADII_PER_BLOCK = 256  # radii evaluated together; bounds the 256 x (128n+1) temporaries
+_RADII_PER_BLOCK = 256  # radii evaluated together; bounds the 256 x (n-1)^2 Jacobi stacks
 
 
-def _angles(n: int, theta) -> tuple:
-    # e^{i theta} and cos(j theta) for 1 <= j < n, what _factor_log_abs reads
-    return np.exp(1j * theta), tuple(np.cos(j * theta) for j in range(1, n))
-
-
-@lru_cache(maxsize=None)  # one entry per order; gamma_p_upper admits n <= 41
-def _circle_tables(n: int) -> tuple:
-    # _angles of the angle grid of order n on [0, pi]
-    return _angles(n, np.linspace(0.0, math.pi, 128 * n + 1))
-
-
-def _factor_log_abs(r, angles, coefs) -> np.ndarray:
+def _factor_log_abs(r, theta, coefs) -> np.ndarray:
     # log|(1-lam) exp(sum_{j<n} lam^j/j)| at lam = r e^{i theta}, with
-    # angles = _angles(n, theta) and coefs[j-1] = r^j / j; r, theta and
-    # the coefs broadcast together
-    unit, cosines = angles
-    val = np.log(np.abs(1.0 - r * unit))
-    for coef, cos in zip(coefs, cosines):
-        val += coef * cos
+    # coefs[j-1] = r^j / j; r, theta and the coefs broadcast together
+    val = np.log(np.abs(1.0 - r * np.exp(1j * theta)))
+    for j, coef in enumerate(coefs, start=1):
+        val += coef * np.cos(j * theta)
     return val
 
 
 def _circle_log_max(n: int, radii: np.ndarray) -> np.ndarray:
     # Largest log|(1-lam) exp(sum_{j<n} lam^j/j)| over |lam| = r for every
-    # r >= 0 in radii, over the angle grid and the critical angles of the
-    # module docstring (a cosine outside [-1, 1] clips to 0 or pi, in the
-    # grid). r^j / j and log1p stay Python scalar operations, whose numpy
-    # counterparts round differently.
+    # r >= 0 in radii, over theta = 0, pi and the critical angles of the
+    # module docstring (a cosine outside [-1, 1] clips to 0 or pi). r^j / j
+    # and log1p stay Python scalar operations, whose numpy counterparts
+    # round differently.
     if n == 1:
         return np.array([math.log1p(float(r)) for r in radii])
     out = np.empty(len(radii))
@@ -169,15 +157,15 @@ def _circle_log_max(n: int, radii: np.ndarray) -> np.ndarray:
         jacobi = np.zeros((len(r), n - 1, n - 1))
         jacobi[:, k + 1, k] = jacobi[:, k, k + 1] = 0.5  # eigvalsh reads the lower triangle
         jacobi[:, -1, -1] = 0.5 * r
-        theta = np.arccos(np.clip(np.linalg.eigvalsh(jacobi), -1.0, 1.0))
+        theta = np.zeros((len(r), n + 1))
+        theta[:, 1:-1] = np.arccos(np.clip(np.linalg.eigvalsh(jacobi), -1.0, 1.0))
+        theta[:, -1] = math.pi
         coefs = [np.array([x ** j / j for x in r.tolist()])[:, None] for j in range(1, n)]
-        out[start:start + len(r)] = np.maximum(
-            np.max(_factor_log_abs(r[:, None], _circle_tables(n), coefs), axis=1),
-            np.max(_factor_log_abs(r[:, None], _angles(n, theta), coefs), axis=1))
+        out[start:start + len(r)] = np.max(_factor_log_abs(r[:, None], theta, coefs), axis=1)
     return out
 
 
-@lru_cache(maxsize=None)  # one entry per order, like _circle_tables
+@lru_cache(maxsize=None)  # one entry per order
 def _grid_envelope(n: int) -> tuple[np.ndarray, np.ndarray]:
     # gamma_p_upper's radius grid and _circle_log_max on it; exponents
     # of one order n = ceil(p) share both
@@ -306,8 +294,8 @@ def perturbation_determinant(l, f, lam, p: float) -> DetSample:
     offending lam otherwise tells the caller to move the point or shrink
     the region).
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    if not (0.0 < p < math.inf):
+        raise AdmissibilityError(f"p must be positive and finite, got {p}")
     l = as_matrix(l)
     left, right = _factor_pair(f, l.shape[0])
     lams = _points(lam)
@@ -341,8 +329,8 @@ def det_bound_rhs(prep, f, lam, p: float, n_rank: int):
     the second at every lam. F = left @ right.T is the factor pair f of
     perturbation_determinant; a 1-D array lam gives one exponent per point.
     """
-    if p <= 0:
-        raise AdmissibilityError(f"p must be positive, got {p}")
+    if not (0.0 < p < math.inf):
+        raise AdmissibilityError(f"p must be positive and finite, got {p}")
     if n_rank < 0:
         raise AdmissibilityError(f"N must be non-negative, got {n_rank}")
     left, right = _factor_pair(f, prep.k.shape[0])

@@ -317,14 +317,19 @@ def winding_from_samples(values: Sequence[complex]) -> int:
     The samples must already be fine enough that consecutive phase steps
     stay below pi/2; otherwise the count would be a guess and a
     ContourError is raised instead (use winding_count to refine
-    adaptively). The first sample is also the last; passing an explicitly
-    closed list (first == last) is accepted too.
+    adaptively), as it is for a non-finite sample. The first sample is
+    also the last; passing an explicitly closed list (first == last) is
+    accepted too.
     """
     vals = np.asarray(list(values), dtype=complex)
     if len(vals) >= 2 and vals[0] == vals[-1]:
         vals = vals[:-1]
     if len(vals) < 4:
         raise ContourError("need at least 4 distinct contour samples")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        j = int(bad[0])
+        raise ContourError(f"contour sample {j} is {complex(vals[j])}, not finite")
     if np.min(np.abs(vals)) <= DEFAULT.contour_min_modulus:
         raise ContourError(
             f"contour passes within {DEFAULT.contour_min_modulus} of a zero; "
@@ -360,7 +365,8 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], center: complex,
     grid of 64 points, then once per round on the midpoints of every arc
     whose phase step reaches pi/2, until all steps are fine or the budget
     of 65536 points runs out (then a ContourError reports the failure
-    rather than guessing).
+    rather than guessing, as it does for a value that is not finite or
+    near zero).
     """
     if not (cmath.isfinite(center) and math.isfinite(radius)):
         raise ValueError(
@@ -371,6 +377,11 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], center: complex,
     def sample(thetas: np.ndarray) -> np.ndarray:
         values = _values_at(
             fn, center + radius * (np.cos(thetas) + 1j * np.sin(thetas))).astype(complex)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            j = int(bad[0])
+            raise ContourError(
+                f"contour value {complex(values[j])} at angle {thetas[j]:.6f} is not finite")
         small = np.flatnonzero(np.abs(values) <= DEFAULT.contour_min_modulus)
         if len(small):
             j = int(small[0])

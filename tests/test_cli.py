@@ -50,16 +50,25 @@ def test_bound_json_report(capsys, spec_path):
     assert "wall_time_s=" in err
 
 
+_SPEC = "specs/shift_rank_one.json"
+
+
 @pytest.mark.parametrize("golden, argv", [
-    ("bound_p1_s1.5.json", ("--p", "1", "--s", "1.5")),
-    ("bound_p1_s1.5.csv", ("--p", "1", "--s", "1.5", "--format", "csv")),
-    ("bound_p1_point2.json", ("--p", "1", "--point", "2,0")),
+    ("bound_p1_s1.5.json", ("bound", _SPEC, "--p", "1", "--s", "1.5")),
+    ("bound_p1_s1.5.csv", ("bound", _SPEC, "--p", "1", "--s", "1.5", "--format", "csv")),
+    ("bound_p1_point2.json", ("bound", _SPEC, "--p", "1", "--point", "2,0")),
+    ("gamma_p0.5.txt", ("gamma", "--p", "0.5")),
+    ("gamma_p2.txt", ("gamma", "--p", "2")),
+    ("gamma_p3.txt", ("gamma", "--p", "3")),
+    ("oracle_s1.2_q2.json", ("oracle", _SPEC, "--s", "1.2", "--q", "2")),
 ])
-def test_bound_stdout_matches_the_golden_file(capsys, monkeypatch, golden, argv):
-    # the report echoes the spec path, so it runs from the repo root with
+def test_stdout_matches_the_golden_file(capsys, monkeypatch, golden, argv):
+    # a report echoes the spec path, so it runs from the repo root with
     # the relative path the golden files were made with
     monkeypatch.chdir(ROOT)
-    code, out, _ = _run(capsys, "bound", "specs/shift_rank_one.json", *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert out == (ROOT / "tests" / "golden" / golden).read_text()
 

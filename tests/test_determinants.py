@@ -18,6 +18,8 @@ from eigencount import (
     eigenvalues,
     gamma_p_upper,
     induced_norm,
+    koenig_check,
+    koenig_constant,
     materialize,
     perturbation_determinant,
     prepare,
@@ -92,7 +94,7 @@ def test_gamma_regression_pins():
     assert gamma_p_upper(3.0).value == pytest.approx(0.57894, abs=5e-4)
 
 
-# float.hex of (value, r_star), frozen from the scalar grid evaluation
+# float.hex of (value, r_star): circle maxima over theta = 0, pi and the critical angles
 GAMMA_HEX = {
     0.1: ("0x1.d6e3485f30764p+1", "0x1.57fdd9d63d0bcp+14"),
     0.25: ("0x1.7a861f5238c76p+0", "0x1.8b7b66262a746p+5"),
@@ -101,12 +103,15 @@ GAMMA_HEX = {
     1.0: ("0x1.0000000000000p+0", "0x0.0p+0"),
     1.25: ("0x1.df2f557d5dd77p-1", "0x1.731781edc06c0p+1"),
     1.5: ("0x1.78d4824e099a9p-1", "0x1.33ca35f081fbbp+1"),
-    2.0: ("0x1.0000477631c7bp-1", "0x1.1dd872ed91fd0p-18"),
+    2.0: ("0x1.00000041e4342p-1", "0x1.64d22fbf1fe38p-13"),
     2.5: ("0x1.7ae1d58aeefbcp-1", "0x1.b4bdd70af33ccp+0"),
     3.0: ("0x1.286b7db040b49p-1", "0x1.9364ff1b07682p+0"),
     4.0: ("0x1.3d003c55f8a0ap-1", "0x1.675e68c2dde31p+0"),
     5.0: ("0x1.497572ee4b57cp-1", "0x1.4f916d0ed2230p+0"),
     7.5: ("0x1.7bedb5179dac7p-1", "0x1.325112bdec015p+0"),
+    10.0: ("0x1.629bcfa3206b6p-1", "0x1.24f6625c729b1p+0"),
+    20.0: ("0x1.6f4c14441cf02p-1", "0x1.11d7bfee3887fp+0"),
+    40.0: ("0x1.75ab5d157f7e4p-1", "0x1.08c4ed8571020p+0"),
 }
 
 
@@ -114,6 +119,12 @@ GAMMA_HEX = {
 def test_gamma_is_bit_stable(p):
     gamma = gamma_p_upper(p)
     assert (gamma.value.hex(), gamma.r_star.hex()) == GAMMA_HEX[p]
+
+
+def test_gamma_two_is_just_above_one_half():
+    # the circle maximum is r^2 / 2 exactly for 0 < r < 2; rounding of
+    # log|1 - lam| near r = 0 is all that lifts Gamma_2 above 1/2
+    assert 0.5 < gamma_p_upper(2.0).value <= 0.5 + 1e-8
 
 
 @pytest.mark.parametrize("p", [0.01, 0.05, 0.07188, 0.0723])
@@ -179,8 +190,8 @@ def test_circle_maximum_matches_a_40_digit_reference(n):
 def test_order_two_circle_maximum_is_half_the_squared_radius():
     # at cos theta = r / 2, |1 - lam| = 1 and the factor log is r^2 / 2 exactly;
     # log|1 - lam| is computed to about one ulp of 1, which ulps of r^2 / 2
-    # cover only from r = 1 on. Past r = 1.99985 the critical angle lies in
-    # the first cell of the angle grid.
+    # cover only from r = 1 on. The radii near 2 put the critical angle
+    # next to theta = 0.
     radii = np.concatenate([np.linspace(0.0, 2.0, 4002)[1:-1],
                             2.0 - np.geomspace(1e-10, 1.5e-4, 40)])
     values = _circle_log_max(2, radii)
@@ -223,9 +234,10 @@ def test_gamma_p_user_supplied_validation():
         GammaP(1.0, 0.0, GammaProvenance.ENVELOPE_CERTIFIED)
 
 
-@pytest.mark.parametrize("p", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.0, -1.0])
 def test_gamma_p_rejects_a_p_that_is_not_positive(p):
-    # NaN <= 0 is false, so a NaN p used to construct, with a NaN c_p
+    # NaN <= 0 is false, so a NaN p used to construct, with a NaN c_p;
+    # an infinite p constructed with an infinite c_p
     with pytest.raises(AdmissibilityError, match="p must be positive"):
         GammaP(p, 1.0, GammaProvenance.ENVELOPE_CERTIFIED)
 
@@ -340,6 +352,23 @@ def test_rank_zero_determinant_is_exactly_one():
     for lam in (3.0 + 0j, 0.0 + 0j):
         sample = perturbation_determinant(l0 + k, (empty, empty), lam, 2.0)
         assert sample.value == 1.0 and sample.log_abs == 0.0
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+@pytest.mark.parametrize("call, error", [
+    (lambda prep, f, p: koenig_constant(p), ValueError),
+    (lambda prep, f, p: koenig_check(np.diag([1.0, 0.5]), p), ValueError),
+    (lambda prep, f, p: perturbation_determinant(prep.l0 + prep.k, f, 3.0 + 0j, p),
+     AdmissibilityError),
+    (lambda prep, f, p: det_bound_rhs(prep, f, 3.0 + 0j, p, 1), AdmissibilityError),
+], ids=["koenig_constant", "koenig_check", "perturbation_determinant", "det_bound_rhs"])
+def test_a_non_finite_p_raises_the_typed_error(call, error, p):
+    # NaN <= 0 and inf <= 0 are false: koenig_check returned (nan, nan) and
+    # (1.0, inf), and perturbation_determinant died in math.ceil
+    model, _ = shift_example(np.array([2.0 + 0j]), 10)
+    l0, k = materialize(model)
+    with pytest.raises(error, match=f"must be positive and finite, got {p}"):
+        call(Prepared(model, l0, k), rank_n_factors(k, 1, model.norm), p)
 
 
 def test_perturbation_determinant_rejects_mismatched_factors():

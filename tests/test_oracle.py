@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ def test_winding_rejects_contour_through_zero():
     fn = lambda lam: lam - 3.0
     with pytest.raises(ContourError):
         winding_count(fn, 0.0, 3.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_a_non_finite_contour_sample_raises_a_contour_error(bad):
+    # a NaN sample used to warn and then die converting NaN to an integer
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContourError, match="sample 1 is .*, not finite"):
+            winding_from_samples([1, bad, 1j, -1, -1j])
+
+        def fn(lam):
+            return np.where(np.abs(lam - 1j) < 1e-9, bad, lam)
+
+        with pytest.raises(ContourError, match=r"at angle 1\.570796 is not finite"):
+            winding_count(fn, 0.0, 1.0)
 
 
 def test_winding_from_samples_rejects_underresolved():
