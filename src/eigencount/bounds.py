@@ -291,7 +291,8 @@ class Prepared:
         eigen_count_outside of the spectrum, so a fallback costs at most
         about 1.5 modelled eigensolves. Measured over dims 24-600
         (BENCH_16.json), the kernel certifies few counts below dim 96 and
-        most from dim 128.
+        most from dim 128; on l2, whose samples cost what l1 and linf
+        samples cost, a sweep of dense low-rank K certifies most from dim 80.
         """
         count = low_rank_count_outside(self.l0, self.k, self.norm_l0, self.alpha.rank,
                                        self.model.norm, s, budget=0.5)

@@ -118,21 +118,45 @@ def _cluster(raw: np.ndarray, radius: float) -> Spectrum:
     return Spectrum(np.asarray(reps, dtype=complex), np.asarray(counts, dtype=int))
 
 
+def _scaled_by_peak(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # each matrix of a complex stack, flattened, times 2^-exponent for the
+    # power of two of its largest real or imaginary part (at least 2^-1020, so
+    # that the scale stays finite). The scaling is exact, and sums of squares of
+    # the result neither overflow (entries past about 1e154) nor underflow.
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    peak = np.max(np.abs(flat.view(np.float64)), axis=1)
+    exponent = np.maximum(np.frexp(peak)[1], -1020)
+    return flat * np.ldexp(1.0, -exponent)[:, None], exponent
+
+
+def _frobenius(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ||.||_F of each matrix of a complex stack as fraction * 2^exponent, the
+    # fraction in [0.5, 1) unless it is 0 or the matrix is not finite. One dot
+    # product per matrix, taken again after _scaled_by_peak where the sum of
+    # squares overflowed or is small enough to have lost terms to underflow.
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1)
+    parts = flat.view(np.float64)
+    squares = np.einsum("ij,ij->i", parts, parts)
+    exponent = np.zeros(len(flat), dtype=int)
+    redo = np.flatnonzero(~((squares >= 2.0 ** -960) & (squares < math.inf)))
+    if len(redo):
+        scaled, exponent[redo] = _scaled_by_peak(flat[redo])
+        parts = scaled.view(np.float64)
+        squares[redo] = np.einsum("ij,ij->i", parts, parts)
+    fraction, shift = np.frexp(np.sqrt(squares))
+    return fraction, exponent + shift
+
+
 def cluster_radius(m) -> float:
     """``DEFAULT.cluster_rtol * ||m||_F``, finite for every finite m.
 
     The Frobenius norm is taken of m scaled by the power of two of its
-    largest entry (at most 2^1020, so that the scale stays finite), which
-    is exact, so that the sum of squares neither overflows (entries past
-    about 1e154) nor underflows.
+    largest real or imaginary part, which is exact, so that it neither
+    overflows nor underflows.
     """
-    m = as_matrix(m)
-    peak = float(np.max(np.abs(m)))
-    if peak == 0.0:
-        return 0.0
-    exponent = max(math.frexp(peak)[1], -1020)
-    scaled = float(np.linalg.norm(m * math.ldexp(1.0, -exponent)))
-    return math.ldexp(DEFAULT.cluster_rtol * scaled, exponent)
+    flat, exponent = _scaled_by_peak(as_matrix(m)[None])
+    scaled = float(np.linalg.norm(flat[0]))
+    return math.ldexp(DEFAULT.cluster_rtol * scaled, int(exponent[0]))
 
 
 def eigenvalues(m) -> Spectrum:
@@ -164,11 +188,8 @@ def _as_matrices(m) -> np.ndarray:
 def singular_values(m) -> np.ndarray:
     """Singular values of m, non-increasing; one row per matrix of a stack.
 
-    m may be rectangular; it has min(rows, cols) singular values."""
+    m may be rectangular, as numpy's SVD takes it: min(rows, cols) values."""
     m = _as_matrices(m)
-    rows, cols = m.shape[-2:]
-    if rows != cols:  # the square triangular factor has the same singular values
-        m = np.linalg.qr(m if rows > cols else np.swapaxes(m, -1, -2), mode="r")
     try:
         return np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -243,14 +264,15 @@ def shifted_solve(m, lam, rhs: np.ndarray) -> np.ndarray:
     solutions is returned; the shifted matrices are built and solved
     point_blocks at a time. The residual ||(lam - m) X - rhs||_F must stay
     below resolvent_rtol times the larger of ||rhs||_F and the condition
-    proxy ||lam - m||_F ||X||_F at every lam; otherwise, or when the solve
-    fails, SingularResolventError names the first such lam.
+    proxy ||lam - m||_F ||X||_F at every lam, and X must be finite; otherwise,
+    or when the solve fails, SingularResolventError names the first such lam.
+    The check runs on power-of-two scaled norms, so it holds at every scale.
     """
     m = as_matrix(m)
     lams = np.asarray(lam, dtype=complex)
     if lams.ndim > 1:
         raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lams.shape}")
-    rhs_norm = float(np.linalg.norm(rhs))
+    rhs_norm = _frobenius(np.asarray(rhs, dtype=complex)[None])
     blocks = list(point_blocks(lams.size, m.shape[0]))
     if len(blocks) == 1:  # one block is returned as solved, without a copy
         x = _solve_block(m, lams.reshape(-1), rhs, rhs_norm)
@@ -261,14 +283,8 @@ def shifted_solve(m, lam, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    # ||.||_F of each matrix of a complex stack, as one dot product per matrix
-    flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-
 def _solve_block(m: np.ndarray, lams: np.ndarray, rhs: np.ndarray,
-                 rhs_norm: float) -> np.ndarray:
+                 rhs_norm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     a = lams[:, None, None] * np.eye(m.shape[0], dtype=complex) - m
     try:
         x = np.linalg.solve(a, rhs)
@@ -281,16 +297,24 @@ def _solve_block(m: np.ndarray, lams: np.ndarray, rhs: np.ndarray,
         raise SingularResolventError(
             f"lambda = {lam} is an eigenvalue; resolvent does not exist", lam=lam
         ) from exc
-    residual = _frobenius(a @ x - rhs)
-    scale = _frobenius(a) * _frobenius(x)
-    allowed = DEFAULT.resolvent_rtol * np.maximum(rhs_norm, scale)
-    bad = np.flatnonzero(residual > allowed)
+    residual, exponent = _frobenius(a @ x - rhs)
+    norm_a, exponent_a = _frobenius(a)
+    norm_x, exponent_x = _frobenius(x)
+    # the allowance in units of 2^exponent: as the fractions lie below 1, a
+    # shift clipped to 900 binades decides the same comparison, and no product
+    # of norms can overflow
+    allowed = DEFAULT.resolvent_rtol * np.maximum(
+        np.ldexp(rhs_norm[0], np.clip(rhs_norm[1] - exponent, -900, 900)),
+        np.ldexp(norm_a * norm_x, np.clip(exponent_a + exponent_x - exponent, -900, 900)))
+    # a NaN residual or a non-finite X fails too
+    bad = np.flatnonzero(~(residual <= allowed) | ~np.isfinite(norm_x))
     if len(bad):
         j = int(bad[0])
         lam = complex(lams[j])
         raise SingularResolventError(
             f"lambda = {lam} is within tolerance of the spectrum "
-            f"(residual {residual[j]:.3e} vs allowed {allowed[j]:.3e})",
+            f"(residual {residual[j]:.3e} vs allowed {allowed[j]:.3e}, "
+            f"in units of 2^{exponent[j]})",
             lam=lam,
         )
     return x

@@ -18,9 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .errors import (AdmissibilityError, ContourError, EigenvalueError, MatrixError,
-                     NormalizationError)
-from .numerics import NormKind, Spectrum, as_matrix, eigenvalues, induced_norm
+from .errors import AdmissibilityError, ContourError, NormalizationError
+from .numerics import NormKind, Spectrum, as_matrix, eigenvalues
 from .operators import OperatorModel, RankOne, Shift, materialize
 
 __all__ = [
@@ -67,12 +66,18 @@ _TAIL = 2.0 ** -40          # tail bound below which the series is cut
 _MIN_SAMPLES = 64
 _MAX_SAMPLES = 1 << 12
 _U = float(np.finfo(float).eps)
-# The kernel's cost model, in nanoseconds measured in-process on a 2-CPU x86-64
-# VM (numpy 2.4 with OpenBLAS; the table is in BENCH_16.json): the dense
-# eigensolve it replaces takes about 2.5 dim^3 + 1000 dim^2, the sketch
-# 25 dim^2 + 2e5, a series term 0.25 dim^2 width + 8e4, and a circle sample
-# width^2 times 250, or 1000 on l2, whose norms take small SVDs.
-_NS_SAMPLE = {NormKind.L1: 250.0, NormKind.L2: 1000.0, NormKind.LINF: 250.0}
+
+
+def _norm_bound(m: np.ndarray, kind: NormKind):
+    # ||m|| induced by kind on l1 and linf, and on l2 the bound sqrt(||m||_1 ||m||_inf)
+    # (Higham 2002, sec. 6.3), which takes no SVD; a stack gives one bound per matrix
+    a = np.abs(m)
+    if kind is NormKind.L1:
+        return np.max(np.sum(a, axis=-2), axis=-1)
+    if kind is NormKind.LINF:
+        return np.max(np.sum(a, axis=-1), axis=-1)
+    return (np.sqrt(np.max(np.sum(a, axis=-2), axis=-1))
+            * np.sqrt(np.max(np.sum(a, axis=-1), axis=-1)))
 
 
 def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,
@@ -87,11 +92,11 @@ def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,
     and E = K - Q B is formed explicitly. All of it runs on the problem
     scaled by the power of two nearest s, which is exact.
 
-    norm_l0 is ||l0|| in the norm of kind, in which every norm here is
-    taken; it is inflated by a rounding allowance. With rho = 1/(s - ||l0||),
-    tau the series tail plus a rounding term, D = sum (k+1)||C_k|| s^{-k-2}
-    (a bound on ||F'|| on the circle) and the sample spacing h = 2 pi s / M,
-    the count is returned only if every sample has
+    norm_l0 is ||l0|| in kind's norm, inflated for rounding; other norms are
+    exact on l1 and linf, and sqrt(||.||_1 ||.||_inf) on l2, with no SVD.
+    With rho = 1/(s - ||l0||), tau the series tail plus a rounding term,
+    D = sum (k+1)||C_k|| s^{-k-2} (a bound on ||F'|| on the circle) and the
+    sample spacing h = 2 pi s / M, the count is returned only if every sample has
     delta_j = ||F(lam_j)^{-1}|| (D h + tau) < sin(pi / (2 r)), so that the
     phase of det F moves by less than pi/2 between samples (Ying & Katz,
     Numer. Math. 1988), and
@@ -119,16 +124,18 @@ def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,
         try:
             return _sketched_winding(l0 * scale, k * scale, norm_l0 * scale,
                                      width, kind, s, budget)
-        except (MatrixError, EigenvalueError, np.linalg.LinAlgError):
-            return None  # a non-finite intermediate, or a factorization failed
+        except np.linalg.LinAlgError:
+            return None  # a factorization failed
 
 
 def _sketched_winding(l0, k, norm_l0, width, kind, s, budget):
     # low_rank_count_outside on the scaled problem, s near 1; k is a copy it may overwrite
+    # costs in ns, measured in-process on a 2-CPU x86-64 VM (numpy 2.4, OpenBLAS;
+    # BENCH_16.json): the eigensolve replaced, the sketch, a series term, a circle sample
     dim = l0.shape[0]
     allowance = budget * (2.5 * dim + 1e3) * dim * dim
     term_cost = 0.25 * dim * dim * width + 8e4
-    sample_cost = _NS_SAMPLE[kind] * width * width
+    sample_cost = 250.0 * width * width  # the same in every norm
     spent = 25.0 * dim * dim + 2e5 + term_cost  # the sketch and the first term
     if not spent + _MIN_SAMPLES * sample_cost <= allowance:  # a NaN budget too
         return None
@@ -145,13 +152,8 @@ def _sketched_winding(l0, k, norm_l0, width, kind, s, budget):
     q, _ = np.linalg.qr(k @ omega)
     b = q.conj().T @ k
     k -= q @ b  # from here on k holds E
-    norm_q, norm_b = induced_norm(q, kind), induced_norm(b, kind)
-    if kind is NormKind.L2:  # sqrt(||E||_1 ||E||_inf) bounds ||E||_2 without its SVD
-        norm_e = (math.sqrt(induced_norm(k, NormKind.L1))
-                  * math.sqrt(induced_norm(k, NormKind.LINF)))
-    else:
-        norm_e = induced_norm(k, kind)
-    norm_e = norm_e * (1.0 + gamma) + gamma * norm_q * norm_b + 2.0 * tiny
+    norm_q, norm_b = _norm_bound(q, kind), _norm_bound(b, kind)
+    norm_e = _norm_bound(k, kind) * (1.0 + gamma) + gamma * norm_q * norm_b + 2.0 * tiny
     del k
 
     # coeffs[m] = C_{m-1} s^{-m}, with p = (l0 / s)^k Q kept near unit size
@@ -160,7 +162,7 @@ def _sketched_winding(l0, k, norm_l0, width, kind, s, budget):
     while True:
         coeffs.append(b @ p / s)
         p = l0 @ p / s
-        tail = norm_b * induced_norm(p, kind) * rho
+        tail = norm_b * _norm_bound(p, kind) * rho
         if tail <= _TAIL:
             break
         spent += term_cost
@@ -168,7 +170,7 @@ def _sketched_winding(l0, k, norm_l0, width, kind, s, budget):
                 or not spent + _MIN_SAMPLES * sample_cost <= allowance):
             return None
     coeffs = np.asarray(coeffs)
-    weights = induced_norm(coeffs[1:], kind)
+    weights = _norm_bound(coeffs[1:], kind)
     total = float(np.sum(weights))
     deriv = float(np.sum(np.arange(1, len(weights) + 1) * weights)) / s
     # the computed C_k, their FFT and the LU of each sample carry rounding
@@ -190,8 +192,8 @@ def _sketched_winding(l0, k, norm_l0, width, kind, s, budget):
         # ||F^{-1}|| <= ||X|| / (1 - ||I - F X||) for the computed inverse X;
         # the computed residual errs by at most width^2 u ||F|| ||X||, and
         # ||F|| <= 1 + total, with the same factor width^2 as gamma
-        inv_norms = induced_norm(inv, kind)
-        slack = 1.0 - (induced_norm(identity - f @ inv, kind)
+        inv_norms = _norm_bound(inv, kind)
+        slack = 1.0 - (_norm_bound(identity - f @ inv, kind)
                        + 4.0 * _U * width * width * (1.0 + total) * inv_norms)
         if not np.all(slack > 0.5):
             return None
@@ -235,7 +237,7 @@ class CountCurve:
     dim: int
 
     def evaluate(self, s: float) -> int:
-        if s < 0:
+        if not (s >= 0):
             raise ValueError(f"radius must be non-negative, got {s}")
         idx = int(np.searchsorted(self.radii, s, side="right")) - 1
         if idx < 0:
@@ -265,13 +267,19 @@ def count_curve(m) -> CountCurve:
     return CountCurve(np.asarray(radii), np.asarray(counts, dtype=int), spec.dim)
 
 
+def _check_moment(base: float, q: float) -> None:
+    if not math.isfinite(base):
+        raise ValueError(f"moment base must be finite, got {base}")
+    if not (0.0 < q < math.inf):
+        raise ValueError(f"moment exponent must be positive and finite, got {q}")
+
+
 def moment_sum(m, base: float, q: float) -> float:
     """sum over |lambda| > base of (|lambda| - base)^q, with multiplicity.
 
     m is a matrix or its Spectrum.
     """
-    if not (0.0 < q < math.inf):
-        raise ValueError(f"moment exponent must be positive and finite, got {q}")
+    _check_moment(base, q)
     spec = _spectrum(m)
     total = 0.0
     for lam, mult in zip(spec.values, spec.multiplicities):
@@ -288,8 +296,7 @@ def moment_from_curve(curve: CountCurve, base: float, q: float) -> float:
     count * ((hi - base)^q - (lo - base)^q); the identity with moment_sum
     is exact up to rounding.
     """
-    if not (0.0 < q < math.inf):
-        raise ValueError(f"moment exponent must be positive and finite, got {q}")
+    _check_moment(base, q)
     total = 0.0
     for i in range(len(curve.radii)):
         lo = max(float(curve.radii[i]), base)

@@ -16,6 +16,7 @@ from eigencount import (
     induced_norm,
     numerical_rank,
     resolvent,
+    resolvent_norms,
     singular_values,
 )
 from eigencount.errors import MatrixError
@@ -104,6 +105,32 @@ def test_resolvent_residual_check_near_spectrum():
     m = np.diag([1.0, 2.0]).astype(complex)
     with pytest.raises(SingularResolventError):
         resolvent(m, 2.0 + 1e-16)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -3, 520, 1000])
+def test_resolvent_is_exact_under_power_of_two_scaling(exponent):
+    # the residual check multiplied ||lam - m||_F by ||X||_F, 0 * inf or inf
+    # at these scales, and so accepted any solve
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    expected = resolvent(m, 4 + 1j) * 2.0 ** -exponent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = resolvent(m * 2.0 ** exponent, (4 + 1j) * 2.0 ** exponent)
+    assert np.array_equal(scaled, expected)
+
+
+def test_a_resolvent_that_overflows_names_lambda():
+    # 1 / (lam - 2^-1000 * 2) overflows; the inf and NaN it left used to pass
+    m = np.diag([1.0, 2.0]).astype(complex) * 2.0 ** -1000
+    lam = np.nextafter(2.0, 3.0) * 2.0 ** -1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularResolventError) as info:
+            resolvent(m, lam)
+        assert info.value.lam == lam
+        with pytest.raises(SingularResolventError, match="lambda = "):
+            resolvent_norms(m, [lam], NormKind.L2)
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (7, 1), (1, 4), (4, 5, 3)])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from eigencount import (
     ContourError,
     NormKind,
+    OperatorModel,
     blaschke_divergence_probe,
     count_curve,
     eigen_count_outside,
@@ -19,12 +20,15 @@ from eigencount import (
     materialize,
     moment_from_curve,
     moment_sum,
+    prepare,
     regression_corpus,
     shift_example,
     sweep_radii,
     winding_count,
     winding_from_samples,
 )
+from eigencount.oracle import _norm_bound
+from eigencount.verify import _corpus_base, _corpus_perturbation
 
 
 def test_count_outside_known_diagonal():
@@ -62,6 +66,20 @@ def test_moment_exponent_must_be_finite(q):
         moment_sum(m, 1.0, q)
     with pytest.raises(ValueError, match="finite"):
         moment_from_curve(count_curve(m), 1.0, q)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: eigen_count_outside(m, math.nan),
+    lambda m: count_curve(m).evaluate(math.nan),
+    lambda m: moment_sum(m, math.nan, 2.0),
+    lambda m: moment_sum(m, math.inf, 2.0),
+    lambda m: moment_from_curve(count_curve(m), math.nan, 2.0),
+    lambda m: moment_from_curve(count_curve(m), -math.inf, 2.0),
+], ids=["count", "curve", "moment-nan", "moment-inf", "from-curve-nan", "from-curve-inf"])
+def test_a_nan_radius_or_a_non_finite_base_is_rejected(call):
+    # evaluate(nan) used to count 0 and moment_sum(m, nan, q) to sum 0.0
+    with pytest.raises(ValueError, match="radius must be non-negative|base must be finite"):
+        call(np.diag([3.0, 2.0, 0.5]).astype(complex))
 
 
 def test_oracles_accept_a_spectrum_in_place_of_the_matrix():
@@ -266,8 +284,8 @@ def test_winding_count_rejects_a_non_finite_contour(center, radius):
 
 @pytest.mark.parametrize("seed", (0, 3))
 def test_low_rank_count_equals_the_eigensolve_on_the_corpus(seed):
-    # of the 360 cases (36 models, ten sweep radii each) 350 certify at seed 0
-    # and 354 at seed 3 with numpy 2.4 on OpenBLAS; a case at a threshold of
+    # of the 360 cases (36 models, ten sweep radii each) 348 certify at seed 0
+    # and 352 at seed 3 with numpy 2.4 on OpenBLAS; a case at a threshold of
     # the certificate may move with the LAPACK build, so the count has a floor
     certified = 0
     for entry in regression_corpus(seed):
@@ -324,15 +342,63 @@ def test_low_rank_count_gives_up_when_the_circle_needs_too_many_samples(monkeypa
     assert len(inv_calls) == 1
 
 
-def test_low_rank_count_keeps_to_its_budget(monkeypatch):
-    # a dim-128 dense l2 model with a rank-2 K fits half an eigensolve; a
-    # budget its sketch would exceed returns None before any factorization
+def _dense_l2_model():
+    # dim 128, ||L0||_2 = 0.8 and a rank-2 K: two eigenvalues outside |lambda| = 1.6
     dim, rng = 128, np.random.default_rng(8)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     l0 = 0.8 * g / np.linalg.norm(g, 2)
     u, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
-    k = (u * np.array([2.5, -3.0j])) @ u.conj().T
+    return l0, (u * np.array([2.5, -3.0j])) @ u.conj().T
+
+
+def test_low_rank_count_keeps_to_its_budget(monkeypatch):
+    # the dense l2 model fits half an eigensolve; a budget its sketch would
+    # exceed returns None before any factorization
+    l0, k = _dense_l2_model()
     assert low_rank_count_outside(l0, k, 0.8, 2, NormKind.L2, 1.6, budget=0.5) == 2
     qr_calls = _count_linalg_calls(monkeypatch, "qr")
     assert low_rank_count_outside(l0, k, 0.8, 2, NormKind.L2, 1.6, budget=0.01) is None
     assert qr_calls == []
+
+
+def test_low_rank_count_takes_no_svd_on_l2(monkeypatch):
+    # every norm of the kernel is bounded without an SVD, in l2 too
+    l0, k = _dense_l2_model()
+    svd_calls = _count_linalg_calls(monkeypatch, "svd")
+    assert low_rank_count_outside(l0, k, 0.8, 2, NormKind.L2, 1.6) == 2
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (40, 8), (8, 40), (64, 5, 5), (3, 30, 7)])
+def test_norm_bound_bounds_the_l2_norm(shape):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        exact = np.linalg.norm(m, 2, axis=(-2, -1))
+        assert np.all(_norm_bound(m, NormKind.L2) >= exact)
+        for kind, order in ((NormKind.L1, 1), (NormKind.LINF, np.inf)):
+            expected = np.linalg.norm(m, order, axis=(-2, -1))
+            assert np.array_equal(_norm_bound(m, kind), expected)
+
+
+def test_low_rank_count_equals_the_eigensolve_on_l2_low_rank_models():
+    # no corpus model pairs l2 with a dense low-rank K; 237 of these 360
+    # cases certify on the budget of Prepared.count_outside with numpy 2.4 on
+    # OpenBLAS, and a threshold case may move with the LAPACK build
+    rng = np.random.default_rng(0)
+    certified = 0
+    for dim in (48, 64, 80, 96, 112, 128):
+        for base_kind in (1, 2, 3):  # diagonal, dense and zero bases
+            for rank in (1, 4):
+                base, _ = _corpus_base(rng, base_kind, dim, NormKind.L2)
+                pert, _, _ = _corpus_perturbation(rng, 2, dim, rank, NormKind.L2)
+                prep = prepare(OperatorModel(dim=dim, norm=NormKind.L2, base=base,
+                                             perturbation=pert))
+                for s in sweep_radii(prep.norm_l0, prep.norm_k):
+                    count = low_rank_count_outside(prep.l0, prep.k, prep.norm_l0,
+                                                   prep.alpha.rank, NormKind.L2, s,
+                                                   budget=0.5)
+                    if count is not None:
+                        certified += 1
+                        assert count == eigen_count_outside(prep.spectrum, s), (dim, s)
+    assert certified >= 237
