@@ -22,8 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (NormKind, as_matrix, cluster_radius, eigenvalues,
-                       singular_value_rank, singular_values)
+from .numerics import (NormKind, as_matrix, eigenvalues, singular_value_rank,
+                       singular_values)
 
 __all__ = [
     "Certainty",
@@ -174,16 +174,16 @@ def koenig_check(k_matrix, p: float) -> tuple[float, float]:
 
     lhs = sum over non-zero eigenvalues of |lambda|^p, rhs =
     2 (2e)^{p/2} sum_j sigma_j^p. The inequality lhs <= rhs holds for
-    every p > 0.
+    every p > 0. An eigenvalue counts as non-zero when its cluster lies
+    farther than the spectrum's clustering radius from 0.
     """
     if not (0.0 < p < math.inf):
         raise ValueError(f"p must be positive and finite, got {p}")
     m = as_matrix(k_matrix)
     spec = eigenvalues(m)
-    cutoff = cluster_radius(m)
     lhs = 0.0
     for lam, mult in zip(spec.values, spec.multiplicities):
-        if abs(lam) > cutoff:
+        if abs(lam) > spec.radius:
             lhs += int(mult) * abs(lam) ** p
     sv = singular_values(m)
     rhs = koenig_constant(p) * float(np.sum(sv ** p))

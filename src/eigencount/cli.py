@@ -42,7 +42,6 @@ from .bounds import (
 from .config import DEFAULT
 from .determinants import GammaProvenance, gamma_p_upper
 from .errors import EigencountError, SpecFormatError
-from .numerics import cluster_radius
 from .operators import Zero, _decode_json, parse_spec
 from .oracle import (
     blaschke_divergence_probe,
@@ -236,9 +235,10 @@ def _cmd_bound(args) -> int:
 
     if args.point is None:
         oracle = prep.count_outside(args.s)
-    else:  # the multiplicity of the point, to the clustering radius
-        near = max(DEFAULT.cluster_rtol, cluster_radius(prep.l0 + prep.k))
-        oracle = prep.spectrum.count_where(lambda v: abs(complex(v) - args.point) <= near)
+    else:  # the multiplicity of the point, to the spectrum's clustering radius
+        spec = prep.spectrum
+        oracle = int(np.sum(spec.multiplicities[np.abs(spec.values - args.point)
+                                                <= spec.radius]))
     rows = [r.with_oracle(oracle).to_dict() for r in reports]
     results = {
         "dim": model.dim,

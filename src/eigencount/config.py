@@ -36,8 +36,10 @@ class Tolerances:
     normalization_tol : float
         How far ``|h(0)|`` may sit from 1 in the zero-counting check.
     pair_gap_rtol : float
-        Slack when validating that a supplied rank-N approximant is within
-        its certified distance of the perturbation.
+        Slack, relative to ``||K||``, when validating that a supplied rank-N
+        approximant F is within its certified distance of the perturbation:
+        ``||K - F|| <= alpha_{N+1} + pair_gap_rtol * ||K||``. It scales with
+        K, so the check is the same at every scale.
     """
 
     cluster_rtol: float = 1e-8

@@ -339,7 +339,7 @@ def det_bound_rhs(prep, f, lam, p: float, n_rank: int):
 
     beta = prep.alpha.value_at(n_rank + 1)
     gap = induced_norm(prep.k - left @ right.T, prep.model.norm)
-    if gap > beta + DEFAULT.pair_gap_rtol * max(1.0, prep.norm_k):
+    if gap > beta + DEFAULT.pair_gap_rtol * prep.norm_k:
         raise AdmissibilityError(
             f"||K - F|| = {gap:.6e} exceeds alpha_{n_rank + 1} = {beta:.6e}; "
             "the approximant is not admissible for this N")

@@ -70,16 +70,24 @@ class Spectrum:
 
     ``values[i]`` is the representative of cluster i and carries
     ``multiplicities[i]`` eigenvalues; multiplicities sum to the dimension.
+    ``radius`` is the distance within which eigenvalues were merged:
+    ``cluster_radius(m)`` for the spectrum ``eigenvalues(m)``, 0 for one
+    listed by hand. A count of the eigenvalues at a point, or of the
+    nonzero ones, reads the clusters to this radius.
     """
 
     values: np.ndarray
     multiplicities: np.ndarray
+    radius: float = 0.0
 
     def __post_init__(self):
         if len(self.values) != len(self.multiplicities):
             raise MatrixError("values and multiplicities must align")
         if len(self.values) and int(np.min(self.multiplicities)) < 1:
             raise MatrixError("multiplicities must be positive")
+        if not (0.0 <= self.radius < math.inf):
+            raise MatrixError(f"clustering radius must be finite and non-negative, "
+                              f"got {self.radius}")
 
     @property
     def dim(self) -> int:
@@ -88,12 +96,6 @@ class Spectrum:
     def flat(self) -> np.ndarray:
         """All eigenvalues, each repeated by its multiplicity."""
         return np.repeat(self.values, self.multiplicities)
-
-    def count_where(self, mask) -> int:
-        """Total multiplicity of clusters whose representative passes mask."""
-        keep = np.fromiter((bool(mask(v)) for v in self.values), dtype=bool,
-                           count=len(self.values))
-        return int(np.sum(self.multiplicities[keep]))
 
 
 def _cluster(raw: np.ndarray, radius: float) -> Spectrum:
@@ -115,7 +117,7 @@ def _cluster(raw: np.ndarray, radius: float) -> Spectrum:
         reps.append(lam)
         sums.append(lam)
         counts.append(1)
-    return Spectrum(np.asarray(reps, dtype=complex), np.asarray(counts, dtype=int))
+    return Spectrum(np.asarray(reps, dtype=complex), np.asarray(counts, dtype=int), radius)
 
 
 def _scaled_by_peak(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +166,7 @@ def eigenvalues(m) -> Spectrum:
 
     The raw eigenvalues come from the dense LAPACK solver; values closer
     than cluster_radius(m) are merged and reported once with their
-    combined multiplicity.
+    combined multiplicity; the Spectrum keeps that radius.
     """
     m = as_matrix(m)
     try:
@@ -218,13 +220,20 @@ def induced_norm(m, kind: NormKind):
     (k, rows, cols) stack gives the k norms as an array.
     """
     m = _as_matrices(m)
-    if kind is NormKind.L1:
-        norms = np.max(np.sum(np.abs(m), axis=-2), axis=-1)
-    elif kind is NormKind.LINF:
-        norms = np.max(np.sum(np.abs(m), axis=-1), axis=-1)
-    else:
-        norms = singular_values(m)[..., 0]
+    norms = singular_values(m)[..., 0] if kind is NormKind.L2 else _norm_bound(m, kind)
     return float(norms) if m.ndim == 2 else norms
+
+
+def _norm_bound(m: np.ndarray, kind: NormKind):
+    # ||m|| induced by kind on l1 and linf, and on l2 the bound sqrt(||m||_1 ||m||_inf)
+    # (Higham 2002, sec. 6.3), which takes no SVD; a stack gives one bound per matrix
+    a = np.abs(m)
+    if kind is NormKind.L1:
+        return np.max(np.sum(a, axis=-2), axis=-1)
+    if kind is NormKind.LINF:
+        return np.max(np.sum(a, axis=-1), axis=-1)
+    return (np.sqrt(np.max(np.sum(a, axis=-2), axis=-1))
+            * np.sqrt(np.max(np.sum(a, axis=-1), axis=-1)))
 
 
 def point_blocks(count: int, dim: int):

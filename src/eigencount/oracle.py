@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import AdmissibilityError, ContourError, NormalizationError
-from .numerics import NormKind, Spectrum, as_matrix, eigenvalues
+from .numerics import NormKind, Spectrum, _norm_bound, as_matrix, eigenvalues
 from .operators import OperatorModel, RankOne, Shift, materialize
 
 __all__ = [
@@ -56,7 +56,8 @@ def eigen_count_outside(m, s: float) -> int:
     """
     if not (s >= 0):
         raise ValueError(f"radius must be non-negative, got {s}")
-    return _spectrum(m).count_where(lambda lam: abs(lam) > s)
+    spec = _spectrum(m)
+    return int(np.sum(spec.multiplicities[np.abs(spec.values) > s]))
 
 
 _SKETCH_OVERSAMPLE = 4      # sketch columns beyond the numerical rank of K
@@ -66,18 +67,6 @@ _TAIL = 2.0 ** -40          # tail bound below which the series is cut
 _MIN_SAMPLES = 64
 _MAX_SAMPLES = 1 << 12
 _U = float(np.finfo(float).eps)
-
-
-def _norm_bound(m: np.ndarray, kind: NormKind):
-    # ||m|| induced by kind on l1 and linf, and on l2 the bound sqrt(||m||_1 ||m||_inf)
-    # (Higham 2002, sec. 6.3), which takes no SVD; a stack gives one bound per matrix
-    a = np.abs(m)
-    if kind is NormKind.L1:
-        return np.max(np.sum(a, axis=-2), axis=-1)
-    if kind is NormKind.LINF:
-        return np.max(np.sum(a, axis=-1), axis=-1)
-    return (np.sqrt(np.max(np.sum(a, axis=-2), axis=-1))
-            * np.sqrt(np.max(np.sum(a, axis=-1), axis=-1)))
 
 
 def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,

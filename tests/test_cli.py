@@ -19,6 +19,8 @@ from eigencount import (
     SuiteResult,
     Zero,
     koenig_count_bound,
+    materialize,
+    parse_spec,
     prepare,
     serialize_spec,
 )
@@ -115,6 +117,29 @@ def test_bound_point_target(capsys, spec_path):
     code, out, _ = _run(capsys, "bound", str(spec_path), "--p", "1",
                         "--point", "5,0")
     assert json.loads(out)["results"]["oracle_count"] == 0
+
+
+@pytest.mark.parametrize("exponent", [-40, -1000])
+def test_point_multiplicity_is_exact_under_power_of_two_scaling(capsys, tmp_path,
+                                                               spec_path, exponent):
+    # the shift plus rank-one spec as dense blocks scaled by 2^exponent, which
+    # is exact; an absolute floor of 1e-8 on the clustering radius counted
+    # all 50 eigenvalues at the scaled point 2
+    model = parse_spec(spec_path.read_bytes())
+    scale = 2.0 ** exponent
+    l0, k = materialize(model)
+    doc = tmp_path / "scaled.json"
+    doc.write_text(serialize_spec(OperatorModel(
+        model.dim, model.norm, Dense(l0 * scale), Dense(k * scale))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "bound", str(doc), "--p", "1",
+                              "--point", f"{2.0 * scale!r},0")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["oracle_count"] == 1
+    golden = json.loads((ROOT / "tests" / "golden" / "bound_p1_point2.json").read_text())
+    assert results["bounds"][0]["bound"] == golden["results"]["bounds"][0]["bound"]
 
 
 def test_bound_empirical_mode_adds_uncertified_row(capsys, spec_path):

@@ -5,10 +5,12 @@ import pytest
 
 from eigencount import (
     AdmissibilityError,
+    Dense,
     GammaP,
     GammaProvenance,
     MatrixError,
     NormKind,
+    OperatorModel,
     Prepared,
     SingularResolventError,
     Spectrum,
@@ -27,6 +29,7 @@ from eigencount import (
     resolvent,
     scalar_factor_log,
     shift_example,
+    Zero,
 )
 from eigencount import determinants
 from eigencount.determinants import _circle_log_max
@@ -295,6 +298,25 @@ def test_det_bound_rhs_rejects_oversized_gap(materialized):
     with pytest.raises(AdmissibilityError):
         # claim rank dim: allowed gap is alpha_{dim+1} = 0 < ||K||
         det_bound_rhs(prep, f, t + 0j, 1.0, k.shape[0])
+
+
+@pytest.mark.parametrize("exponent", [-40, 0, 40])
+def test_det_bound_rhs_gap_check_is_scale_free(exponent):
+    # K has singular values 1 and 0.7; F is rank 1 with ||K - F|| = 2.02, far
+    # above alpha_2 = 0.7. An absolute floor of 1e-9 on the slack let this F
+    # through once K was scaled below about 1e-9.
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2)))
+    scale = 2.0 ** exponent
+    k = scale * (u * [1.0, 0.7]) @ v.conj().T
+    prep = prepare(OperatorModel(12, NormKind.L2, Zero(), Dense(k)))
+    lam = 2.0 * scale + 0j
+    bad = (-1.02 * scale * u[:, :1], v[:, :1].conj())
+    assert induced_norm(k - bad[0] @ bad[1].T, NormKind.L2) == pytest.approx(2.02 * scale)
+    with pytest.raises(AdmissibilityError):
+        det_bound_rhs(prep, bad, lam, 1.0, 1)
+    assert det_bound_rhs(prep, rank_n_factors(k, 1, NormKind.L2), lam, 1.0, 1) > 0.0
 
 
 def _dense_route_log_abs(l, factors, lam, p):

@@ -10,8 +10,10 @@ from eigencount import (
     DEFAULT,
     NormKind,
     SingularResolventError,
+    Spectrum,
     as_matrix,
     cluster_radius,
+    eigen_count_outside,
     eigenvalues,
     induced_norm,
     numerical_rank,
@@ -46,7 +48,10 @@ def test_eigenvalues_exact_diagonal_clusters():
                    for v, c in zip(spec.values, spec.multiplicities))
     assert pairs == [((0.0, 0.0), 1), ((2.0, 0.0), 2), ((3.0, 0.0), 1)]
     assert spec.dim == 4
-    assert spec.count_where(lambda lam: abs(lam) > 1.0) == 3
+    assert eigen_count_outside(spec, 1.0) == 3
+    for radius in (-1.0, math.nan, math.inf):
+        with pytest.raises(MatrixError):
+            Spectrum(spec.values, spec.multiplicities, radius)
 
 
 def test_eigenvalues_flat_preserves_total_multiplicity():
@@ -158,5 +163,6 @@ def test_cluster_radius_is_exact_under_power_of_two_scaling():
             assert cluster_radius(scaled) == math.ldexp(radius, exponent)
             spec = eigenvalues(scaled)
         assert len(spec.values) == 6
+        assert spec.radius == cluster_radius(scaled)
     assert cluster_radius(np.zeros((3, 3))) == 0.0
     assert cluster_radius(np.full((2, 2), 1e-310)) > 0.0  # subnormal entries

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eigencount import (
     ContourError,
+    Dense,
     NormKind,
     OperatorModel,
     blaschke_divergence_probe,
@@ -340,6 +341,65 @@ def test_low_rank_count_gives_up_when_the_circle_needs_too_many_samples(monkeypa
     inv_calls = _count_linalg_calls(monkeypatch, "inv")
     assert low_rank_count_outside(np.zeros_like(k), k, 0.0, 1, kind, s) is None
     assert len(inv_calls) == 1
+
+
+def _unit_entry(dim, value):
+    k = np.zeros((dim, dim), dtype=complex)
+    k[0, 0] = value
+    return k
+
+
+def _give_up_case(name):
+    # (l0, k, rank passed, norm, s, the eigensolve's count outside s)
+    if name == "radius past the normal range":
+        return (np.zeros((16, 16), dtype=complex), _unit_entry(16, 1.0),
+                1, NormKind.L2, 2.0 ** 1010, 0)
+    if name == "circle inside the rounded base norm":
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        l0 = g / np.linalg.norm(g, 2)
+        s = np.linalg.norm(l0, 2) * (1.0 + 1e-14)
+        return l0, _unit_entry(128, 3.0), 1, NormKind.L2, s, 1
+    if name == "rounding term overflows":
+        # a nilpotent base of norm 1 - 1e-12 makes rho^2 about 1e24 against ||B|| = 16e298
+        l0 = np.zeros((16, 16), dtype=complex)
+        l0[-1, -2] = 1.0 - 1e-12
+        k = np.zeros((16, 16), dtype=complex)
+        k[0, :] = 1e298
+        return l0, k, 1, NormKind.L1, 1.0, 1
+    if name == "sample on an eigenvalue":
+        return (np.zeros((16, 16), dtype=complex), _unit_entry(16, 1.5 * (1.0 + 1e-14)),
+                1, NormKind.LINF, 1.5, 1)
+    if name == "circle just outside the base norm":
+        # the shift of norm 1 and s = 1 + 1e-11: rho^2 rounding swamps every sample
+        l0 = np.eye(16, k=-1, dtype=complex)
+        k = np.zeros((16, 16), dtype=complex)
+        k[0, -1] = 0.5
+        return l0, k, 1, NormKind.L1, 1.0 + 1e-11, 0
+    if name == "remainder too large":
+        # rank 2 is passed, but K also holds noise of norm 0.3
+        rng = np.random.default_rng(4)
+        u, _ = np.linalg.qr(rng.standard_normal((160, 2)) + 1j * rng.standard_normal((160, 2)))
+        g = rng.standard_normal((160, 160)) + 1j * rng.standard_normal((160, 160))
+        k = (u * [2.0, 3.0]) @ u.conj().T + 0.3 * g / np.linalg.norm(g, 2)
+        return np.zeros_like(k), k, 2, NormKind.L2, 1.0, 2
+    # the twelve factors 1 - 1.08 of det F at the sample lam = s leave
+    # |det F| = 0.08^12, below the contour's minimum modulus
+    k = np.zeros((32, 32), dtype=complex)
+    k[range(12), range(12)] = 1.08 * 1.5
+    return np.zeros_like(k), k, 12, NormKind.L2, 1.5, 12
+
+
+@pytest.mark.parametrize("name", [
+    "radius past the normal range", "circle inside the rounded base norm",
+    "rounding term overflows", "sample on an eigenvalue",
+    "circle just outside the base norm", "remainder too large",
+    "determinant below the contour modulus"])
+def test_low_rank_count_gives_up_and_the_eigensolve_counts(name):
+    l0, k, rank, kind, s, expected = _give_up_case(name)
+    prep = prepare(OperatorModel(l0.shape[0], kind, Dense(l0), Dense(k)))
+    assert low_rank_count_outside(l0, k, prep.norm_l0, rank, kind, s) is None
+    assert prep.count_outside(s) == eigen_count_outside(prep.spectrum, s) == expected
 
 
 def _dense_l2_model():

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -120,3 +121,23 @@ def test_soundness_sweep_eigensolves_each_model_once(eigvals_calls):
     log = soundness_sweep(seed=0)
     assert log.failure_count == 0
     assert len(eigvals_calls) == len(regression_corpus(seed=0)) == 36
+
+
+def test_failure_records_are_json_safe_and_capped():
+    log = verify._Log()
+    assert log.check(True, value=1.0j)
+    for i in range(12):
+        assert not log.check(
+            False, index=i, lam=complex(i, -1.0), z=np.complex128(2.0 - 0.5j),
+            matrix=np.array([[1.0 + 2.0j, 0.0], [np.float64(3.0), -1.0j]]),
+            norm=NormKind.LINF, pair=(np.int64(i), np.float32(0.5), np.bool_(True)),
+            flag=np.bool_(False), scale=np.float64(0.25))
+    result = log.result("demo")
+    assert (result.checks, result.failure_count, result.ok) == (13, 12, False)
+    assert len(result.failures) == 10
+    for record in result.failures:
+        json.dumps(record)
+    assert result.failures[3] == {
+        "index": 3, "lam": [3.0, -1.0], "z": [2.0, -0.5],
+        "matrix": [[[1.0, 2.0], [0.0, 0.0]], [[3.0, 0.0], [0.0, -1.0]]],
+        "norm": "linf", "pair": [3, 0.5, True], "flag": False, "scale": 0.25}
