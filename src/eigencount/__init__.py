@@ -58,12 +58,14 @@ from .errors import (
     SpecFormatError,
 )
 from .numerics import (
+    LowRankSketch,
     NormKind,
     Spectrum,
     as_matrix,
     cluster_radius,
     eigenvalues,
     induced_norm,
+    low_rank_sketch,
     numerical_rank,
     resolvent,
     resolvent_norms,
@@ -113,7 +115,7 @@ __all__ = [
     # numerics
     "NormKind", "Spectrum", "as_matrix", "cluster_radius", "eigenvalues", "singular_values",
     "induced_norm", "numerical_rank", "singular_value_rank", "resolvent",
-    "resolvent_norms", "shifted_solve",
+    "resolvent_norms", "shifted_solve", "LowRankSketch", "low_rank_sketch",
     # operators
     "OperatorModel", "Shift", "Diagonal", "Dense", "Zero", "RankOne",
     "materialize", "parse_spec", "serialize_spec",

@@ -56,7 +56,8 @@ class ApproxSequence:
     def __post_init__(self):
         if len(self.values) != len(self.certainty):
             raise ValueError("values and certainty must align")
-        slack = 1e-12 * max(1.0, float(self.values[0])) if len(self.values) else 0.0
+        # the slack scales with alpha_1, so the check is the same at every scale
+        slack = 1e-12 * float(self.values[0]) if len(self.values) else 0.0
         if np.any(self.values < 0.0) or np.any(np.diff(self.values) > slack):
             raise ValueError("approximation numbers must be non-negative and non-increasing")
 
@@ -105,7 +106,9 @@ def approx_numbers(m, kind: NormKind, sv: np.ndarray | None = None) -> ApproxSeq
     the entries beyond the numerical rank (numerical_rank's rule, applied
     to the singular values of m) are exactly zero. sv, the singular
     values of m if already computed, spares the one SVD taken here; it is
-    not modified.
+    not modified. sv may also be the stand-ins of a sketch that captured m
+    (LowRankSketch.singular_values, as Prepared passes them), which give the
+    same rank and, on l2, values within the sketch's eta of the SVD's.
     """
     m = as_matrix(m)
     if sv is None:

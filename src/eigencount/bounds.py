@@ -27,7 +27,8 @@ import numpy as np
 from .approx import ApproxSequence, Certainty, approx_numbers, koenig_constant
 from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
-from .numerics import Spectrum, eigenvalues, induced_norm, resolvent_norms, singular_values
+from .numerics import (LowRankSketch, Spectrum, eigenvalues, induced_norm,
+                       low_rank_sketch, resolvent_norms, singular_values)
 from .operators import OperatorModel, Zero, materialize
 from .oracle import eigen_count_outside, low_rank_count_outside
 
@@ -241,15 +242,20 @@ def _plain(value):
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """A materialized model whose analysis is computed on first use, then kept:
-    ||L0||, the singular values and alpha sequence of K, and the spectrum of L.
+    ||L0||, a sketch and the singular values and alpha sequence of K, and the
+    spectrum of L.
 
     Every bound accepts a Prepared in place of an OperatorModel, so one
     analysis serves several bounds and the oracle without repeating work,
     and a caller pays only for the quantities it reads. == is identity.
-    count_outside(s), the oracle count of `bound`, needs no spectrum when
-    the certified winding number of a small determinant, whose size is the
-    numerical rank of K plus 4, costs less than half an eigensolve; the
-    spectrum serves only as the fallback.
+    One sketch K = Q B + E (low_rank_sketch, at widths up to dim / 12) serves
+    both the rank and singular values behind alpha and the oracle count, so a
+    dense K of low numerical rank takes no dim x dim SVD; K takes one only when
+    no such width captures it or the sketch's eta passes the SVD's own error
+    scale. count_outside(s), the oracle count of `bound`,
+    needs no spectrum when the certified winding number of the sketch's small
+    determinant costs less than half an eigensolve; the spectrum serves only as
+    the fallback.
     """
 
     model: OperatorModel
@@ -264,13 +270,21 @@ class Prepared:
         return induced_norm(self.l0, self.model.norm)
 
     @cached_property
+    def sketch(self) -> LowRankSketch | None:
+        """K = 2^e (Q B + E) from low_rank_sketch, or None when it gives none."""
+        return low_rank_sketch(self.k)
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
-        """All singular values of K; alpha zeroes the tail past the rank in its own copy."""
+        """All singular values of K: the sketch's stand-ins, each within its eta,
+        or else the dense SVD's; alpha zeroes the tail past the rank in its own copy."""
+        if self.sketch is not None:
+            return self.sketch.singular_values()
         return singular_values(self.k)
 
     @cached_property
     def alpha(self) -> ApproxSequence:
-        """Approximation numbers of K, read from the one SVD of singular_values."""
+        """Approximation numbers of K, read from singular_values."""
         return approx_numbers(self.k, self.model.norm, self.singular_values)
 
     @property
@@ -286,16 +300,18 @@ class Prepared:
     def count_outside(self, s: float) -> int:
         """Number of eigenvalues of L outside |lambda| = s, with multiplicity.
 
-        This is low_rank_count_outside's certified count, on a budget of
-        half the eigensolve it would replace; where that gives none it is
-        eigen_count_outside of the spectrum, so a fallback costs at most
-        about 1.5 modelled eigensolves. Measured over dims 24-600
-        (BENCH_16.json), the kernel certifies few counts below dim 96 and
-        most from dim 128; on l2, whose samples cost what l1 and linf
-        samples cost, a sweep of dense low-rank K certifies most from dim 80.
+        This is low_rank_count_outside's certified count from the sketch, on a
+        budget of half the eigensolve it would replace; where there is no sketch
+        (below dim 96, or when low_rank_sketch gives none) or the kernel
+        gives none, it is eigen_count_outside of the spectrum, so a fallback
+        costs at most about 1.5 modelled eigensolves. Measured over dims 24-600
+        (BENCH_16.json), the kernel certifies few counts below dim 96 and most
+        from dim 128.
         """
-        count = low_rank_count_outside(self.l0, self.k, self.norm_l0, self.alpha.rank,
-                                       self.model.norm, s, budget=0.5)
+        count = None
+        if self.sketch is not None:
+            count = low_rank_count_outside(self.l0, self.sketch, self.norm_l0,
+                                           self.model.norm, s, budget=0.5)
         if count is None:
             count = eigen_count_outside(self.spectrum, s)
         return count
@@ -467,8 +483,10 @@ def koenig_count_bound(model: OperatorModel | Prepared, p: float,
 
     Valid for L = K (zero base operator); the eigenvalue multiset of a
     matrix does not depend on the ambient norm, so the singular values of
-    K serve whatever norm the model carries. The report has N = dim and
-    phi_value 1; alpha_sum is the singular-value power sum.
+    K serve whatever norm the model carries. With a sketch they are
+    Prepared.singular_values' stand-ins, and every sigma_j past the sketch's
+    width counts as its eta. The report has N = dim and phi_value 1;
+    alpha_sum is the singular-value power sum.
     """
     prep = _as_prepared(model)
     _check_exterior(prep, p, s)

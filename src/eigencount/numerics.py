@@ -4,7 +4,8 @@ A square complex numpy array is read as the matrix of an operator on
 (C^n, ||.||) for one of the three classical vector norms. Eigen- and
 singular-value work is delegated to LAPACK via numpy.linalg; this module
 adds the multiset view of a spectrum (clustered multiplicities), exact
-induced norms, and residual-checked solves, resolvents and resolvent norms.
+induced norms, residual-checked solves, resolvents and resolvent norms, and
+certified low-rank sketches that stand in for the SVD of a low-rank matrix.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "resolvent_norms",
     "shifted_solve",
     "point_blocks",
+    "LowRankSketch",
+    "low_rank_sketch",
 ]
 
 _STACK_BYTES = 1 << 20  # one block of stacked dim x dim complex matrices stays under 1 MB
@@ -64,9 +67,9 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalue multiset of a square matrix.
+    """Eigenvalue multiset of a square matrix; == is identity.
 
     ``values[i]`` is the representative of cluster i and carries
     ``multiplicities[i]`` eigenvalues; multiplicities sum to the dimension.
@@ -234,6 +237,128 @@ def _norm_bound(m: np.ndarray, kind: NormKind):
         return np.max(np.sum(a, axis=-1), axis=-1)
     return (np.sqrt(np.max(np.sum(a, axis=-2), axis=-1))
             * np.sqrt(np.max(np.sum(a, axis=-1), axis=-1)))
+
+
+_SKETCH_SEED = 20140601  # the fixed Gaussian test matrix of the sketch
+_SKETCH_MIN_WIDTH = 8
+_SKETCH_TAIL = 4         # singular values of B at or below the rank threshold
+# low_rank_sketch tries widths up to dim / 12: measured over dims 64-1024
+# (BENCH_20.json sketch_crossover), every width tried then costs at most half the
+# dense SVD it would replace, in total, when none captures the matrix
+_SKETCH_DIM_PER_WIDTH = 12
+_UNIT = 2.0 ** -53       # unit roundoff of binary64
+
+
+def _gamma(n: int) -> float:
+    # gamma_n = n u / (1 - n u), the rounding factor of n floating-point steps
+    return n * _UNIT / (1.0 - n * _UNIT)
+
+
+@dataclass(frozen=True, eq=False)
+class LowRankSketch:
+    """K = 2^exponent (Q B + E) for a square K; == is identity.
+
+    q (dim x w) has orthonormal columns up to rounding and b = Q* K 2^-exponent
+    (w x dim); sv holds the singular values of b, non-increasing. eta is a
+    certified bound on ||E|| in the l1, l2 and linf norms at once, plus
+    ||Q*Q - I|| sigma_1(B) as computed, so that sv[j] lies within eta of
+    sigma_{j+1}(K 2^-exponent): E moves each singular value by at most ||E||_2,
+    and |sigma_j(Q B) - sigma_j(B)| <= ||Q*Q - I|| sigma_j(B).
+    """
+
+    q: np.ndarray
+    b: np.ndarray
+    sv: np.ndarray
+    eta: float
+    exponent: int
+
+    @property
+    def width(self) -> int:
+        return self.q.shape[1]
+
+    def singular_values(self) -> np.ndarray:
+        """Stand-ins for the dim singular values of K, non-increasing: max(sigma_j(B), eta)
+        up to the width, and eta past it, where sigma_j(K) <= ||E|| (Q B has rank w)."""
+        dim = self.q.shape[0]
+        return np.ldexp(np.maximum(np.pad(self.sv, (0, dim - self.width)), self.eta),
+                        self.exponent)
+
+
+def low_rank_sketch(m) -> LowRankSketch | None:
+    """A sketch m = Q B + E that stands in for the SVD of m, or None.
+
+    The widths 8, 16, 32, ... up to dim / 12 are tried until one captures m:
+    at least 4 singular values of B lie at or below rank_rtol * sigma_1(B), and
+    eta lies below that threshold too. Then m has the numerical rank
+    singular_value_rank(sv), as its SVD would give it. Each width is cut to
+    the rank of its B plus 4 before it is certified, which keeps the count
+    kernel's determinant small; so a wider rung cuts to the same sketch, and the
+    ladder stops at the first capture. That sketch is returned when eta is also
+    at most dim * eps * sigma_1(B), the scale of the SVD's own backward error,
+    so that sv stands in for the SVD's values as closely as the SVD's own do;
+    otherwise None. Each width costs a few products of m with dim x w matrices,
+    SVDs of B and no dim x dim factorization. All of it runs on m scaled by the
+    power of two of its largest real or imaginary part, which is exact, so no
+    product overflows or loses terms to underflow.
+    """
+    m = as_matrix(m)
+    dim = m.shape[0]
+    sketch = _sketch_ladder(m, dim // _SKETCH_DIM_PER_WIDTH)
+    if sketch is None or not sketch.eta <= dim * float(np.finfo(float).eps) * sketch.sv[0]:
+        return None
+    return sketch
+
+
+def _sketch_ladder(m: np.ndarray, top: int) -> LowRankSketch | None:
+    # the first sketch of width 8, 16, ... up to top that captures m, or None
+    width = _SKETCH_MIN_WIDTH
+    if width > min(top, m.shape[0]):
+        return None
+    flat, exponent = _scaled_by_peak(m[None])
+    scaled, exponent = flat.reshape(m.shape), int(exponent[0])
+    while width <= min(top, m.shape[0]):
+        sketch = _sketch(scaled, width, exponent)
+        if _captures(sketch):
+            return sketch
+        width *= 2
+    return None
+
+
+def _captures(sketch: LowRankSketch) -> bool:
+    threshold = DEFAULT.rank_rtol * sketch.sv[0]
+    return bool(np.count_nonzero(sketch.sv <= threshold) >= _SKETCH_TAIL
+                and sketch.eta < threshold)
+
+
+def _sketch(m: np.ndarray, width: int, exponent: int) -> LowRankSketch:
+    # the certified sketch of m = K 2^-exponent at `width`, captured or not, cut
+    # to the rank of B plus 4 where that is narrower. Omega's first n columns are
+    # the same at every width, so Q's first n columns span m Omega[:, :n] and the
+    # cut sketch is the one of width n
+    dim = m.shape[0]
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((width, dim)).T
+    q, _ = np.linalg.qr(m @ omega)
+    b = q.conj().T @ m
+    sv = singular_values(b)
+    narrow = singular_value_rank(sv) + _SKETCH_TAIL
+    if narrow < width:
+        q, b, width = q[:, :narrow], b[:narrow], narrow
+        sv = singular_values(b)
+    # the computed E errs from m - Q B by at most gamma_{w+3} (|m| + |Q| |B|)
+    # entrywise: a complex product of length w and one difference (Higham 2002,
+    # Thm 3.5 and sec. 3.6); the abs-sums add at most gamma_{dim+w+4} relatively
+    # and underflow at most (w + 2) smallest subnormals per entry. max(||.||_1,
+    # ||.||_inf) bounds the l2 norm too (Higham 2002, sec. 6.3)
+    products = np.abs(q) @ np.abs(b)
+    products += np.abs(m)
+    norm_e, norm_products = (
+        float(max(_norm_bound(a, NormKind.L1), _norm_bound(a, NormKind.LINF)))
+        for a in (m - q @ b, products))
+    bound = ((norm_e + _gamma(width + 3) * norm_products) * (1.0 + _gamma(dim + width + 4))
+             + dim * (width + 2) * float(np.finfo(float).smallest_subnormal))
+    # Q's departure from orthonormality, as computed, moves sigma_j(Q B) off sigma_j(B)
+    defect = float(_norm_bound(q.conj().T @ q - np.eye(width), NormKind.L2))
+    return LowRankSketch(q, b, sv, bound + defect * float(sv[0]), exponent)
 
 
 def point_blocks(count: int, dim: int):

@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import AdmissibilityError, ContourError, NormalizationError
-from .numerics import NormKind, Spectrum, _norm_bound, as_matrix, eigenvalues
+from .numerics import (LowRankSketch, NormKind, Spectrum, _norm_bound, as_matrix,
+                       eigenvalues)
 from .operators import OperatorModel, RankOne, Shift, materialize
 
 __all__ = [
@@ -60,8 +61,6 @@ def eigen_count_outside(m, s: float) -> int:
     return int(np.sum(spec.multiplicities[np.abs(spec.values) > s]))
 
 
-_SKETCH_OVERSAMPLE = 4      # sketch columns beyond the numerical rank of K
-_SKETCH_SEED = 20140601     # the fixed Gaussian test matrix of the sketch
 _MAX_TERMS = 256            # Neumann terms before the series counts as too slow
 _TAIL = 2.0 ** -40          # tail bound below which the series is cut
 _MIN_SAMPLES = 64
@@ -69,17 +68,16 @@ _MAX_SAMPLES = 1 << 12
 _U = float(np.finfo(float).eps)
 
 
-def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,
+def low_rank_count_outside(l0, sketch: LowRankSketch, norm_l0: float, kind: NormKind,
                            s: float, budget: float = math.inf) -> int | None:
-    """Certified number of eigenvalues of l0 + k outside |lambda| = s, or None.
+    """Certified number of eigenvalues of l0 + K outside |lambda| = s, or None.
 
-    For s > ||l0|| and K = Q B + E with Q of width r = rank + 4,
-    det(lam - l0 - Q B) = det(lam - l0) det F(lam), where
-    F(lam) = I - B (lam - l0)^{-1} Q = I - sum_k C_k lam^{-k-1} and
+    sketch is low_rank_sketch's K = 2^e (Q B + E), with Q of width r and
+    ||E|| <= eta. For s > ||l0||, det(lam - l0 - Q B) = det(lam - l0) det F(lam),
+    where F(lam) = I - B (lam - l0)^{-1} Q = I - sum_k C_k lam^{-k-1} and
     C_k = B l0^k Q; the count is minus the winding number of det F on the
-    circle. Q is the QR factor of K times a fixed-seed Gaussian, B = Q* K
-    and E = K - Q B is formed explicitly. All of it runs on the problem
-    scaled by the power of two nearest s, which is exact.
+    circle. All of it runs on the problem scaled by the power of two nearest s,
+    which is exact, and B and eta are rescaled to it by a power of two.
 
     norm_l0 is ||l0|| in kind's norm, inflated for rounding; other norms are
     exact on l1 and linf, and sqrt(||.||_1 ||.||_inf) on l2, with no SVD.
@@ -93,39 +91,39 @@ def low_rank_count_outside(l0, k, norm_l0: float, rank: int, kind: NormKind,
     so that no eigenvalue crosses the circle as E is switched on. M starts
     at 64 and grows, at least doubling, to what the worst sample asks for.
     budget caps the modelled work as a multiple of the dense eigensolve's:
-    before the sketch, each series term and each round of samples, the
-    answer is None if the step would pass it, or if the series needs more
-    than 256 terms or the circle more than 4096 samples. In every such
-    case, as whenever the certificate fails, the answer is None, never a
-    guess.
+    before each series term and each round of samples, the answer is None if
+    the step would pass it, or if the series needs more than 256 terms or the
+    circle more than 4096 samples. The sketch is not charged: Prepared shares
+    it with alpha. In every such case, as whenever the certificate fails, the
+    answer is None, never a guess.
     """
-    dim = l0.shape[0]
-    width = rank + _SKETCH_OVERSAMPLE
-    if not (s > norm_l0 and math.isfinite(s)) or width > dim:
+    if not (s > norm_l0 and math.isfinite(s)):
         return None
     fraction, exponent = math.frexp(s)
     exponent -= fraction < math.sqrt(0.5)
-    if abs(exponent) > 1000:  # 2^-exponent would leave the normal range
+    shift = sketch.exponent - exponent  # K scaled = 2^shift (Q B + E)
+    if abs(exponent) > 1000 or shift > 1000:  # a power of two would leave the normal range
         return None
     scale = math.ldexp(1.0, -exponent)
     s = s * scale
     with np.errstate(all="ignore"):
         try:
-            return _sketched_winding(l0 * scale, k * scale, norm_l0 * scale,
-                                     width, kind, s, budget)
+            return _sketched_winding(l0 * scale, sketch.q, sketch.b * math.ldexp(1.0, shift),
+                                     math.ldexp(sketch.eta, shift), norm_l0 * scale,
+                                     kind, s, budget)
         except np.linalg.LinAlgError:
             return None  # a factorization failed
 
 
-def _sketched_winding(l0, k, norm_l0, width, kind, s, budget):
-    # low_rank_count_outside on the scaled problem, s near 1; k is a copy it may overwrite
+def _sketched_winding(l0, q, b, norm_e, norm_l0, kind, s, budget):
+    # low_rank_count_outside on the scaled problem, s near 1
     # costs in ns, measured in-process on a 2-CPU x86-64 VM (numpy 2.4, OpenBLAS;
-    # BENCH_16.json): the eigensolve replaced, the sketch, a series term, a circle sample
-    dim = l0.shape[0]
+    # BENCH_16.json): the eigensolve replaced, a series term, a circle sample
+    dim, width = q.shape
     allowance = budget * (2.5 * dim + 1e3) * dim * dim
     term_cost = 0.25 * dim * dim * width + 8e4
     sample_cost = 250.0 * width * width  # the same in every norm
-    spent = 25.0 * dim * dim + 2e5 + term_cost  # the sketch and the first term
+    spent = term_cost  # the first term
     if not spent + _MIN_SAMPLES * sample_cost <= allowance:  # a NaN budget too
         return None
     tiny = dim * float(np.finfo(float).smallest_subnormal)  # underflow in scaling
@@ -137,13 +135,9 @@ def _sketched_winding(l0, k, norm_l0, width, kind, s, budget):
         return None
     rho = 1.0 / (s - norm_l0)
 
-    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((dim, width))
-    q, _ = np.linalg.qr(k @ omega)
-    b = q.conj().T @ k
-    k -= q @ b  # from here on k holds E
     norm_q, norm_b = _norm_bound(q, kind), _norm_bound(b, kind)
-    norm_e = _norm_bound(k, kind) * (1.0 + gamma) + gamma * norm_q * norm_b + 2.0 * tiny
-    del k
+    # B and eta lose at most a smallest subnormal per entry to underflow when rescaled
+    norm_e = norm_e + tiny * (1.0 + norm_q)
 
     # coeffs[m] = C_{m-1} s^{-m}, with p = (l0 / s)^k Q kept near unit size
     coeffs = [np.zeros((width, width), dtype=complex)]

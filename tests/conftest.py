@@ -50,3 +50,16 @@ def eigvals_calls(monkeypatch):
 def svd_calls(monkeypatch):
     """A list that gains one entry per np.linalg.svd call in the test."""
     return _count_calls(monkeypatch, "svd")
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """A list that gains the input shape of each np.linalg.svd call in the test."""
+    shapes, original = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes

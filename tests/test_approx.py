@@ -79,6 +79,19 @@ def test_value_at_is_one_based_and_zero_beyond():
         seq.value_at(0)
 
 
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 1.0, 2.0 ** 1000])
+def test_monotonicity_slack_scales_with_alpha_one(scale):
+    # a rise of 1e-9 alpha_1 is no rounding at any scale; the slack was
+    # 1e-12 max(1, alpha_1), which let it pass below alpha_1 = 1e-3
+    exact = (Certainty.EXACT,) * 3
+    with pytest.raises(ValueError, match="non-increasing"):
+        ApproxSequence(np.array([1.0, 1.0 + 1e-9, 0.0]) * scale, exact, NormKind.L2)
+    seq = ApproxSequence(np.array([1.0, 1.0 + 1e-13, 0.0]) * scale, exact, NormKind.L2)
+    assert seq.rank == 2
+    with pytest.raises(ValueError, match="non-increasing"):
+        ApproxSequence(np.array([1e-20, 1e-14, 0.0]), exact, NormKind.L2)
+
+
 def test_head_power_sum_matches_direct_loop():
     seq = ApproxSequence(np.array([2.0, 1.5, 0.5]),
                          (Certainty.EXACT,) * 3, NormKind.L2)

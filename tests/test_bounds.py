@@ -37,10 +37,12 @@ from eigencount import (
     pseudospectral_epsilon,
     resolvent_norms,
     shift_example,
+    singular_value_rank,
     sweep_radii,
     t_star,
 )
 from eigencount import bounds, materialize
+from eigencount.numerics import _sketch_ladder
 
 
 def _bisect_w(x: float) -> float:
@@ -270,6 +272,71 @@ def test_prepared_keeps_the_spectrum_and_the_raw_singular_values(svd_calls,
     assert prep.singular_values is prep.singular_values
     assert prep.spectrum is prep.spectrum and prep.spectrum.dim == 4
     assert (svd_calls, eigvals_calls) == ([], [1])
+
+
+def _rank_r_matrix(dim, rank):
+    rng = np.random.default_rng([7, dim, rank])
+    u, _ = np.linalg.qr(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
+    w, _ = np.linalg.qr(rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank)))
+    return (u * rng.uniform(1.0, 3.0, rank)) @ w.conj().T
+
+
+@pytest.mark.parametrize("dim, rank", [(64, 1), (64, 4), (64, 16), (128, 1), (128, 4),
+                                       (128, 16), (256, 1), (256, 4), (256, 16), (384, 28)])
+def test_the_sketch_stands_in_for_the_svd_of_a_low_rank_k(svd_shapes, dim, rank):
+    # sketched at any width up to dim, K has the SVD's rank and every stand-in
+    # lies within eta of the SVD's value. Prepared takes the sketch where its
+    # ladder (widths up to dim / 12) reaches rank + 4 and eta is at most
+    # dim eps sigma_1, the scale of the SVD's own backward error, which is why
+    # alpha stays flagged exact; rank 28 at dim 384 reaches width 32, but its
+    # eta is about 1.3 times that scale, so it takes the SVD
+    eps = float(np.finfo(float).eps)
+    ladder = max(8, 1 << (rank + 3).bit_length())  # the first width of 8, 16, ... >= rank + 4
+    reference = None
+    for exponent in (-520, 0, 520):
+        k = _rank_r_matrix(dim, rank) * 2.0 ** exponent
+        sv = np.linalg.svd(k, compute_uv=False)
+        sketch = _sketch_ladder(k, dim)
+        assert singular_value_rank(sketch.sv) == singular_value_rank(sv) == rank
+        assert sketch.width == rank + 4
+        eta = math.ldexp(sketch.eta, sketch.exponent)
+        assert np.all(np.abs(sketch.singular_values() - sv) <= eta)
+        assert eta < 1e-10 * sv[0]
+        # the power-of-two scalings are exact: the same sketch, another exponent
+        if reference is None:
+            reference = sketch
+        assert np.array_equal(sketch.sv, reference.sv) and sketch.eta == reference.eta
+        assert sketch.exponent - reference.exponent == exponent + 520
+        taken = ladder <= dim // 12 and sketch.eta <= dim * eps * sketch.sv[0]
+        for kind in NormKind:
+            svd_shapes.clear()
+            prep = prepare(OperatorModel(dim, kind, Zero(), Dense(k)))
+            assert prep.alpha.rank == rank
+            assert (prep.sketch is not None) == taken
+            assert svd_shapes.count((dim, dim)) == (not taken)
+            if not taken:
+                assert np.array_equal(prep.singular_values, sv)
+                continue
+            assert eta <= dim * eps * sv[0]
+            assert np.array_equal(prep.singular_values, sketch.singular_values())
+            if kind is NormKind.L2:
+                assert prep.alpha.all_exact
+                assert np.array_equal(prep.alpha.values[:rank], np.ldexp(sketch.sv[:rank],
+                                                                         sketch.exponent))
+    if (dim, rank) == (384, 28):
+        assert ladder == dim // 12 and not taken
+
+
+def test_a_full_rank_k_takes_the_svd(svd_calls):
+    rng = np.random.default_rng(9)
+    k = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    prep = prepare(OperatorModel(256, NormKind.L2, Zero(), Dense(k)))
+    assert prep.sketch is None
+    assert np.array_equal(prep.singular_values, np.linalg.svd(k, compute_uv=False))
+    assert prep.alpha.rank == 256
+    # the SVDs of B at widths 8 and 16 (up to 256 // 12), the one dense SVD of
+    # K, and this test's own
+    assert len(svd_calls) == 2 + 1 + 1
 
 
 def test_prepare_computes_each_quantity_on_first_use(corpus, svd_calls,

@@ -518,22 +518,39 @@ def test_deep_balanced_nesting_exits_three(capsys, tmp_path):
     assert code == 3 and "error: [0]: " in err
 
 
-def _low_rank_l2_doc(tmp_path, dim=128):
-    # a dense base with ||L0||_2 = 0.8 and a dense rank-2 K whose two
-    # outliers land well outside |lambda| = 1.6
+def _low_rank_doc(tmp_path, dim=128, norm=NormKind.L2):
+    # a dense base with ||L0|| = 0.8 in the document's norm and a dense rank-2 K
+    # whose two outliers land well outside |lambda| = 1.6
     rng = np.random.default_rng(8)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    l0 = 0.8 * g / np.linalg.norm(g, 2)
+    order = {NormKind.L1: 1, NormKind.L2: 2, NormKind.LINF: np.inf}[norm]
+    l0 = 0.8 * g / np.linalg.norm(g, order)
     u, _ = np.linalg.qr(rng.standard_normal((dim, 2)) + 1j * rng.standard_normal((dim, 2)))
     k = (u * np.array([2.5, -3.0j])) @ u.conj().T
     doc = tmp_path / "low_rank.json"
-    doc.write_text(serialize_spec(OperatorModel(dim, NormKind.L2, Dense(l0), Dense(k))))
+    doc.write_text(serialize_spec(OperatorModel(dim, norm, Dense(l0), Dense(k))))
     return doc
+
+
+@pytest.mark.parametrize("norm, square_svds", [
+    (NormKind.L2, 1), (NormKind.L1, 0), (NormKind.LINF, 0)])
+def test_bound_takes_no_svd_of_a_low_rank_k(capsys, tmp_path, svd_shapes, norm, square_svds):
+    # the sketch of K gives alpha and the count; only ||L0||_2 takes a dim x dim
+    # SVD (before the sketch, K took one more in every norm)
+    doc = _low_rank_doc(tmp_path, norm=norm)
+    code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "1.6")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["oracle_count"] == 2
+    assert {row["alpha_mode"] for row in results["bounds"]} == (
+        {"exact"} if norm is NormKind.L2 else {"upper_bound"})
+    # besides: the B of the width-8 sketch, then of its rank + 4 = 6 re-sketch
+    assert sorted(svd_shapes) == sorted([(128, 128)] * square_svds + [(8, 128), (6, 128)])
 
 
 def test_bound_counts_a_low_rank_model_without_an_eigensolve(capsys, tmp_path,
                                                              monkeypatch, eigvals_calls):
-    doc = _low_rank_l2_doc(tmp_path)
+    doc = _low_rank_doc(tmp_path)
     argv = ("bound", str(doc), "--p", "1", "--s", "1.6")
     code, out, err = _run(capsys, *argv)
     assert code == 0, err

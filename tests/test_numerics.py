@@ -54,6 +54,15 @@ def test_eigenvalues_exact_diagonal_clusters():
             Spectrum(spec.values, spec.multiplicities, radius)
 
 
+def test_spectra_compare_by_identity():
+    # the generated __eq__ compared the value arrays as a tuple and raised
+    # "truth value of an array ... is ambiguous"
+    first, second = eigenvalues(np.diag([1.0, 2.0, 3.0])), eigenvalues(np.diag([1.0, 2.0, 3.0]))
+    assert first == first
+    assert first != second
+    assert first in [first] and second not in [first]
+
+
 def test_eigenvalues_flat_preserves_total_multiplicity():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
