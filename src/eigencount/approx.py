@@ -131,12 +131,12 @@ def approx_numbers(m, kind: NormKind, sv: np.ndarray | None = None) -> ApproxSeq
 def rank_n_factors(m, n: int, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
     """Factor pair (left, right) of the rank-n approximant, F = left @ right.T.
 
-    Both factors are dim x r with r = min(n, dim).
-    l2: truncated singular value decomposition (attains alpha_{n+1}),
-    left = U_n diag(sigma_1..sigma_n) and right = (V_n^*)^T.
-    l1/linf: keep the n heaviest columns/rows and zero the rest, so the
-    error norm equals the (n+1)-th certificate value exactly; the kept
-    columns (rows) pair with the matching columns of the identity.
+    Both factors are dim x r with r = min(n, dim); at n >= dim they are m and
+    the identity. l2, and every norm from n = numerical_rank(m) on, where
+    alpha_{n+1} = 0: the truncated SVD, left = U_n diag(sigma_1..sigma_n) and
+    right = (V_n^*)^T. l1/linf below the rank: keep the n heaviest columns
+    (rows), so the error norm is the (n+1)-th certificate value exactly; they
+    pair with the matching columns of the identity.
     """
     m = as_matrix(m)
     if n < 0:
@@ -146,8 +146,8 @@ def rank_n_factors(m, n: int, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((dim, 0), dtype=complex), np.zeros((dim, 0), dtype=complex)
     if n >= dim:
         return m.copy(), np.eye(dim, dtype=complex)
-    if kind is NormKind.L2:
-        u, sv, vh = np.linalg.svd(m)
+    u, sv, vh = np.linalg.svd(m)
+    if kind is NormKind.L2 or n >= singular_value_rank(sv):
         return u[:, :n] * sv[:n], vh[:n].T
     keep = _ranked_sums(m, kind)[1][:n]
     unit = np.eye(dim, dtype=complex)[:, keep]

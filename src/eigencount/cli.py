@@ -156,27 +156,17 @@ def _build_parser() -> argparse.ArgumentParser:
 # --- report plumbing --------------------------------------------------------
 
 
-def _digest(raw: bytes) -> str:
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
-
-
-def _config_echo(alpha_mode: str | None) -> dict:
-    return {
-        "tolerances": dataclasses.asdict(DEFAULT),
-        "gamma_provenance": GammaProvenance.ENVELOPE_CERTIFIED.value,
-        "alpha_mode": alpha_mode,
-    }
-
-
-def _assemble(command: str, arguments: dict, digest: str, results: dict,
+def _assemble(command: str, arguments: dict, raw: bytes, results: dict,
               mode: str, alpha_mode: str | None) -> dict:
     return {
         "command": command,
         "arguments": arguments,
-        "input_digest": digest,
+        "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
         "library_version": __version__,
         "mode": mode,
-        "config": _config_echo(alpha_mode),
+        "config": {"tolerances": dataclasses.asdict(DEFAULT),
+                   "gamma_provenance": GammaProvenance.ENVELOPE_CERTIFIED.value,
+                   "alpha_mode": alpha_mode},
         "results": results,
     }
 
@@ -215,21 +205,21 @@ def _cmd_bound(args) -> int:
     model = parse_spec(raw)
     prep = prepare(model)
 
-    # every bound checks its admissibility before the oracle's eigensolve
+    # every bound checks its admissibility before the oracle's eigensolve; a
+    # disk takes no region row, which at t_star repeats disk_phi to rounding
     if args.point is None:
         reports = [bound(prep, args.p, args.s, n_rank=args.n)
                    for bound in (count_bound_disk, count_bound_disk_simple)]
         target = ExteriorDisk(args.s)
     else:
-        reports, target = [], Point(args.point)
-    region = count_bound_region(prep, args.p, RegionSpec(target), n_rank=args.n)
-    reports.append(region)
+        target = Point(args.point)
+        reports = [count_bound_region(prep, args.p, RegionSpec(target), n_rank=args.n)]
     if args.mode == "empirical":
         # same circle as the certified optimum, gap measured by sampling
-        eps = pseudospectral_epsilon(prep, region.t_star)
+        t = reports[0].t_star
         reports.append(count_bound_region(
-            prep, args.p, RegionSpec(target, t=region.t_star), n_rank=args.n,
-            epsilon=eps))
+            prep, args.p, RegionSpec(target, t=t), n_rank=args.n,
+            epsilon=pseudospectral_epsilon(prep, t)))
     if isinstance(model.base, Zero) and args.point is None:
         reports.append(koenig_count_bound(prep, args.p, args.s))
 
@@ -257,7 +247,7 @@ def _cmd_bound(args) -> int:
         "n": "auto" if args.n is None else args.n,
         "mode": args.mode, "format": args.format,
     }
-    report = _assemble("bound", arguments, _digest(raw), results, args.mode,
+    report = _assemble("bound", arguments, raw, results, args.mode,
                        reports[0].alpha_mode.value)
     if args.format == "json":
         _emit_json(report, args.out)
@@ -293,7 +283,7 @@ def _cmd_oracle(args) -> int:
 
     arguments = {"spec": args.spec, "s": args.s, "curve": args.curve,
                  "q": args.q, "format": args.format}
-    report = _assemble("oracle", arguments, _digest(raw), results,
+    report = _assemble("oracle", arguments, raw, results,
                        "certified", None)
     if args.format == "json":
         _emit_json(report, args.out)
@@ -385,18 +375,11 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         return args.handler(args)
-    except SpecFormatError as exc:
+    except (EigencountError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EigencountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, SpecFormatError):
+            return 3
+        return 2 if isinstance(exc, EigencountError) else 1
     finally:
         print(f"wall_time_s={time.monotonic() - start:.3f}", file=sys.stderr)
 

@@ -9,8 +9,13 @@ approximation-number inequality bounds the determinant of a finite-rank
 perturbation evaluated through a resolvent, which is what det_bound_rhs
 returns.
 
-gamma_p_upper maximizes the factor log over each circle |lam| = r. Its
-angle derivative is r^n sin(theta) (U_{n-1}(c) - r U_{n-2}(c)) / |1 - lam|^2,
+For p <= 1 the circle maximum is log(1 + r). In x = log r, L(x) =
+log log(1 + e^x) - p x is concave with L' = g - p, where g(x) = e^x /
+((1 + e^x) log(1 + e^x)) falls strictly from 1 to 0 (above 1 - 2^-53 at
+x = -40); gamma_p_upper bisects g = p to rounding and rounds up L's tangent.
+
+For p > 1 gamma_p_upper maximizes the factor log over each circle |lam| = r.
+Its angle derivative is r^n sin(theta) (U_{n-1}(c) - r U_{n-2}(c)) / |1 - lam|^2,
 c = cos theta, U the Chebyshev polynomials of the second kind. By
 c U_k = (U_{k+1} + U_{k-1}) / 2 its zeros c are the eigenvalues of the
 (n-1) x (n-1) Jacobi matrix with 1/2 off the diagonal and diagonal
@@ -144,12 +149,9 @@ def _factor_log_abs(r, theta, coefs) -> np.ndarray:
 
 def _circle_log_max(n: int, radii: np.ndarray) -> np.ndarray:
     # Largest log|(1-lam) exp(sum_{j<n} lam^j/j)| over |lam| = r for every
-    # r >= 0 in radii, over theta = 0, pi and the critical angles of the
-    # module docstring (a cosine outside [-1, 1] clips to 0 or pi). r^j / j
-    # and log1p stay Python scalar operations, whose numpy counterparts
-    # round differently.
-    if n == 1:
-        return np.array([math.log1p(float(r)) for r in radii])
+    # r >= 0 in radii and n >= 2, over theta = 0, pi and the critical angles
+    # of the module docstring (a cosine outside [-1, 1] clips to 0 or pi).
+    # r^j / j stays a Python scalar operation, as numpy's rounds differently.
     out = np.empty(len(radii))
     k = np.arange(n - 2)
     for start in range(0, len(radii), _RADII_PER_BLOCK):
@@ -174,30 +176,54 @@ def _grid_envelope(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tail_envelope(n: int, r: float) -> float:
-    # For r < 1 the factor log is the tail -sum_{j>=n} lam^j/j of the
-    # log(1-lam) series, bounded by r^n / (n (1-r)).
-    if r >= 1.0:
-        return math.inf
-    return r ** n / (n * (1.0 - r))
+    # for r < 1 the factor log is the tail -sum_{j>=n} lam^j/j of log(1-lam)
+    return r ** n / (n * (1.0 - r)) if r < 1.0 else math.inf
+
+
+def _order_one_gamma(p: float) -> GammaP:
+    # Gamma_p for 0 < p <= 1, from the closed form of the module docstring
+    def slope(x):  # log(1 + e^x), g(x) and g's rounding bound (exp, log1p: one ulp)
+        softplus = x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+        g = 1.0 / ((1.0 + math.exp(-x)) * softplus)
+        return softplus, g, g * 2.0 ** -49
+
+    if p == 1.0:
+        return GammaP(p, 1.0, GammaProvenance.ENVELOPE_CERTIFIED, r_star=0.0)
+    lo, hi = -40.0, 709.78  # e^709.78 stays below the largest float
+    _, g, eps = slope(hi)
+    if g + eps >= p:
+        raise AdmissibilityError(f"p must be at least about 0.0014089, below which the "
+                                 f"peak radius of log(1 + r) / r^p overflows a float; got {p}")
+    while True:
+        y = 0.5 * (lo + hi)
+        softplus, g, eps = slope(y)
+        if abs(g - p) <= eps or y in (lo, hi):
+            break
+        lo, hi = (y, hi) if g > p else (lo, y)
+    # L(root) <= L(y) + tangent; 2^-50 covers each term's rounding, then exp's
+    a, b = math.log(softplus), p * y
+    tangent = (abs(g - p) + eps) * max(y - lo, hi - y)
+    log_gamma = a - b + tangent + 2.0 ** -50 * (1.0 + abs(a) + abs(b) + tangent)
+    return GammaP(p, math.exp(log_gamma) * (1.0 + 2.0 ** -50),
+                  GammaProvenance.ENVELOPE_CERTIFIED, r_star=math.exp(y))
 
 
 @lru_cache(maxsize=64)
 def gamma_p_upper(p: float) -> GammaP:
     """Certified constant for the scalar factor inequality at exponent p.
 
-    Maximizes envelope(r) / r^p over a log grid with golden-section
-    refinement. The r -> 0 and r -> infinity limits of the ratio vanish
-    for every p except p = 1, where the limit 1 at r -> 0 is the supremum
-    and is included analytically (so gamma_p_upper(1).value == 1.0).
-    A p below about 0.07238 is rejected: its ratio peaks past the grid's
-    last radius 1e6, so no grid value bounds it.
-    The numerically found supremum is inflated by 1e-12 relative so float
-    noise can never put the returned constant below a ratio value.
+    p <= 1 takes a closed form (module docstring), within 1e-13 relative;
+    p = 1 gives 1.0, the r -> 0 limit, and a p below about 0.0014089, whose
+    peak radius overflows a float, is rejected. p > 1 maximizes
+    envelope(r) / r^p over a log grid with golden-section refinement,
+    inflated by 1e-12 relative to stay above float noise.
     """
-    # every ratio divides by r ** p, down to the grid's smallest radius 1e-8
+    # every grid ratio divides by r ** p, down to the grid's smallest radius 1e-8
     if not (0.0 < p < math.inf and 1e-8 ** p > 0.0):
         raise AdmissibilityError(
             f"p must be positive and below about 40.5, where 1e-8 ** p underflows; got {p}")
+    if p <= 1.0:
+        return _order_one_gamma(p)
     n = math.ceil(p)
 
     def ratio(r: float) -> float:
@@ -229,17 +255,7 @@ def gamma_p_upper(p: float) -> GammaP:
     for r, value in ((math.exp(c), fc), (math.exp(d), fd)):
         if value > best:
             best, best_r = value, r
-
-    # a maximiser at the grid's last radius, to rounding, means the ratio
-    # still rises at 1e6: for n = 1 it peaks near r = e^(1/p), past the grid
-    if best_r >= grid[-1] * (1.0 - 1e-9):
-        raise AdmissibilityError(
-            f"p must be at least about 0.07238, below which envelope(r) / r^p peaks "
-            f"past the radius grid; got {p}, whose ratio {best:.12g} still rises at "
-            f"r = {grid[-1]:g}")
     best *= 1.0 + 1e-12
-    if p == 1.0 and best <= 1.0:
-        best, best_r = 1.0, 0.0
     return GammaP(p=p, value=float(best), provenance=GammaProvenance.ENVELOPE_CERTIFIED,
                   r_star=float(best_r))
 

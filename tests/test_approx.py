@@ -10,12 +10,15 @@ from eigencount import (
     Certainty,
     NormKind,
     approx_numbers,
+    det_bound_rhs,
     induced_norm,
     koenig_check,
     koenig_constant,
+    numerical_rank,
     prepare,
     rank_n_approximant,
     rank_n_factors,
+    regression_corpus,
     singular_values,
 )
 
@@ -171,7 +174,7 @@ def _placed_approximant(m, n, kind):
         return np.zeros_like(m)
     if n >= m.shape[0]:
         return m.copy()
-    if kind is NormKind.L2:
+    if kind is NormKind.L2 or n >= numerical_rank(m):
         u, sv, vh = np.linalg.svd(m)
         return (u[:, :n] * sv[:n]) @ vh[:n]
     sums = np.sum(np.abs(m), axis=0 if kind is NormKind.L1 else 1)
@@ -197,6 +200,22 @@ def test_rank_n_factors_multiply_out_to_the_approximant(materialized):
                     assert product.tobytes() == f.tobytes()
                     # equal values; a product may carry -0.0 where zeros were written
                     assert np.array_equal(f, _placed_approximant(m, n, kind))
+
+
+@pytest.mark.parametrize("seed", (0, 3))
+def test_rank_n_factors_pass_the_pair_check_up_to_rank_k(seed):
+    # each corpus model in its norm, at every N in [0, rank K]; keeping the N
+    # heaviest columns (rows) at N >= rank K left ||K - F|| above alpha_{N+1} = 0
+    # in 24 of these 108 pairs
+    pairs = 0
+    for entry in regression_corpus(seed):
+        prep = entry.prepared
+        lam = prep.norm_l0 + prep.norm_k + 1.0
+        for n in range(prep.alpha.rank + 1):
+            f = rank_n_factors(prep.k, n, entry.model.norm)
+            assert det_bound_rhs(prep, f, lam, 1.0, n) >= 0.0
+            pairs += 1
+    assert pairs == 108
 
 
 def test_koenig_constant_values():

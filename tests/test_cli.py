@@ -44,7 +44,7 @@ def test_bound_json_report(capsys, spec_path):
     assert report["input_digest"].startswith("sha256:")
     results = report["results"]
     kinds = [row["kind"] for row in results["bounds"]]
-    assert kinds == ["disk_phi", "disk_simple", "region"]
+    assert kinds == ["disk_phi", "disk_simple"]
     for row in results["bounds"]:
         assert results["oracle_count"] <= row["bound"]
         assert row["certified"] is True
@@ -59,6 +59,7 @@ _SPEC = "specs/shift_rank_one.json"
     ("bound_p1_s1.5.json", ("bound", _SPEC, "--p", "1", "--s", "1.5")),
     ("bound_p1_s1.5.csv", ("bound", _SPEC, "--p", "1", "--s", "1.5", "--format", "csv")),
     ("bound_p1_point2.json", ("bound", _SPEC, "--p", "1", "--point", "2,0")),
+    ("gamma_p0.05.txt", ("gamma", "--p", "0.05")),
     ("gamma_p0.5.txt", ("gamma", "--p", "0.5")),
     ("gamma_p2.txt", ("gamma", "--p", "2")),
     ("gamma_p3.txt", ("gamma", "--p", "3")),
@@ -94,8 +95,8 @@ def test_bound_csv_format(capsys, spec_path):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][:4] == ["kind", "p", "target_re", "target_im"]
-    assert len(rows) == 4  # header + three bound kinds
-    assert {row[0] for row in rows[1:]} == {"disk_phi", "disk_simple", "region"}
+    assert len(rows) == 3  # header + two bound kinds
+    assert {row[0] for row in rows[1:]} == {"disk_phi", "disk_simple"}
 
 
 def test_bound_out_file(tmp_path, capsys, spec_path):
@@ -147,11 +148,11 @@ def test_bound_empirical_mode_adds_uncertified_row(capsys, spec_path):
                         "--s", "1.5", "--mode", "empirical")
     assert code == 0
     rows = json.loads(out)["results"]["bounds"]
-    assert len(rows) == 4
+    assert len(rows) == 3
     extra = rows[-1]
-    certified_region = rows[2]
     assert extra["certified"] is False
-    assert extra["bound"] <= certified_region["bound"] * (1 + 1e-9)
+    assert extra["t_star"] == rows[0]["t_star"]
+    assert extra["bound"] <= rows[0]["bound"] * (1 + 1e-9)
 
 
 def test_best_bound_is_the_best_certified_row(capsys, spec_path):
@@ -179,10 +180,9 @@ def test_bound_empirical_mode_on_corpus_model(capsys, tmp_path, corpus):
     assert code == 0, err
     results = json.loads(out)["results"]
     rows = results["bounds"]
-    assert [row["kind"] for row in rows] == [
-        "disk_phi", "disk_simple", "region", "region"]
+    assert [row["kind"] for row in rows] == ["disk_phi", "disk_simple", "region"]
     assert rows[-1]["certified"] is False
-    assert rows[-1]["t_star"] == rows[2]["t_star"]
+    assert rows[-1]["t_star"] == rows[0]["t_star"]
     assert all(results["oracle_count"] <= row["bound"] for row in rows)
 
 
@@ -429,8 +429,7 @@ def test_exit_code_inadmissible(capsys, spec_path):
     (("bound", "SPEC", "--p", "1", "--point", "inf,0"), 2),
     (("bound", "SPEC", "--p", "0.001", "--s", "1.5"), 2),
     (("bound", "SPEC", "--p", "0.00141", "--s", "1.5"), 2),
-    (("bound", "SPEC", "--p", "0.05", "--s", "1.5"), 2),
-    (("gamma", "--p", "0.05"), 2),
+    (("gamma", "--p", "0.001"), 2),
     (("oracle", "SPEC", "--s", "nan"), 1),
     (("oracle", "SPEC", "--s", "1", "--q", "nan"), 1),
     (("oracle", "SPEC", "--s", "1", "--q", "inf"), 1),
@@ -441,6 +440,17 @@ def test_non_finite_or_out_of_range_parameters_are_typed_errors(
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (expected, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_p_below_the_old_radius_grid_is_served(capsys, spec_path):
+    # 0.05 lies below the 0.07238 a radius grid ending at 1e6 could take
+    code, out, err = _run(capsys, "gamma", "--p", "0.05")
+    assert code == 0, err
+    assert "gamma_p = 7.3575888241871" in out
+    code, out, err = _run(capsys, "bound", str(spec_path), "--p", "0.05", "--s", "1.5")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert all(results["oracle_count"] <= row["bound"] for row in results["bounds"])
 
 
 def test_a_tiny_p_is_rejected_before_the_rank_sweep(capsys, spec_path):

@@ -97,12 +97,13 @@ def test_gamma_regression_pins():
     assert gamma_p_upper(3.0).value == pytest.approx(0.57894, abs=5e-4)
 
 
-# float.hex of (value, r_star): circle maxima over theta = 0, pi and the critical angles
+# float.hex of (value, r_star): for p <= 1 the closed form of log(1 + r) / r^p,
+# above it circle maxima over theta = 0, pi and the critical angles
 GAMMA_HEX = {
-    0.1: ("0x1.d6e3485f30764p+1", "0x1.57fdd9d63d0bcp+14"),
-    0.25: ("0x1.7a861f5238c76p+0", "0x1.8b7b66262a746p+5"),
-    0.5: ("0x1.9c073035eb520p-1", "0x1.f5f57858650cfp+1"),
-    0.75: ("0x1.63d0f96144e68p-1", "0x1.aa68649a7a0e5p-1"),
+    0.1: ("0x1.d6e3485f2e72fp+1", "0x1.57fddaa5e3268p+14"),
+    0.25: ("0x1.7a861f523728ap+0", "0x1.8b7b65ece8423p+5"),
+    0.5: ("0x1.9c073035e98e1p-1", "0x1.f5f57830fd1bep+1"),
+    0.75: ("0x1.63d0f96143602p-1", "0x1.aa68653072e00p-1"),
     1.0: ("0x1.0000000000000p+0", "0x0.0p+0"),
     1.25: ("0x1.df2f557d5dd77p-1", "0x1.731781edc06c0p+1"),
     1.5: ("0x1.78d4824e099a9p-1", "0x1.33ca35f081fbbp+1"),
@@ -130,28 +131,87 @@ def test_gamma_two_is_just_above_one_half():
     assert 0.5 < gamma_p_upper(2.0).value <= 0.5 + 1e-8
 
 
+def _ratio_order_one(p: float, r: float) -> float:
+    return math.log1p(r) / r ** p
+
+
 @pytest.mark.parametrize("p", [0.01, 0.05, 0.07188, 0.0723])
-def test_gamma_rejects_a_ratio_still_rising_at_the_grid_end(p):
-    # log(1 + r) / r^p peaks near r = e^(1/p), past the grid's 1e6: at
-    # p = 0.05 the grid gave 6.924 where the ratio at e^20 is 7.358
+def test_gamma_bounds_a_ratio_peaking_past_radius_1e6(p):
+    # log(1 + r) / r^p peaks near r = e^(1/p), past the 1e6 where a radius
+    # grid used to end: at p = 0.05 such a grid gave 6.924 where the ratio
+    # at e^20 is 7.358
+    gamma = gamma_p_upper(p)
+    assert gamma.r_star > 1e6
+    for r in (gamma.r_star, math.exp(1.0 / p), 1e6):
+        assert gamma.value >= _ratio_order_one(p, r)
+    if p == 0.05:
+        assert f"{gamma.value:.13f}" == "7.3575888241871"
+
+
+def test_gamma_peak_just_below_radius_1e6():
+    # p = 0.0724 peaks inside the last cell of the radius grid the order-one
+    # constant once came from
+    grid = np.logspace(-8.0, 6.0, 1500)
+    gamma = gamma_p_upper(0.0724)
+    assert grid[-2] < gamma.r_star < grid[-1] * (1 - 1e-3)
+    assert gamma.value >= _ratio_order_one(0.0724, grid[-1])
+
+
+def _mp_gamma_order_one(p: float):
+    # 40-digit max_r log(1 + r) / r^p: bisect e^x / ((1 + e^x) log(1 + e^x)) = p
+    import mpmath
+
+    with mpmath.workdps(40):
+        p = mpmath.mpf(p)
+        lo, hi = mpmath.mpf(-60), mpmath.mpf(800)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            t = mpmath.exp(mid)
+            if t / ((1 + t) * mpmath.log1p(t)) > p:
+                lo = mid
+            else:
+                hi = mid
+        r = mpmath.exp(lo)
+        return mpmath.log1p(r) / r ** p
+
+
+@pytest.mark.parametrize("p", [0.0015, 0.01, 0.05, 0.0724, 0.1, 0.25, 0.5, 0.75,
+                               0.9, 0.99, 0.999999])
+def test_order_one_gamma_matches_a_40_digit_reference(p):
+    import mpmath
+
+    ref = _mp_gamma_order_one(p)
+    value = mpmath.mpf(gamma_p_upper(p).value)
+    assert ref <= value <= ref * (1 + mpmath.mpf("1e-13")), (p, float(value / ref - 1))
+
+
+def test_gamma_p1_peaks_at_radius_zero():
+    gamma = gamma_p_upper(1.0)
+    assert (gamma.value, gamma.r_star) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.0014088])
+def test_gamma_rejects_a_peak_radius_past_the_largest_float(p):
     with pytest.raises(AdmissibilityError) as info:
         gamma_p_upper(p)
-    assert str(info.value).startswith("p must be at least about 0.07238")
-    assert f"got {p}, " in str(info.value) and "r = 1e+06" in str(info.value)
+    assert str(info.value).startswith("p must be at least about 0.0014089")
+    assert str(info.value).endswith(f"got {p}")
 
 
-def test_gamma_keeps_an_interior_peak_of_the_last_grid_cell():
-    # the grid's argmax is its last radius, but the refinement finds the
-    # peak inside the last cell, so the constant is certified
-    p = 0.0724
-    grid, envelope = determinants._grid_envelope(1)
-    assert int(np.argmax(envelope / grid ** p)) == len(grid) - 1
-    gamma = gamma_p_upper(p)
-    assert grid[-2] < gamma.r_star < grid[-1] * (1 - 1e-3)
-    assert gamma.value >= math.log1p(grid[-1]) / grid[-1] ** p
+def test_grid_argmax_stays_interior_above_order_one():
+    # the grid path keeps no check on a peak at its last radius 1e6: for
+    # every p > 1 the grid ratio peaks well inside (at index 926 of 0-1499 at most)
+    top = 0
+    for p in np.linspace(1.0, 40.4, 4006)[1:].tolist():
+        n = math.ceil(p)
+        grid, envelope = determinants._grid_envelope(n)
+        tail = [determinants._tail_envelope(n, r) for r in grid.tolist()]
+        ratios = np.minimum(envelope, tail) / grid ** p
+        top = max(top, int(np.argmax(ratios)))
+    assert top < len(grid) - 1
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 5))
+@pytest.mark.parametrize("n", (2, 3, 5))
 def test_circle_maximum_of_each_radius_alone_equals_the_batch(n):
     # 300 radii cross the boundary between two blocks
     radii = np.logspace(-8.0, 6.0, 1500)[::5]
@@ -517,20 +577,24 @@ def test_batched_determinant_names_the_first_eigenvalue_in_the_array():
 
 
 def test_cold_gamma_evaluates_each_golden_point_once(monkeypatch):
-    # two starting points and one new point per each of the 80 golden steps;
-    # the closing comparison reuses their values
-    radii = []
+    # above order one: two starting points and one new point per each of the
+    # 80 golden steps; the closing comparison reuses their values. Order one
+    # evaluates no circle maximum at all, not even the radius grid.
+    sizes = []
     circle_log_max = determinants._circle_log_max
 
     def counting(n, r):
-        if len(r) == 1:  # a golden-section point, not the radius grid
-            radii.append(r[0])
+        sizes.append(len(r))
         return circle_log_max(n, r)
 
     monkeypatch.setattr(determinants, "_circle_log_max", counting)
+    determinants._grid_envelope.cache_clear()
     for p in P_GRID:
         gamma_p_upper.cache_clear()
-        radii.clear()
+        sizes.clear()
         gamma_p_upper(p)
-        assert len(radii) == 82
+        if p > 1.0:
+            assert sizes.count(1) == 82
+        else:
+            assert sizes == []
     gamma_p_upper.cache_clear()
