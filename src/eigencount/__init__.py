@@ -19,10 +19,7 @@ from .approx import (
 )
 from .bounds import (
     BoundReport,
-    ExteriorDisk,
-    Point,
     Prepared,
-    RegionSpec,
     count_bound_disk,
     count_bound_disk_simple,
     count_bound_region,
@@ -127,10 +124,9 @@ __all__ = [
     "det_regularized_log", "scalar_factor_log", "gamma_p_upper",
     "perturbation_determinant", "det_bound_rhs",
     # bounds
-    "BoundReport", "Prepared", "prepare", "RegionSpec", "ExteriorDisk",
-    "Point", "lambert_w", "phi_p", "phi_p_envelope", "t_star", "count_bound_disk",
-    "count_bound_disk_simple", "count_bound_region", "koenig_count_bound",
-    "moment_bound", "pseudospectral_epsilon",
+    "BoundReport", "Prepared", "prepare", "lambert_w", "phi_p", "phi_p_envelope",
+    "t_star", "count_bound_disk", "count_bound_disk_simple", "count_bound_region",
+    "koenig_count_bound", "moment_bound", "pseudospectral_epsilon",
     # oracle
     "CountCurve", "eigen_count_outside", "low_rank_count_outside", "count_curve", "moment_sum",
     "moment_from_curve", "winding_count", "winding_from_samples",

@@ -16,8 +16,8 @@ its admissibility preconditions hold; the tests enforce exactly that.
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
@@ -33,9 +33,6 @@ from .operators import OperatorModel, Zero, materialize
 from .oracle import eigen_count_outside, low_rank_count_outside
 
 __all__ = [
-    "ExteriorDisk",
-    "Point",
-    "RegionSpec",
     "BoundReport",
     "Prepared",
     "prepare",
@@ -97,7 +94,8 @@ def phi_p(p: float, x: float) -> float:
     """Profile factor of the optimized disk bound.
 
     phi_p(x) = W((1/p) e^{1/p} x)^p / ((1/p - W((1/p) e^{1/p} x))^{p+1} x^p)
-    for 0 < x < 1, continued by phi_p(0) = p e. Diverges as x -> 1.
+    for 0 < x < 1, continued by phi_p(0) = p e. Diverges as x -> 1, where
+    1/p - W cancels: below (p + 1) 2^-21 / p it raises AdmissibilityError.
     Defined for p >= ~0.0014221, where e^{1/p} / p is a finite float.
     """
     scale = _lambert_scale(p)
@@ -107,17 +105,35 @@ def phi_p(p: float, x: float) -> float:
     if x == 0.0:
         return p * math.e
     w = lambert_w(scale * x)
-    return (w / x) ** p / (1.0 / p - w) ** (p + 1.0)
+    # W is off by a few ulp of 1/p, so from (p + 1) 2^-21 / p up the (p+1)-th
+    # power of 1/p - W keeps its relative error within about 2^-30
+    gap = _trusted("1/p - W", 1.0 / p - w, p, x, floor=(p + 1.0) * 2.0 ** -21 / p)
+    return (w / x) ** p / _trusted("(1/p - W)^(p+1)", gap ** (p + 1.0), p, x)
 
 
 def phi_p_envelope(p: float, x: float) -> float:
-    """Elementary envelope (p+1)^{p+1} / p^p / (1-x)^{p+1} dominating phi_p."""
+    """Elementary envelope (p+1)^{p+1} / p^p / (1-x)^{p+1} dominating phi_p;
+    AdmissibilityError once (1-x)^{p+1} is no normal float or the value overflows."""
     if not (0.0 < p < math.inf):
         raise AdmissibilityError(f"p must be positive and finite, got {p}")
     if not (0.0 <= x < 1.0):
         raise AdmissibilityError(
             f"the envelope needs 0 <= x < 1, got x = {x}")
-    return (p + 1.0) ** (p + 1.0) / p ** p / (1.0 - x) ** (p + 1.0)
+    value = (p + 1.0) ** (p + 1.0) / p ** p / _trusted(
+        "(1 - x)^(p+1)", (1.0 - x) ** (p + 1.0), p, x)
+    return _trusted("the envelope", value, p, x)
+
+
+def _trusted(name: str, value: float, p: float, x: float,
+             floor: float = sys.float_info.min) -> float:
+    # a profile's denominator (or value) at its argument x (r = t / s for the
+    # region profile), if it is a finite float >= floor: below the smallest
+    # normal float it has lost digits, and a difference can cancel to noise
+    if not (floor <= value < math.inf):
+        raise AdmissibilityError(
+            f"{name} = {value!r} at p = {p}, x = {x} is not a float the profile "
+            f"can trust (need {floor:.6g} <= it < inf)")
+    return value
 
 
 def t_star(p: float, a: float, s: float) -> float:
@@ -138,61 +154,7 @@ def t_star(p: float, a: float, s: float) -> float:
     return a / (p * lambert_w(a / (p * s) * math.exp(1.0 / p)))
 
 
-# --- report and region types ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExteriorDisk:
-    """Target region |lam| > s."""
-
-    s: float
-
-    def __post_init__(self):
-        if not (0.0 < self.s < math.inf):
-            raise AdmissibilityError(
-                f"target radius must be positive and finite, got {self.s}")
-
-
-@dataclass(frozen=True)
-class Point:
-    """Target set {lam0}; the bound caps the algebraic multiplicity."""
-
-    lam0: complex
-
-    def __post_init__(self):
-        if not cmath.isfinite(self.lam0):
-            raise AdmissibilityError(f"target point must be finite, got {self.lam0}")
-
-
-@dataclass(frozen=True)
-class RegionSpec:
-    """An intermediate circle radius t and a target inside the exterior region.
-
-    t may be None, in which case each rank N uses its closed-form
-    optimum t_star.
-    """
-
-    target: ExteriorDisk | Point
-    t: float | None = None
-
-    def __post_init__(self):
-        if self.t is not None and not (self.t > 0.0):
-            raise AdmissibilityError(f"circle radius t must be positive, got {self.t}")
-        if isinstance(self.target, ExteriorDisk) and self.t is not None:
-            if self.t >= self.target.s:
-                raise AdmissibilityError(
-                    f"need t < s so the target stays strictly outside, "
-                    f"got t = {self.t}, s = {self.target.s}")
-        if isinstance(self.target, Point) and self.t is not None:
-            if self.t >= abs(self.target.lam0):
-                raise AdmissibilityError(
-                    f"need t < |lam0|, got t = {self.t}, |lam0| = {abs(self.target.lam0)}")
-
-    @property
-    def target_radius(self) -> float:
-        if isinstance(self.target, ExteriorDisk):
-            return self.target.s
-        return abs(self.target.lam0)
+# --- the report ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -346,29 +308,21 @@ def _candidate_ranks(n_rank: int | None, dim: int, rank: int):
     return [n_rank]
 
 
-def _circle(prep: Prepared, p: float, s: float, a_next: float,
-            t: float | None, epsilon: float | None) -> tuple[float, float]:
-    # the intermediate radius (closed-form optimum unless given) and the gap
-    if t is None:
-        t = t_star(p, prep.norm_l0 + a_next, s)
-    return t, (t - prep.norm_l0 if epsilon is None else epsilon)
-
-
 def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
                 n_rank: int | None, profile,
-                t: float | None = None, epsilon: float | None = None,
-                target: complex | None = None) -> BoundReport:
+                t: float | None = None, epsilon: float | None = None) -> BoundReport:
     """Bound minimizing (C_p / s^p) profile(N, alpha_{N+1}) times
-    sum_{j<=N} (alpha_{N+1} + alpha_j)^p over the rank N.
+    sum_{j<=N} (alpha_{N+1} + alpha_j)^p over the rank N, for the target
+    |lam| > s.
 
     With n_rank None every N in [0, rank K] is tried (a larger N only
     repeats the bound at N = rank K, having alpha_{N+1} = 0 and the same
     alpha sum) and an N that is inadmissible (alpha_{N+1} >= s - ||L0||,
     or the profile raises AdmissibilityError) is skipped; a fixed n_rank
-    raises instead. The report's circle is t (or t_star at the winning N)
-    and its gap epsilon (or t - ||L0||); an explicit epsilon marks the
-    report non-certified. A p outside the range of phi_p and t_star is
-    rejected before the sweep, as no N can mend it.
+    raises instead. The report's circle is t, or t_star at the winning N
+    when t is None, and its gap epsilon (or t - ||L0||); an explicit epsilon
+    marks the report non-certified. A p outside the range of phi_p and
+    t_star is rejected before the sweep, as no N can mend it.
     """
     _check_exterior(prep, p, s)
     _lambert_scale(p)
@@ -402,11 +356,13 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
             f"alpha_{{N+1}} = 0")
 
     value, n, a_next, phi, total = best
-    t_opt, eps = _circle(prep, p, s, a_next, t, epsilon)
+    if t is None:
+        t = t_star(p, norm_l0 + a_next, s)
     return BoundReport(
-        kind=kind, p=p, target=complex(s) if target is None else target,
-        n_rank=n, t_star=t_opt, eps=eps, gamma_p=gamma.value, c_p=gamma.c_p,
-        phi_value=phi, alpha_sum=total, bound=value, certified=epsilon is None,
+        kind=kind, p=p, target=complex(s), n_rank=n, t_star=t,
+        eps=t - norm_l0 if epsilon is None else epsilon, gamma_p=gamma.value,
+        c_p=gamma.c_p, phi_value=phi, alpha_sum=total, bound=value,
+        certified=epsilon is None,
         alpha_mode=Certainty.EXACT if prep.alpha.all_exact else Certainty.UPPER_BOUND)
 
 
@@ -438,43 +394,42 @@ def count_bound_disk_simple(model: OperatorModel | Prepared, p: float, s: float,
         lambda n, a_next: phi_p_envelope(p, (prep.norm_l0 + a_next) / s))
 
 
-def count_bound_region(model: OperatorModel | Prepared, p: float,
-                       region: RegionSpec, n_rank: int | None = None,
+def count_bound_region(model: OperatorModel | Prepared, p: float, s: float,
+                       t: float, n_rank: int | None = None,
                        epsilon: float | None = None) -> BoundReport:
-    """Bound through an intermediate circle |lam| = t.
+    """Bound on the eigenvalue count outside |lam| = s through the circle |lam| = t.
 
     bound = C_p / ((eps - alpha_{N+1})^p log(1/r)) sum_{j<=N}
-    (alpha_{N+1} + alpha_j)^p with r = t / target_radius and, in
-    certified mode, eps = t - ||L0||. When region.t is None each N uses
-    the maximizer t_star of (t - ||L0|| - alpha_{N+1})^p log(1/r), so the
-    bound then equals count_bound_disk up to rounding. Passing an explicit
+    (alpha_{N+1} + alpha_j)^p with r = t / s and, in certified mode,
+    eps = t - ||L0||; it needs 0 < t < s, and an N with t <= ||L0|| +
+    alpha_{N+1} is inadmissible. At t = t_star(p, ||L0|| + alpha_{N+1}, s)
+    it equals count_bound_disk at that N up to rounding. Passing an explicit
     epsilon (from sampling) marks the report non-certified.
     """
+    if not (t > 0.0):
+        raise AdmissibilityError(f"circle radius t must be positive, got {t}")
+    if not (t < s):
+        raise AdmissibilityError(
+            f"need t < s so the target stays strictly outside, got t = {t}, s = {s}")
+    r = t / s  # 1 / r overflows, or r underflows, for t below about 5.6e-309 s
+    log_inv_r = _trusted("log(1/r)", math.log(1.0 / r) if r > 0.0 else math.inf, p, r)
     prep = _as_prepared(model)
-    s_target = region.target_radius
+    eps = t - prep.norm_l0 if epsilon is None else epsilon
 
     def profile(n: int, a_next: float) -> float:
-        t, eps = _circle(prep, p, s_target, a_next, region.t, epsilon)
         a = prep.norm_l0 + a_next
         if t <= a:
             raise AdmissibilityError(
                 f"circle radius t = {t} must exceed ||L0|| + alpha_{n + 1} "
                 f"= {a:.12g}")
-        r = t / s_target
-        if not (0.0 < r < 1.0):
-            raise AdmissibilityError(
-                f"conformal radius r = t / target = {r:.12g} is degenerate; "
-                "need 0 < r < 1")
         if eps <= a_next:
             raise AdmissibilityError(
                 f"pseudospectral gap eps = {eps:.12g} must exceed "
                 f"alpha_{n + 1} = {a_next:.12g}")
-        return s_target ** p / ((eps - a_next) ** p * math.log(1.0 / r))
+        return s ** p / (_trusted("(eps - alpha)^p", (eps - a_next) ** p, p, r)
+                         * log_inv_r)
 
-    target = (complex(region.target.lam0) if isinstance(region.target, Point)
-              else None)
-    return _rank_sweep("region", prep, p, s_target, n_rank, profile,
-                       t=region.t, epsilon=epsilon, target=target)
+    return _rank_sweep("region", prep, p, s, n_rank, profile, t=t, epsilon=epsilon)
 
 
 def koenig_count_bound(model: OperatorModel | Prepared, p: float,

@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: bound (certified disk/point count bounds plus the oracle
-count), oracle (brute-force counts, curves, moment sums), verify (the
-seeded property suites), gamma (the scalar envelope constant), and
-example-shift (the shift plus rank-one family sweep).
+Subcommands: bound (certified bounds on the count outside |lam| = s plus
+the oracle count; --point lam0 reads the same rows at s = |lam0| against
+the multiplicity of lam0), oracle (brute-force counts, curves, moment
+sums), verify (the seeded property suites), gamma (the scalar envelope
+constant), and example-shift (the shift plus rank-one family sweep).
 
 Reports are JSON with sorted keys so identical invocations produce
 byte-identical output in certified mode; wall time goes to stderr.
@@ -29,9 +30,6 @@ import numpy as np
 from . import __version__
 from .bounds import (
     BoundReport,
-    ExteriorDisk,
-    Point,
-    RegionSpec,
     count_bound_disk,
     count_bound_disk_simple,
     count_bound_region,
@@ -206,25 +204,20 @@ def _cmd_bound(args) -> int:
     prep = prepare(model)
 
     # every bound checks its admissibility before the oracle's eigensolve; a
-    # disk takes no region row, which at t_star repeats disk_phi to rounding
-    if args.point is None:
-        reports = [bound(prep, args.p, args.s, n_rank=args.n)
-                   for bound in (count_bound_disk, count_bound_disk_simple)]
-        target = ExteriorDisk(args.s)
-    else:
-        target = Point(args.point)
-        reports = [count_bound_region(prep, args.p, RegionSpec(target), n_rank=args.n)]
+    # point lam0 reads the rows at s = |lam0|, which also cap the count on the circle
+    s = args.s if args.point is None else abs(args.point)
+    reports = [bound(prep, args.p, s, n_rank=args.n)
+               for bound in (count_bound_disk, count_bound_disk_simple)]
     if args.mode == "empirical":
         # same circle as the certified optimum, gap measured by sampling
         t = reports[0].t_star
-        reports.append(count_bound_region(
-            prep, args.p, RegionSpec(target, t=t), n_rank=args.n,
-            epsilon=pseudospectral_epsilon(prep, t)))
-    if isinstance(model.base, Zero) and args.point is None:
-        reports.append(koenig_count_bound(prep, args.p, args.s))
+        reports.append(count_bound_region(prep, args.p, s, t, n_rank=args.n,
+                                          epsilon=pseudospectral_epsilon(prep, t)))
+    if isinstance(model.base, Zero):
+        reports.append(koenig_count_bound(prep, args.p, s))
 
     if args.point is None:
-        oracle = prep.count_outside(args.s)
+        oracle = prep.count_outside(s)
     else:  # the multiplicity of the point, to the spectrum's clustering radius
         spec = prep.spectrum
         oracle = int(np.sum(spec.multiplicities[np.abs(spec.values - args.point)

@@ -20,10 +20,11 @@ c = cos theta, U the Chebyshev polynomials of the second kind. By
 c U_k = (U_{k+1} + U_{k-1}) / 2 its zeros c are the eigenvalues of the
 (n-1) x (n-1) Jacobi matrix with 1/2 off the diagonal and diagonal
 (0, ..., 0, r/2), besides theta = 0 and pi; the maximum is taken over
-these n + 1 angles alone. Gamma_2 comes out as 0.5000000077, above the
-exact 1/2 (the circle maximum is r^2 / 2 for 0 < r < 2) by rounding near
-r = 0: at the critical angle |1 - lam| = 1, and log|1 - lam| carries an
-error of about one ulp of 1, which at r_star = 1.7e-4 is 7.7e-9 r^2.
+these n + 1 angles alone. log|1 - lam| is read as log1p(r (r - 2 cos theta)) / 2,
+so near r = 0, where |1 - lam| = 1 at the critical angle, it keeps its
+relative accuracy instead of an error of one ulp of 1. Gamma_2 comes out as
+0.5000000000005, the exact 1/2 (the circle maximum is r^2 / 2 for 0 < r < 2)
+times the 1e-12 inflation.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ _RADII_PER_BLOCK = 256  # radii evaluated together; bounds the 256 x (n-1)^2 Jac
 
 def _factor_log_abs(r, theta, coefs) -> np.ndarray:
     # log|(1-lam) exp(sum_{j<n} lam^j/j)| at lam = r e^{i theta}, with
-    # coefs[j-1] = r^j / j; r, theta and the coefs broadcast together
-    val = np.log(np.abs(1.0 - r * np.exp(1j * theta)))
+    # coefs[j-1] = r^j / j; r, theta and the coefs broadcast together.
+    # |1 - lam|^2 = 1 + r (r - 2 cos theta), so log1p keeps small r exact
+    val = 0.5 * np.log1p(r * (r - 2.0 * np.cos(theta)))
     for j, coef in enumerate(coefs, start=1):
         val += coef * np.cos(j * theta)
     return val

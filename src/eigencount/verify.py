@@ -19,9 +19,7 @@ import numpy as np
 
 from .approx import koenig_check, rank_n_factors
 from .bounds import (
-    ExteriorDisk,
     Prepared,
-    RegionSpec,
     count_bound_disk,
     count_bound_disk_simple,
     count_bound_region,
@@ -493,7 +491,7 @@ def _sweep_one(entry: CorpusEntry, p_values: Sequence[float], log: _Log) -> None
             a = prep.norm_l0 + prep.alpha.value_at(phi_report.n_rank + 1)
             t_opt = phi_report.t_star
             regions = [
-                count_bound_region(prep, p, RegionSpec(ExteriorDisk(s), t=t))
+                count_bound_region(prep, p, s, t)
                 for t in (0.5 * (a + t_opt), 0.5 * (t_opt + s))]
             for report in [phi_report, simple_report] + regions:
                 log.check(oracle <= report.bound + 1e-9 * max(1.0, report.bound),
@@ -538,8 +536,7 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
         dim = entry.model.dim
         t = t_star(1.0, prep.norm_l0, s)
         disk = count_bound_disk(prep, 1.0, s, n_rank=dim)
-        region = count_bound_region(
-            prep, 1.0, RegionSpec(ExteriorDisk(s), t=t), n_rank=dim)
+        region = count_bound_region(prep, 1.0, s, t, n_rank=dim)
         log.check(abs(disk.bound - region.bound) <= 1e-9 * max(disk.bound, 1e-300),
                   kind="region_disk_identity", model=entry.name,
                   disk=disk.bound, region=region.bound)

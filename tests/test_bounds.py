@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,11 +13,8 @@ from eigencount import (
     Certainty,
     Dense,
     Diagonal,
-    ExteriorDisk,
     NormKind,
     OperatorModel,
-    Point,
-    RegionSpec,
     SingularResolventError,
     Zero,
     approx_numbers,
@@ -111,6 +109,48 @@ def test_phi_rejects_out_of_range():
         phi_p(0.0, 0.5)
 
 
+@pytest.mark.parametrize("p", [0.5, 2.0, 12.0, 20.0])
+def test_profiles_refuse_a_denominator_without_digits(p):
+    # at x = 1 - 2^-52, 1/p - W cancels to rounding noise (once it came out
+    # negative at p = 12), and (1 - x)^(p+1) underflows at p = 20
+    x = 1.0 / 1.0000000000000002
+    with pytest.raises(AdmissibilityError,
+                       match=r"1/p - W = .* at p = " + re.escape(f"{p}, x = {x}")):
+        phi_p(p, x)
+    if p == 20.0:
+        with pytest.raises(AdmissibilityError, match=re.escape("(1 - x)^(p+1) = 0.0")):
+            phi_p_envelope(p, x)
+    else:
+        assert 0.0 < phi_p_envelope(p, x) < math.inf
+
+
+def test_envelope_refuses_a_value_that_overflows():
+    # (1 - x)^20 = 2^-1020 is still a normal float, the quotient is not
+    with pytest.raises(AdmissibilityError, match=re.escape("the envelope = inf at p = 19.0")):
+        phi_p_envelope(19.0, 1.0 - 2.0 ** -51)
+
+
+@pytest.mark.parametrize("p", [0.0015, 0.1, 1.0, 3.0, 12.0, 40.0])
+def test_phi_near_one_is_accurate_or_refused(p):
+    import mpmath
+
+    served = 0
+    for k in range(2, 54):
+        x = 1.0 - 1.3 * 2.0 ** -k
+        try:
+            value = phi_p(p, x)
+        except AdmissibilityError:
+            continue
+        served += 1
+        with mpmath.workdps(40):
+            big_p, big_x = mpmath.mpf(p), mpmath.mpf(x)
+            w = mpmath.lambertw(mpmath.exp(1 / big_p) / big_p * big_x).real
+            reference = (w / big_x) ** big_p / (1 / big_p - w) ** (big_p + 1)
+        assert abs(value - reference) <= 1e-9 * reference
+        assert value <= phi_p_envelope(p, x)
+    assert served >= 10
+
+
 @pytest.mark.parametrize("p", [0.001, 0.00141])
 def test_p_too_small_for_the_lambert_argument_is_inadmissible(p):
     # e^{1/p} / p overflows a float: math.exp raises at p = 0.001, and at
@@ -146,7 +186,8 @@ def _sound_on(entry, l0, k, p, s):
         report = fn(entry.model, p, s)
         assert report.admissible
         assert oracle <= report.bound + 1e-9 * max(1.0, report.bound)
-    region = count_bound_region(entry.model, p, RegionSpec(ExteriorDisk(s)))
+    t = count_bound_disk(entry.model, p, s).t_star
+    region = count_bound_region(entry.model, p, s, t)
     assert oracle <= region.bound + 1e-9 * max(1.0, region.bound)
 
 
@@ -176,9 +217,8 @@ def test_region_with_optimal_circle_matches_disk_bound(materialized):
     s = norm_l0 + 0.5 * (norm_k + 1.0)
     dim = entry.model.dim
     disk = count_bound_disk(entry.model, 1.0, s, n_rank=dim)
-    region = count_bound_region(
-        entry.model, 1.0,
-        RegionSpec(ExteriorDisk(s), t=t_star(1.0, norm_l0, s)), n_rank=dim)
+    region = count_bound_region(entry.model, 1.0, s, t_star(1.0, norm_l0, s),
+                                n_rank=dim)
     assert region.bound == pytest.approx(disk.bound, rel=1e-9)
 
 
@@ -190,11 +230,37 @@ def test_inadmissible_radius_is_reported():
 
 
 def test_point_target_region_bound():
+    # a point's bound is the bound at its modulus, which counts the circle too
     model, _ = shift_example(np.array([2.0 + 0j]), 12)
-    l0, k = materialize(model)
-    report = count_bound_region(model, 1.0, RegionSpec(Point(2.0 + 0j)))
+    s = abs(2.0 + 0j)
+    report = count_bound_region(model, 1.0, s, count_bound_disk(model, 1.0, s).t_star)
     assert report.admissible
+    assert report.target == complex(s)
     assert report.bound >= 1.0 - 1e-9  # lam = 2 is an eigenvalue
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5, 1.6, 2.0, math.inf, -math.inf, math.nan])
+def test_region_rejects_a_circle_outside_zero_to_s(t):
+    model, _ = shift_example(np.array([2.0 + 0j]), 12)
+    with pytest.raises(AdmissibilityError, match=f"t = {t}" if t > 0 else "positive"):
+        count_bound_region(model, 1.0, 1.6, t)
+
+
+@pytest.mark.parametrize("t", [1e-310, 5e-324])
+def test_region_rejects_a_circle_too_small_for_log_one_over_r(t):
+    # 1 / r overflows at t = 1e-310 and r underflows at 5e-324; log(1/r) = inf
+    # would make the bound 0
+    model, _ = shift_example(np.array([2.0 + 0j]), 12)
+    with pytest.raises(AdmissibilityError, match=r"log\(1/r\) = inf at p = 1\.0"):
+        count_bound_region(model, 1.0, 1.6, t)
+
+
+def test_region_rejects_a_gap_whose_power_underflows():
+    # (eps - alpha_{N+1})^p below the smallest normal float: every N is refused
+    model, _ = shift_example(np.array([2.0 + 0j]), 12)
+    prep = prepare(model)
+    with pytest.raises(AdmissibilityError, match=r"\(eps - alpha\)\^p = "):
+        count_bound_region(prep, 20.0, 1.6, 1.5, epsilon=prep.alpha.value_at(2) + 1e-20)
 
 
 def test_compact_case_recovery():
@@ -402,10 +468,10 @@ def test_a_circle_through_the_base_spectrum_fails_alike_in_every_norm(corpus):
 def test_empirical_region_bound_tightens_and_is_flagged():
     model, _ = shift_example(np.array([2.0 + 0j]), 16)
     s = 1.6
-    certified = count_bound_region(model, 1.0, RegionSpec(ExteriorDisk(s)))
-    eps = pseudospectral_epsilon(prepare(model), certified.t_star)
-    empirical = count_bound_region(
-        model, 1.0, RegionSpec(ExteriorDisk(s), t=certified.t_star), epsilon=eps)
+    t = count_bound_disk(model, 1.0, s).t_star
+    certified = count_bound_region(model, 1.0, s, t)
+    eps = pseudospectral_epsilon(prepare(model), t)
+    empirical = count_bound_region(model, 1.0, s, t, epsilon=eps)
     assert certified.certified
     assert not empirical.certified
     assert empirical.bound <= certified.bound * (1 + 1e-9)
@@ -456,22 +522,21 @@ def test_explicit_circle_skips_inadmissible_ranks(corpus):
     model = corpus[2].model
     prep = prepare(model)
     s = prep.norm_l0 + 0.5 * (prep.norm_k + 1.0)
-    t = count_bound_region(prep, 1.0, RegionSpec(ExteriorDisk(s))).t_star
+    t = count_bound_disk(prep, 1.0, s).t_star
     assert t <= prep.norm_l0 + prep.alpha.value_at(3)
     l0, k = materialize(model)
     oracle = eigen_count_outside(l0 + k, s)
-    spec = RegionSpec(ExteriorDisk(s), t=t)
-    certified = count_bound_region(model, 1.0, spec)
+    certified = count_bound_region(model, 1.0, s, t)
     assert certified.certified and certified.t_star == t
     assert oracle <= certified.bound
     assert t > prep.norm_l0 + prep.alpha.value_at(certified.n_rank + 1)
 
-    gap = count_bound_region(model, 1.0, spec, epsilon=t - prep.norm_l0)
+    gap = count_bound_region(model, 1.0, s, t, epsilon=t - prep.norm_l0)
     assert not gap.certified
     assert gap.bound == certified.bound
 
     with pytest.raises(AdmissibilityError, match="alpha_3"):
-        count_bound_region(model, 1.0, spec, n_rank=2)
+        count_bound_region(model, 1.0, s, t, n_rank=2)
 
 
 def test_auto_rank_stops_at_the_rank_of_k(monkeypatch):

@@ -59,6 +59,7 @@ _SPEC = "specs/shift_rank_one.json"
     ("bound_p1_s1.5.json", ("bound", _SPEC, "--p", "1", "--s", "1.5")),
     ("bound_p1_s1.5.csv", ("bound", _SPEC, "--p", "1", "--s", "1.5", "--format", "csv")),
     ("bound_p1_point2.json", ("bound", _SPEC, "--p", "1", "--point", "2,0")),
+    ("bound_p2_s1.5.json", ("bound", _SPEC, "--p", "2", "--s", "1.5")),
     ("gamma_p0.05.txt", ("gamma", "--p", "0.05")),
     ("gamma_p0.5.txt", ("gamma", "--p", "0.5")),
     ("gamma_p2.txt", ("gamma", "--p", "2")),
@@ -113,11 +114,74 @@ def test_bound_point_target(capsys, spec_path):
     assert code == 0
     results = json.loads(out)["results"]
     assert results["oracle_count"] == 1  # simple eigenvalue at 2
-    assert [row["kind"] for row in results["bounds"]] == ["region"]
+    assert [row["kind"] for row in results["bounds"]] == ["disk_phi", "disk_simple"]
 
     code, out, _ = _run(capsys, "bound", str(spec_path), "--p", "1",
                         "--point", "5,0")
     assert json.loads(out)["results"]["oracle_count"] == 0
+
+
+def _bound_rows(capsys, *argv):
+    code, out, err = _run(capsys, "bound", *argv)
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    return results["oracle_count"], results["bounds"]
+
+
+@pytest.mark.parametrize("p", ["0.5", "1", "2"])
+@pytest.mark.parametrize("zero_base", [False, True])
+def test_point_rows_are_the_rows_at_its_modulus(capsys, tmp_path, spec_path, p, zero_base):
+    # an off-axis point of modulus 1.5: every row, koenig_classical on a zero
+    # base too, is the row of --s |lam0|; only the oracle differs, being the
+    # multiplicity of lam0 (0) and not the count beyond 1.5 (1, the eigenvalue 2)
+    doc = spec_path
+    if zero_base:
+        model = parse_spec(spec_path.read_bytes())
+        doc = tmp_path / "compact.json"
+        doc.write_text(serialize_spec(OperatorModel(
+            model.dim, model.norm, Zero(), Dense(sum(materialize(model))))))
+    s = abs(complex(0.9, 1.2))
+    point_oracle, point_rows = _bound_rows(capsys, str(doc), "--p", p, "--point", "0.9,1.2")
+    disk_oracle, disk_rows = _bound_rows(capsys, str(doc), "--p", p, "--s", repr(s))
+    kinds = ["disk_phi", "disk_simple"] + ["koenig_classical"] * zero_base
+    assert [row["kind"] for row in point_rows] == kinds
+    assert (point_oracle, disk_oracle) == (0, 1)
+    for point_row, disk_row in zip(point_rows, disk_rows):
+        assert point_row["target"] == [s, 0.0]
+        assert ({**point_row, "oracle_count": None}
+                == {**disk_row, "oracle_count": None})
+
+
+# a spec whose only admissible rank puts x = ||L0|| / s within one ulp of 1
+_EDGE = {"dim": 2, "norm": "l1",
+         "base": {"kind": "diagonal", "values": [[1, 0], [0.5, 0]]},
+         "perturbation": {"kind": "diagonal", "values": [[0, 0], [1, 0]]}}
+
+
+@pytest.mark.parametrize("p", ["0.5", "2", "12", "20"])
+@pytest.mark.parametrize("zero_k", [False, True])
+def test_a_radius_one_ulp_past_the_base_norm_is_sound_or_refused(capsys, tmp_path,
+                                                                  p, zero_k):
+    # once: a certified disk_phi of -5.73e210 at p = 12, disk_phi above
+    # disk_simple at p = 2, and a ZeroDivisionError with a zero K at p = 20
+    doc = tmp_path / "edge.json"
+    spec = dict(_EDGE)
+    if zero_k:
+        spec["perturbation"] = {"kind": "zero"}
+    doc.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run(capsys, "bound", str(doc), "--p", p,
+                              "--s", "1.0000000000000002")
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+        return
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    rows = {row["kind"]: row for row in results["bounds"]}
+    for row in rows.values():
+        assert row["certified"] and row["bound"] >= results["oracle_count"]
+    assert rows["disk_phi"]["bound"] <= rows["disk_simple"]["bound"]
 
 
 @pytest.mark.parametrize("exponent", [-40, -1000])
@@ -427,6 +491,8 @@ def test_exit_code_inadmissible(capsys, spec_path):
     (("bound", "SPEC", "--p", "1", "--s", "inf"), 2),
     (("bound", "SPEC", "--p", "1", "--s", "nan"), 2),
     (("bound", "SPEC", "--p", "1", "--point", "inf,0"), 2),
+    (("bound", "SPEC", "--p", "1", "--point", "nan,0"), 2),
+    (("bound", "SPEC", "--p", "1", "--point", "0,0"), 2),
     (("bound", "SPEC", "--p", "0.001", "--s", "1.5"), 2),
     (("bound", "SPEC", "--p", "0.00141", "--s", "1.5"), 2),
     (("gamma", "--p", "0.001"), 2),
