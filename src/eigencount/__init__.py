@@ -84,7 +84,6 @@ from .operators import (
 from .oracle import (
     CountCurve,
     JensenVerdict,
-    blaschke_divergence_probe,
     count_curve,
     eigen_count_outside,
     jensen_check,
@@ -131,7 +130,6 @@ __all__ = [
     "CountCurve", "eigen_count_outside", "low_rank_count_outside", "count_curve", "moment_sum",
     "moment_from_curve", "winding_count", "winding_from_samples",
     "JensenVerdict", "jensen_check", "shift_example", "lacunary_coefficients",
-    "blaschke_divergence_probe",
     # verify
     "CorpusEntry", "SuiteResult", "regression_corpus", "soundness_sweep",
     "sweep_radii", "run_suites",

@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 
+def _power_or_inf(base: float, p: float) -> float:
+    # the float power base^p, or inf where it overflows
+    try:
+        return base ** p
+    except OverflowError:
+        return math.inf
+
+
 class Certainty(Enum):
     EXACT = "exact"
     UPPER_BOUND = "upper_bound"
@@ -83,11 +91,11 @@ class ApproxSequence:
         return all(c is Certainty.EXACT for c in self.certainty)
 
     def head_power_sum(self, p: float, n: int, offset: float = 0.0) -> float:
-        """sum_{j<=n} (offset + alpha_j)^p, reading alpha_j = 0 past the end."""
+        """sum_{j<=n} (offset + alpha_j)^p, alpha_j = 0 past the end; inf on overflow."""
         floats = self._floats
         total = 0.0
         for j in range(n):
-            total += (offset + (floats[j] if j < len(floats) else 0.0)) ** p
+            total += _power_or_inf(offset + (floats[j] if j < len(floats) else 0.0), p)
         return total
 
 

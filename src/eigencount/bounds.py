@@ -24,7 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .approx import ApproxSequence, Certainty, approx_numbers, koenig_constant
+from .approx import (ApproxSequence, Certainty, _power_or_inf, approx_numbers,
+                     koenig_constant)
 from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
 from .numerics import (LowRankSketch, Spectrum, eigenvalues, induced_norm,
@@ -124,15 +125,25 @@ def phi_p_envelope(p: float, x: float) -> float:
     return _trusted("the envelope", value, p, x)
 
 
+class _Untrusted(AdmissibilityError):
+    """A profile value that lost its digits; moot where the alpha sum is empty."""
+
+
 def _trusted(name: str, value: float, p: float, x: float,
              floor: float = sys.float_info.min) -> float:
     # a profile's denominator (or value) at its argument x (r = t / s for the
     # region profile), if it is a finite float >= floor: below the smallest
     # normal float it has lost digits, and a difference can cancel to noise
     if not (floor <= value < math.inf):
-        raise AdmissibilityError(
+        raise _Untrusted(
             f"{name} = {value!r} at p = {p}, x = {x} is not a float the profile "
             f"can trust (need {floor:.6g} <= it < inf)")
+    return value
+
+
+def _finite_bound(value: float, p: float, s: float) -> float:
+    if not (value < math.inf):
+        raise AdmissibilityError(f"the bound {value!r} at p = {p}, s = {s} is not finite")
     return value
 
 
@@ -165,6 +176,9 @@ class BoundReport:
     phi_value is whichever profile factor the kind uses and alpha_sum is
     sum_{j<=N} (alpha_{N+1} + alpha_j)^p. The classical koenig_classical
     bound goes through no circle, so its t_star, eps and gamma_p are None.
+    A rank with an empty alpha sum (N = 0, or K = 0) whose profile value lost
+    its digits has phi_value and bound 0.0: admissible, it leaves ||L|| <=
+    ||L0|| + alpha_1 < target.
     """
 
     kind: str
@@ -288,7 +302,8 @@ def _as_prepared(model: OperatorModel | Prepared) -> Prepared:
     return model if isinstance(model, Prepared) else prepare(model)
 
 
-def _check_exterior(prep: Prepared, p: float, s: float) -> None:
+def _check_exterior(prep: Prepared, p: float, s: float) -> float:
+    # returns s^p; inf (every bound then reads 0.0) only where ||L0|| + ||K|| < s
     if not (0.0 < p < math.inf):
         raise AdmissibilityError(f"p must be positive and finite, got {p}")
     if not math.isfinite(s):
@@ -297,6 +312,10 @@ def _check_exterior(prep: Prepared, p: float, s: float) -> None:
         raise AdmissibilityError(
             f"need s > ||L0|| = {prep.norm_l0:.12g}, got s = {s}; no exterior "
             "disk clears the base spectrum otherwise")
+    s_power = _power_or_inf(s, p)
+    if s_power < sys.float_info.min or (s_power == math.inf and prep.norm_l0 + prep.norm_k >= s):
+        raise AdmissibilityError(f"s^p = {s_power!r} at p = {p}, s = {s} is no normal float")
+    return s_power
 
 
 def _candidate_ranks(n_rank: int | None, dim: int, rank: int):
@@ -312,19 +331,19 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
                 n_rank: int | None, profile,
                 t: float | None = None, epsilon: float | None = None) -> BoundReport:
     """Bound minimizing (C_p / s^p) profile(N, alpha_{N+1}) times
-    sum_{j<=N} (alpha_{N+1} + alpha_j)^p over the rank N, for the target
-    |lam| > s.
+    sum_{j<=N} (alpha_{N+1} + alpha_j)^p over the rank N, for the target |lam| > s.
 
     With n_rank None every N in [0, rank K] is tried (a larger N only
     repeats the bound at N = rank K, having alpha_{N+1} = 0 and the same
     alpha sum) and an N that is inadmissible (alpha_{N+1} >= s - ||L0||,
-    or the profile raises AdmissibilityError) is skipped; a fixed n_rank
-    raises instead. The report's circle is t, or t_star at the winning N
-    when t is None, and its gap epsilon (or t - ||L0||); an explicit epsilon
-    marks the report non-certified. A p outside the range of phi_p and
-    t_star is rejected before the sweep, as no N can mend it.
+    the profile raises AdmissibilityError, or the bound is not finite) is
+    skipped; a fixed n_rank raises instead. The report's circle is t, or
+    t_star at the winning N when t is None, and its gap epsilon (or
+    t - ||L0||); an explicit epsilon marks the report non-certified. A p
+    outside the range of phi_p and t_star, or an s^p _check_exterior
+    refuses, is rejected before the sweep, as no N can mend it.
     """
-    _check_exterior(prep, p, s)
+    s_power = _check_exterior(prep, p, s)
     _lambert_scale(p)
     norm_l0 = prep.norm_l0
     gamma = gamma_p_upper(p)
@@ -339,14 +358,19 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
                 raise AdmissibilityError(
                     f"alpha_{n + 1} = {a_next:.12g} must stay below "
                     f"s - ||L0|| = {s - norm_l0:.12g} for N = {n}")
-            phi = profile(n, a_next)
+            try:
+                phi = profile(n, a_next)
+            except _Untrusted:
+                if n > 0 and prep.norm_k > 0.0:
+                    raise
+                phi = 0.0  # the alpha sum is empty
+            total = prep.alpha.head_power_sum(p, n, offset=a_next)
+            value = _finite_bound(gamma.c_p / s_power * phi * total, p, s)
         except AdmissibilityError as exc:
             if n_rank is not None:
                 raise
             reason = exc
             continue
-        total = prep.alpha.head_power_sum(p, n, offset=a_next)
-        value = gamma.c_p / s ** p * phi * total
         if best is None or value < best[0]:
             best = (value, n, a_next, phi, total)
     if best is None:
@@ -402,9 +426,9 @@ def count_bound_region(model: OperatorModel | Prepared, p: float, s: float,
     bound = C_p / ((eps - alpha_{N+1})^p log(1/r)) sum_{j<=N}
     (alpha_{N+1} + alpha_j)^p with r = t / s and, in certified mode,
     eps = t - ||L0||; it needs 0 < t < s, and an N with t <= ||L0|| +
-    alpha_{N+1} is inadmissible. At t = t_star(p, ||L0|| + alpha_{N+1}, s)
-    it equals count_bound_disk at that N up to rounding. Passing an explicit
-    epsilon (from sampling) marks the report non-certified.
+    alpha_{N+1} is inadmissible, even an N = 0 whose alpha sum is empty. At
+    t = t_star(p, ||L0|| + alpha_{N+1}, s) it equals count_bound_disk at that
+    N up to rounding. Passing an explicit epsilon marks the report non-certified.
     """
     if not (t > 0.0):
         raise AdmissibilityError(f"circle radius t must be positive, got {t}")
@@ -414,6 +438,7 @@ def count_bound_region(model: OperatorModel | Prepared, p: float, s: float,
     r = t / s  # 1 / r overflows, or r underflows, for t below about 5.6e-309 s
     log_inv_r = _trusted("log(1/r)", math.log(1.0 / r) if r > 0.0 else math.inf, p, r)
     prep = _as_prepared(model)
+    s_power = _check_exterior(prep, p, s)
     eps = t - prep.norm_l0 if epsilon is None else epsilon
 
     def profile(n: int, a_next: float) -> float:
@@ -426,8 +451,9 @@ def count_bound_region(model: OperatorModel | Prepared, p: float, s: float,
             raise AdmissibilityError(
                 f"pseudospectral gap eps = {eps:.12g} must exceed "
                 f"alpha_{n + 1} = {a_next:.12g}")
-        return s ** p / (_trusted("(eps - alpha)^p", (eps - a_next) ** p, p, r)
-                         * log_inv_r)
+        # s^p cancels the sweep's 1 / s^p, which an infinite s^p cannot
+        return _trusted("s^p", s_power, p, r) / (
+            _trusted("(eps - alpha)^p", _power_or_inf(eps - a_next, p), p, r) * log_inv_r)
 
     return _rank_sweep("region", prep, p, s, n_rank, profile, t=t, epsilon=epsilon)
 
@@ -444,7 +470,7 @@ def koenig_count_bound(model: OperatorModel | Prepared, p: float,
     alpha_sum is the singular-value power sum.
     """
     prep = _as_prepared(model)
-    _check_exterior(prep, p, s)
+    s_power = _check_exterior(prep, p, s)
     if prep.norm_l0 != 0.0:
         raise AdmissibilityError(
             f"the classical bound needs L0 = 0, got ||L0|| = {prep.norm_l0:.12g}")
@@ -453,7 +479,8 @@ def koenig_count_bound(model: OperatorModel | Prepared, p: float,
     return BoundReport(
         kind="koenig_classical", p=p, target=complex(s), n_rank=prep.model.dim,
         t_star=None, eps=None, gamma_p=None, c_p=c_p, phi_value=1.0,
-        alpha_sum=total, alpha_mode=Certainty.EXACT, bound=c_p / s ** p * total)
+        alpha_sum=total, alpha_mode=Certainty.EXACT,
+        bound=_finite_bound(c_p / s_power * total, p, s))
 
 
 def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:

@@ -42,11 +42,11 @@ from .determinants import GammaProvenance, gamma_p_upper
 from .errors import EigencountError, SpecFormatError
 from .operators import Zero, _decode_json, parse_spec
 from .oracle import (
-    blaschke_divergence_probe,
     count_curve,
     eigen_count_outside,
     lacunary_coefficients,
     moment_sum,
+    shift_example,
 )
 from .verify import SUITE_NAMES, run_suites
 
@@ -342,16 +342,14 @@ def _load_coefficients(path: str) -> np.ndarray:
 
 
 def _cmd_example_shift(args) -> int:
-    if args.coeffs is not None:
-        fixed = _load_coefficients(args.coeffs)
-        family = lambda dim: fixed  # noqa: E731 - tiny closure over the list
-    else:
-        family = lacunary_coefficients
-
+    fixed = None if args.coeffs is None else _load_coefficients(args.coeffs)
     header = ["dim", "excess_sum"] + [f"n_above_{s}" for s in _EXAMPLE_RADII]
-    rows = [[row.dim, row.excess_sum]
-            + [eigen_count_outside(row.spectrum, s) for s in _EXAMPLE_RADII]
-            for row in blaschke_divergence_probe(family, args.dims).rows]
+    rows = []
+    for dim in args.dims:
+        b = lacunary_coefficients(dim) if fixed is None else fixed
+        spectrum = prepare(shift_example(b, dim)[0]).spectrum
+        rows.append([dim, moment_sum(spectrum, 1.0, 1.0)]
+                    + [eigen_count_outside(spectrum, s) for s in _EXAMPLE_RADII])
     _emit_csv(header, rows, args.out)
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .config import DEFAULT
 from .errors import AdmissibilityError, ContourError, NormalizationError
 from .numerics import (LowRankSketch, NormKind, Spectrum, _norm_bound, as_matrix,
                        eigenvalues)
-from .operators import OperatorModel, RankOne, Shift, materialize
+from .operators import OperatorModel, RankOne, Shift
 
 __all__ = [
     "CountCurve",
@@ -36,9 +36,6 @@ __all__ = [
     "jensen_check",
     "shift_example",
     "lacunary_coefficients",
-    "ProbeRow",
-    "ProbeResult",
-    "blaschke_divergence_probe",
 ]
 
 
@@ -498,8 +495,8 @@ def lacunary_coefficients(dim: int) -> np.ndarray:
     """Coefficients 1 at the powers of two, zero elsewhere.
 
     A heuristic stand-in for a bounded family whose zero set thickens
-    towards the unit circle; the probe below only checks finite-dim
-    growth, it proves nothing about divergence.
+    towards the unit circle; example-shift's excess sums only show
+    finite-dim growth, they prove nothing about divergence.
     """
     b = np.zeros(dim, dtype=complex)
     k = 1
@@ -507,41 +504,3 @@ def lacunary_coefficients(dim: int) -> np.ndarray:
         b[k - 1] = 1.0
         k *= 2
     return b
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    dim: int
-    excess_sum: float
-    spectrum: Spectrum = field(compare=False)  # the eigensolve the sum was read from
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    rows: tuple[ProbeRow, ...]
-    growth: float  # excess at largest dim over excess at smallest
-
-
-def blaschke_divergence_probe(b_family: Callable[[int], Sequence[complex]],
-                              dims: Sequence[int]) -> ProbeResult:
-    """Excess sum S(dim) = sum_{|lambda| > 1} (|lambda| - 1) per truncation.
-
-    A growing S across dims is consistent with (never proof of) a family
-    whose eigenvalue moduli violate the Blaschke-type summability at the
-    unit circle.
-    """
-    rows = []
-    for dim in dims:
-        model, _ = shift_example(np.asarray(b_family(dim), dtype=complex), dim)
-        l0, k = materialize(model)
-        spectrum = eigenvalues(l0 + k)
-        rows.append(ProbeRow(dim=dim, excess_sum=moment_sum(spectrum, 1.0, 1.0),
-                             spectrum=spectrum))
-    if not rows:
-        raise ValueError("need at least one dimension to probe")
-    first, last = rows[0].excess_sum, rows[-1].excess_sum
-    if first == 0.0:
-        growth = math.inf if last > 0.0 else 1.0
-    else:
-        growth = last / first
-    return ProbeResult(rows=tuple(rows), growth=growth)

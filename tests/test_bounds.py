@@ -263,6 +263,52 @@ def test_region_rejects_a_gap_whose_power_underflows():
         count_bound_region(prep, 20.0, 1.6, 1.5, epsilon=prep.alpha.value_at(2) + 1e-20)
 
 
+def test_only_a_profile_that_lost_its_digits_is_moot_at_an_empty_alpha_sum():
+    # N = 0 is admissible (||L0|| + alpha_1 = 1.5 < s = 2), but the circle t = 1.3
+    # lies inside 1.5: the region keeps refusing N = 0 and reports a larger N
+    model = OperatorModel(2, NormKind.L2, Diagonal(np.array([1.0, 0.5])),
+                          Diagonal(np.array([0.5, 0.1])))
+    assert count_bound_disk(model, 2.0, 2.0, n_rank=0).bound == 0.0
+    report = count_bound_region(model, 2.0, 2.0, 1.3)
+    assert report.n_rank > 0 and report.bound > 0.0
+    with pytest.raises(AdmissibilityError, match=r"circle radius t = 1.3 must exceed"):
+        count_bound_region(model, 2.0, 2.0, 1.3, n_rank=0)
+    # an infinite s^p, which the region profile cannot cancel, is moot at N = 0
+    model = OperatorModel(2, NormKind.L2, Zero(), Diagonal(np.array([1.0, 0.5])))
+    report = count_bound_region(model, 20.0, 1e20, 5e19)
+    assert (report.n_rank, report.bound, report.phi_value) == (0, 0.0, 0.0)
+    with pytest.raises(AdmissibilityError, match=r"s\^p = inf at p = 20.0"):
+        count_bound_region(model, 20.0, 1e20, 5e19, n_rank=1)
+
+
+def test_a_rank_with_a_bound_past_the_floats_is_refused():
+    # alpha_1^20 overflows: head_power_sum reads inf and the bound is no finite float
+    model = OperatorModel(2, NormKind.L2, Zero(), Diagonal(np.array([1e20, 0.5])))
+    assert prepare(model).alpha.head_power_sum(20.0, 1) == math.inf
+    with pytest.raises(AdmissibilityError, match=r"no admissible N .* is not finite"):
+        count_bound_disk(model, 20.0, 1e15)
+    with pytest.raises(AdmissibilityError, match=r"the bound inf at p = 20.0, s = 1000000000000000.0 is not"):
+        count_bound_disk(model, 20.0, 1e15, n_rank=1)
+
+
+def test_an_s_power_past_the_largest_float_gives_bound_zero_only_without_a_count():
+    # 1 / s^p reads 0, so every bound is 0.0: right where ||L0|| + ||K|| < s
+    model = OperatorModel(2, NormKind.L2, Zero(), Diagonal(np.array([1.0, 0.5])))
+    for report in (count_bound_disk(model, 20.0, 1e20, n_rank=2),
+                   count_bound_disk_simple(model, 20.0, 1e20, n_rank=2),
+                   koenig_count_bound(model, 20.0, 1e20)):
+        assert report.bound == 0.0 and 0.0 < report.alpha_sum < math.inf
+    with pytest.raises(AdmissibilityError, match=r"s\^p = 0.0 at p = 40.0, s = 1e-10"):
+        koenig_count_bound(model, 40.0, 1e-10)
+    # here the alpha sum (1.5e15)^20 is finite, but the eigenvalue 3.5e15 lies outside
+    model = OperatorModel(2, NormKind.L2, Diagonal(np.array([2e15, 0.0])),
+                          Diagonal(np.array([1.5e15, 0.0])))
+    assert eigen_count_outside(sum(materialize(model)), 2.7e15) == 1
+    for bound in (count_bound_disk, count_bound_disk_simple):
+        with pytest.raises(AdmissibilityError, match=r"s\^p = inf at p = 20.0"):
+            bound(model, 20.0, 2.7e15)
+
+
 def test_compact_case_recovery():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))

@@ -65,6 +65,8 @@ _SPEC = "specs/shift_rank_one.json"
     ("gamma_p2.txt", ("gamma", "--p", "2")),
     ("gamma_p3.txt", ("gamma", "--p", "3")),
     ("oracle_s1.2_q2.json", ("oracle", _SPEC, "--s", "1.2", "--q", "2")),
+    ("example_shift_lacunary.csv",
+     ("example-shift", "--family", "lacunary", "--dims", "8,16,32,64,128")),
 ])
 def test_stdout_matches_the_golden_file(capsys, monkeypatch, golden, argv):
     # a report echoes the spec path, so it runs from the repo root with
@@ -152,6 +154,34 @@ def test_point_rows_are_the_rows_at_its_modulus(capsys, tmp_path, spec_path, p, 
                 == {**disk_row, "oracle_count": None})
 
 
+_ZERO_BASE = {"dim": 2, "norm": "l2", "base": {"kind": "zero"},
+              "perturbation": {"kind": "diagonal", "values": [[1, 0], [0.5, 0]]}}
+
+
+@pytest.mark.parametrize("mode", ["certified", "empirical"])
+@pytest.mark.parametrize("doc, p, s, expected", [
+    ("shift", "20", "1e20", 0),  # s^p overflows: the true bound is below 1
+    ("zero_base", "20", "1e20", 0),
+    ("zero_base", "40", "1e-10", 2),  # s^p underflows to 0
+])
+def test_an_s_power_past_the_floats_is_a_zero_bound_or_refused(capsys, tmp_path, mode,
+                                                               doc, p, s, expected):
+    # all six once exited 1 with an OverflowError or ZeroDivisionError traceback
+    path = ROOT / _SPEC
+    if doc == "zero_base":
+        path = tmp_path / "zero_base.json"
+        path.write_text(json.dumps(_ZERO_BASE))
+    code, out, err = _run(capsys, "bound", str(path), "--p", p, "--s", s, "--mode", mode)
+    assert code == expected, err
+    if code == 2:
+        assert out == "" and err.startswith("error: s^p = 0.0") and "Traceback" not in err
+        return
+    results = json.loads(out)["results"]
+    assert results["oracle_count"] == 0 and results["best_bound"] == 0.0
+    for row in results["bounds"]:
+        assert row["bound"] >= results["oracle_count"]
+
+
 # a spec whose only admissible rank puts x = ||L0|| / s within one ulp of 1
 _EDGE = {"dim": 2, "norm": "l1",
          "base": {"kind": "diagonal", "values": [[1, 0], [0.5, 0]]},
@@ -163,7 +193,8 @@ _EDGE = {"dim": 2, "norm": "l1",
 def test_a_radius_one_ulp_past_the_base_norm_is_sound_or_refused(capsys, tmp_path,
                                                                   p, zero_k):
     # once: a certified disk_phi of -5.73e210 at p = 12, disk_phi above
-    # disk_simple at p = 2, and a ZeroDivisionError with a zero K at p = 20
+    # disk_simple at p = 2, and a ZeroDivisionError with a zero K at p = 20;
+    # a zero K then exited 2 at every p, though N = 0 has an empty alpha sum
     doc = tmp_path / "edge.json"
     spec = dict(_EDGE)
     if zero_k:
@@ -173,7 +204,7 @@ def test_a_radius_one_ulp_past_the_base_norm_is_sound_or_refused(capsys, tmp_pat
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = _run(capsys, "bound", str(doc), "--p", p,
                               "--s", "1.0000000000000002")
-    if code == 2:
+    if code == 2 and not zero_k:
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
         return
     assert code == 0, err
@@ -182,6 +213,8 @@ def test_a_radius_one_ulp_past_the_base_norm_is_sound_or_refused(capsys, tmp_pat
     for row in rows.values():
         assert row["certified"] and row["bound"] >= results["oracle_count"]
     assert rows["disk_phi"]["bound"] <= rows["disk_simple"]["bound"]
+    if zero_k:
+        assert results["best_bound"] == 0.0 and rows["disk_phi"]["phi_value"] == 0.0
 
 
 @pytest.mark.parametrize("exponent", [-40, -1000])
@@ -434,11 +467,11 @@ def test_example_shift_fixed_coefficients(tmp_path, capsys):
     coeffs = tmp_path / "b.json"
     coeffs.write_text("[[2.0, 0.0]]")
     code, out, _ = _run(capsys, "example-shift", "--coeffs", str(coeffs),
-                        "--dims", "8,16")
+                        "--dims", "8,16,32")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][:2] == ["dim", "excess_sum"]
-    assert [row[0] for row in rows[1:]] == ["8", "16"]
+    assert [row[0] for row in rows[1:]] == ["8", "16", "32"]
     for row in rows[1:]:
         assert float(row[1]) == pytest.approx(1.0, abs=1e-9)
         assert row[2] == "1"   # one eigenvalue above radius 1
@@ -446,12 +479,17 @@ def test_example_shift_fixed_coefficients(tmp_path, capsys):
 
 
 def test_example_shift_lacunary_family(capsys):
+    # the excess sums grow with the truncation, from 0.8768 at dim 8 to 1.158 at 256
     code, out, _ = _run(capsys, "example-shift", "--family", "lacunary",
-                        "--dims", "8,16,32")
+                        "--dims", "8,16,32,64,128,256")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
+    assert [int(row[0]) for row in rows[1:]] == [8, 16, 32, 64, 128, 256]
     sums = [float(row[1]) for row in rows[1:]]
     assert sums == sorted(sums)
+    assert sums[0] == pytest.approx(0.8768, abs=2e-3)
+    assert sums[-1] == pytest.approx(1.158, abs=2e-2)
+    assert sums[-1] / sums[0] > 1.25  # the growth ratio the removed probe reported
 
 
 def test_exit_code_usage_errors(capsys, spec_path, tmp_path):

@@ -11,7 +11,6 @@ from eigencount import (
     Dense,
     NormKind,
     OperatorModel,
-    blaschke_divergence_probe,
     count_curve,
     eigen_count_outside,
     eigenvalues,
@@ -253,25 +252,6 @@ def test_lacunary_support_is_powers_of_two():
     support = set(np.nonzero(b)[0] + 1)  # 1-based positions
     assert support == {1, 2, 4, 8, 16, 32}
     assert np.allclose(b[np.nonzero(b)], 1.0)
-
-
-def test_probe_single_coefficient_excess_is_constant_one():
-    result = blaschke_divergence_probe(
-        lambda dim: np.array([2.0 + 0j]), (8, 16, 32))
-    for row in result.rows:
-        # lone eigenvalue at 2 gives (2 - 1)^1 = 1 at every dimension
-        assert row.excess_sum == pytest.approx(1.0, abs=1e-9)
-    assert result.growth == pytest.approx(1.0, abs=1e-9)
-
-
-def test_probe_lacunary_family_grows():
-    result = blaschke_divergence_probe(
-        lacunary_coefficients, (8, 16, 32, 64, 128, 256))
-    sums = [row.excess_sum for row in result.rows]
-    assert all(a < b + 1e-12 for a, b in zip(sums, sums[1:]))
-    assert sums[0] == pytest.approx(0.8768, abs=2e-3)
-    assert sums[-1] == pytest.approx(1.158, abs=2e-2)
-    assert result.growth > 1.25
 
 
 @pytest.mark.parametrize("center, radius", [

@@ -101,6 +101,19 @@ def test_soundness_sweep_subset_is_clean(corpus):
     assert result.checks >= 4 * 10 * 3  # three bound kinds per radius
 
 
+def test_the_sweep_checks_the_classical_row_with_the_others(corpus, monkeypatch):
+    # a failing koenig_count_bound is recorded under its report's own kind
+    entry = next(e for e in corpus if isinstance(e.model.base, Zero))
+    classical = verify.koenig_count_bound
+    monkeypatch.setattr(verify, "koenig_count_bound", lambda *args: dataclasses.replace(
+        classical(*args), bound=-1.0))
+    log = soundness_sweep([entry], p_values=(1.0,))
+    prep = entry.prepared
+    assert log.failure_count == len(sweep_radii(prep.norm_l0, prep.norm_k))
+    assert {(f["kind"], f["bound_kind"]) for f in log.kept} == {
+        ("soundness", "koenig_classical")}
+
+
 def test_suite_bounds_eigensolves_each_model_once(eigvals_calls, monkeypatch):
     # the sweep and the moment checks share one Prepared per corpus model,
     # and the sweep is soundness_sweep itself
