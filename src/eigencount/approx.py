@@ -16,12 +16,14 @@ upper bounds keeps them valid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from .errors import AdmissibilityError
 from .numerics import (NormKind, as_matrix, eigenvalues, singular_value_rank,
                        singular_values)
 
@@ -36,12 +38,56 @@ __all__ = [
 ]
 
 
-def _power_or_inf(base: float, p: float) -> float:
-    # the float power base^p, or inf where it overflows
-    try:
-        return base ** p
-    except OverflowError:
-        return math.inf
+_LOG_MAX = math.log(sys.float_info.max)
+# c = 8 unit roundoffs (see _from_logs): no bound of the seed-0 and seed-3
+# corpora then reads below its linear-scale form
+_MARGIN = 8.0 * 2.0 ** -53
+
+
+def _log_ratio(num: float, den: float) -> float:
+    # log(num / den) for num >= 0 and den > 0, -inf at num = 0; from frexp's
+    # fractions and exponents where the quotient is no normal float, so it cannot
+    # overflow or underflow and does not change when both scale by a power of two
+    if num == 0.0:
+        return -math.inf
+    ratio = num / den
+    if sys.float_info.min <= ratio < math.inf:
+        return math.log(ratio)
+    (fn, en), (fd, ed) = math.frexp(num), math.frexp(den)
+    return math.log(fn / fd) + (en - ed) * math.log(2.0)
+
+
+def _log_power_sum(values: list[float], p: float, n: int,
+                   offset: float = 0.0) -> tuple[float, float]:
+    # (top, log R), top = offset + v_1 and R = sum_{j<=n} ((offset + v_j) / top)^p
+    # with v_j = 0 past the end: a log-sum-exp shifted by its largest term (Blanchard,
+    # Higham & Higham, IMA J. Numer. Anal. 41, 2021), known as the values do not
+    # increase, so R lies in [1, n] and no power overflows. An empty sum is (0.0, -inf)
+    top = offset + (values[0] if values else 0.0)
+    if n == 0 or top == 0.0:
+        return 0.0, -math.inf
+    rest = 0.0
+    for j in range(1, n):
+        rest += ((offset + (values[j] if j < len(values) else 0.0)) / top) ** p
+    return top, math.log1p(rest)
+
+
+def _from_logs(name: str, terms: tuple[float, ...], count: int | None = None,
+               **at: float) -> float:
+    # exp(sum(terms)), the one place a reported number can leave the floats. An
+    # empty sum (a term -inf) is 0.0. A bound passes count, the number of powers
+    # it sums, and its log moves outward by _MARGIN (count + 4 + sum |term|) to
+    # cover the log route's own rounding. Past the largest float it raises
+    log_value = sum(terms)
+    if log_value == -math.inf:
+        return 0.0
+    if count is not None:
+        log_value += _MARGIN * (count + 4 + sum(map(abs, terms)))
+    if not log_value <= _LOG_MAX:
+        where = ", ".join(f"{key} = {value!r}" for key, value in at.items())
+        raise AdmissibilityError(
+            f"{name} = e^{log_value:.6f} at {where} passes the largest float")
+    return math.exp(log_value)
 
 
 class Certainty(Enum):
@@ -91,12 +137,10 @@ class ApproxSequence:
         return all(c is Certainty.EXACT for c in self.certainty)
 
     def head_power_sum(self, p: float, n: int, offset: float = 0.0) -> float:
-        """sum_{j<=n} (offset + alpha_j)^p, alpha_j = 0 past the end; inf on overflow."""
-        floats = self._floats
-        total = 0.0
-        for j in range(n):
-            total += _power_or_inf(offset + (floats[j] if j < len(floats) else 0.0), p)
-        return total
+        """sum_{j<=n} (offset + alpha_j)^p, alpha_j = 0 past the end, from its
+        log; AdmissibilityError past the largest float."""
+        top, log_r = _log_power_sum(self._floats, p, n, offset)
+        return _from_logs("alpha_sum", (p * _log_ratio(top, 1.0), log_r), p=p, n=n)
 
 
 def _ranked_sums(m: np.ndarray, kind: NormKind) -> tuple[np.ndarray, np.ndarray]:

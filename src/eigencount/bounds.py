@@ -24,8 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .approx import (ApproxSequence, Certainty, _power_or_inf, approx_numbers,
-                     koenig_constant)
+from .approx import (ApproxSequence, Certainty, _from_logs, _log_power_sum,
+                     _log_ratio, approx_numbers, koenig_constant)
 from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
 from .numerics import (LowRankSketch, Spectrum, eigenvalues, induced_norm,
@@ -91,78 +91,73 @@ def _lambert_scale(p: float) -> float:
     return scale
 
 
-def phi_p(p: float, x: float) -> float:
-    """Profile factor of the optimized disk bound.
-
-    phi_p(x) = W((1/p) e^{1/p} x)^p / ((1/p - W((1/p) e^{1/p} x))^{p+1} x^p)
-    for 0 < x < 1, continued by phi_p(0) = p e. Diverges as x -> 1, where
-    1/p - W cancels: below (p + 1) 2^-21 / p it raises AdmissibilityError.
-    Defined for p >= ~0.0014221, where e^{1/p} / p is a finite float.
-    """
+def _log_phi_p(p: float, x: float) -> float:
+    # log phi_p(x) = p log(W / x) - (p + 1) log(1/p - W), W = W((1/p) e^{1/p} x),
+    # with log(W / x) = 1/p - log p - W since W e^W is the argument; at x = 0 it
+    # is log(p e). 1/p - W cancels as x -> 1, and W is off by a few ulp of 1/p,
+    # so from (p + 1) 2^-21 / p up its (p+1)-th power keeps its relative error
+    # within about 2^-30; below that floor the profile raises
     scale = _lambert_scale(p)
     if not (0.0 <= x < 1.0):
         raise AdmissibilityError(
             f"phi_p needs 0 <= x < 1 (strictly inside the disk), got x = {x}")
-    if x == 0.0:
-        return p * math.e
     w = lambert_w(scale * x)
-    # W is off by a few ulp of 1/p, so from (p + 1) 2^-21 / p up the (p+1)-th
-    # power of 1/p - W keeps its relative error within about 2^-30
-    gap = _trusted("1/p - W", 1.0 / p - w, p, x, floor=(p + 1.0) * 2.0 ** -21 / p)
-    return (w / x) ** p / _trusted("(1/p - W)^(p+1)", gap ** (p + 1.0), p, x)
+    gap = 1.0 / p - w
+    floor = (p + 1.0) * 2.0 ** -21 / p
+    if not gap >= floor:
+        raise AdmissibilityError(
+            f"1/p - W = {gap!r} at p = {p}, x = {x} has cancelled below "
+            f"(p + 1) 2^-21 / p = {floor:.6g}")
+    return 1.0 - p * (math.log(p) + w) - (p + 1.0) * math.log(gap)
 
 
-def phi_p_envelope(p: float, x: float) -> float:
-    """Elementary envelope (p+1)^{p+1} / p^p / (1-x)^{p+1} dominating phi_p;
-    AdmissibilityError once (1-x)^{p+1} is no normal float or the value overflows."""
+def phi_p(p: float, x: float) -> float:
+    """Profile factor of the optimized disk bound.
+
+    phi_p(x) = W((1/p) e^{1/p} x)^p / ((1/p - W((1/p) e^{1/p} x))^{p+1} x^p)
+    for 0 < x < 1, continued by phi_p(0) = p e (exactly). Diverges as x -> 1,
+    where 1/p - W cancels: below (p + 1) 2^-21 / p it raises
+    AdmissibilityError, as it does past the largest float. Defined for
+    p >= ~0.0014221, where e^{1/p} / p is a finite float.
+    """
+    log_phi = _log_phi_p(p, x)
+    return p * math.e if x == 0.0 else _from_logs("phi_p", (log_phi,), p=p, x=x)
+
+
+def _log_envelope(p: float, x: float) -> float:
+    # log of (p+1)^{p+1} / p^p / (1-x)^{p+1}, finite for every 0 <= x < 1
     if not (0.0 < p < math.inf):
         raise AdmissibilityError(f"p must be positive and finite, got {p}")
     if not (0.0 <= x < 1.0):
         raise AdmissibilityError(
             f"the envelope needs 0 <= x < 1, got x = {x}")
-    value = (p + 1.0) ** (p + 1.0) / p ** p / _trusted(
-        "(1 - x)^(p+1)", (1.0 - x) ** (p + 1.0), p, x)
-    return _trusted("the envelope", value, p, x)
+    return (p + 1.0) * (math.log1p(p) - math.log1p(-x)) - p * math.log(p)
 
 
-class _Untrusted(AdmissibilityError):
-    """A profile value that lost its digits; moot where the alpha sum is empty."""
-
-
-def _trusted(name: str, value: float, p: float, x: float,
-             floor: float = sys.float_info.min) -> float:
-    # a profile's denominator (or value) at its argument x (r = t / s for the
-    # region profile), if it is a finite float >= floor: below the smallest
-    # normal float it has lost digits, and a difference can cancel to noise
-    if not (floor <= value < math.inf):
-        raise _Untrusted(
-            f"{name} = {value!r} at p = {p}, x = {x} is not a float the profile "
-            f"can trust (need {floor:.6g} <= it < inf)")
-    return value
-
-
-def _finite_bound(value: float, p: float, s: float) -> float:
-    if not (value < math.inf):
-        raise AdmissibilityError(f"the bound {value!r} at p = {p}, s = {s} is not finite")
-    return value
+def phi_p_envelope(p: float, x: float) -> float:
+    """Elementary envelope (p+1)^{p+1} / p^p / (1-x)^{p+1} dominating phi_p;
+    AdmissibilityError past the largest float."""
+    return _from_logs("phi_p_envelope", (_log_envelope(p, x),), p=p, x=x)
 
 
 def t_star(p: float, a: float, s: float) -> float:
     """Radius maximizing log(s/t) (t - a)^p on (a, s).
 
     a is the base norm plus the (N+1)-th approximation number; the
-    optimizer is a / (p W((a / (p s)) e^{1/p})), with the a -> 0 limit
-    s e^{-1/p}. Defined for the p that phi_p takes.
+    optimizer is a / (p W(z)), z = (a / (p s)) e^{1/p}, which equals
+    s e^{W(z) - 1/p} as W(z) e^{W(z)} = z; so the a -> 0 limit is s e^{-1/p}.
+    Defined for the p that phi_p takes.
     """
-    _lambert_scale(p)
+    scale = _lambert_scale(p)
     if not math.isfinite(s):
         raise AdmissibilityError(f"target radius s must be finite, got {s}")
     if not (0.0 <= a < s):
         raise AdmissibilityError(
             f"need 0 <= a < s for an intermediate radius, got a = {a}, s = {s}")
-    if a == 0.0:
-        return s * math.exp(-1.0 / p)
-    return a / (p * lambert_w(a / (p * s) * math.exp(1.0 / p)))
+    z = a / (p * s) * math.exp(1.0 / p)
+    if z < sys.float_info.min:  # a = 0, or a / (p s) lost its digits to underflow
+        return s * math.exp(lambert_w(scale * (a / s)) - 1.0 / p)
+    return a / (p * lambert_w(z))
 
 
 # --- the report ------------------------------------------------------------
@@ -172,13 +167,13 @@ def t_star(p: float, a: float, s: float) -> float:
 class BoundReport:
     """One computed bound with everything needed to audit it.
 
-    bound always equals (c_p / target^p) * phi_value * alpha_sum, where
-    phi_value is whichever profile factor the kind uses and alpha_sum is
-    sum_{j<=N} (alpha_{N+1} + alpha_j)^p. The classical koenig_classical
-    bound goes through no circle, so its t_star, eps and gamma_p are None.
-    A rank with an empty alpha sum (N = 0, or K = 0) whose profile value lost
-    its digits has phi_value and bound 0.0: admissible, it leaves ||L|| <=
-    ||L0|| + alpha_1 < target.
+    bound equals (c_p / target^p) * phi_value * alpha_sum to rounding wherever
+    target^p and alpha_sum are normal floats, where phi_value is whichever
+    profile factor the kind uses and alpha_sum is sum_{j<=N} (alpha_{N+1} +
+    alpha_j)^p; bound is rounded outward. The classical koenig_classical
+    bound goes through no circle, so its t_star, eps and gamma_p are None. A
+    rank with an empty alpha sum (N = 0, or K = 0) has bound and phi_value
+    0.0: admissible, it leaves ||L|| <= ||L0|| + alpha_1 < target.
     """
 
     kind: str
@@ -302,8 +297,7 @@ def _as_prepared(model: OperatorModel | Prepared) -> Prepared:
     return model if isinstance(model, Prepared) else prepare(model)
 
 
-def _check_exterior(prep: Prepared, p: float, s: float) -> float:
-    # returns s^p; inf (every bound then reads 0.0) only where ||L0|| + ||K|| < s
+def _check_exterior(prep: Prepared, p: float, s: float) -> None:
     if not (0.0 < p < math.inf):
         raise AdmissibilityError(f"p must be positive and finite, got {p}")
     if not math.isfinite(s):
@@ -312,10 +306,6 @@ def _check_exterior(prep: Prepared, p: float, s: float) -> float:
         raise AdmissibilityError(
             f"need s > ||L0|| = {prep.norm_l0:.12g}, got s = {s}; no exterior "
             "disk clears the base spectrum otherwise")
-    s_power = _power_or_inf(s, p)
-    if s_power < sys.float_info.min or (s_power == math.inf and prep.norm_l0 + prep.norm_k >= s):
-        raise AdmissibilityError(f"s^p = {s_power!r} at p = {p}, s = {s} is no normal float")
-    return s_power
 
 
 def _candidate_ranks(n_rank: int | None, dim: int, rank: int):
@@ -328,25 +318,27 @@ def _candidate_ranks(n_rank: int | None, dim: int, rank: int):
 
 
 def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
-                n_rank: int | None, profile,
+                n_rank: int | None, log_profile,
                 t: float | None = None, epsilon: float | None = None) -> BoundReport:
-    """Bound minimizing (C_p / s^p) profile(N, alpha_{N+1}) times
+    """Bound minimizing (C_p / s^p) profile(alpha_{N+1}) times
     sum_{j<=N} (alpha_{N+1} + alpha_j)^p over the rank N, for the target |lam| > s.
 
-    With n_rank None every N in [0, rank K] is tried (a larger N only
-    repeats the bound at N = rank K, having alpha_{N+1} = 0 and the same
-    alpha sum) and an N that is inadmissible (alpha_{N+1} >= s - ||L0||,
-    the profile raises AdmissibilityError, or the bound is not finite) is
-    skipped; a fixed n_rank raises instead. The report's circle is t, or
-    t_star at the winning N when t is None, and its gap epsilon (or
-    t - ||L0||); an explicit epsilon marks the report non-certified. A p
-    outside the range of phi_p and t_star, or an s^p _check_exterior
-    refuses, is rejected before the sweep, as no N can mend it.
+    It is the exp of the scale-free log C_p + log_profile(alpha_{N+1}) +
+    p log((alpha_{N+1} + alpha_1) / s) + log R (_log_power_sum); an empty
+    sum takes no profile and reads 0.0. With n_rank None every N in
+    [0, rank K] is tried (a larger N repeats N = rank K) and an inadmissible
+    N is skipped: alpha_{N+1} >= s - ||L0||, t <= ||L0|| + alpha_{N+1}, eps
+    <= alpha_{N+1}, or a profile or reported number that raises; a fixed
+    n_rank raises instead. The report's circle is t, or t_star at the winning
+    N, and its gap epsilon (or t - ||L0||); an explicit epsilon marks the
+    report non-certified. A p or s that no N can mend is refused first.
     """
-    s_power = _check_exterior(prep, p, s)
+    _check_exterior(prep, p, s)
     _lambert_scale(p)
     norm_l0 = prep.norm_l0
     gamma = gamma_p_upper(p)
+    log_c = math.log(gamma.c_p)
+    eps = t - norm_l0 if epsilon is None and t is not None else epsilon
 
     best = None
     reason = None
@@ -358,14 +350,20 @@ def _rank_sweep(kind: str, prep: Prepared, p: float, s: float,
                 raise AdmissibilityError(
                     f"alpha_{n + 1} = {a_next:.12g} must stay below "
                     f"s - ||L0|| = {s - norm_l0:.12g} for N = {n}")
-            try:
-                phi = profile(n, a_next)
-            except _Untrusted:
-                if n > 0 and prep.norm_k > 0.0:
-                    raise
-                phi = 0.0  # the alpha sum is empty
-            total = prep.alpha.head_power_sum(p, n, offset=a_next)
-            value = _finite_bound(gamma.c_p / s_power * phi * total, p, s)
+            if t is not None and t <= norm_l0 + a_next:
+                raise AdmissibilityError(
+                    f"circle radius t = {t} must exceed ||L0|| + alpha_{n + 1} "
+                    f"= {norm_l0 + a_next:.12g}")
+            if eps is not None and eps <= a_next:
+                raise AdmissibilityError(
+                    f"pseudospectral gap eps = {eps:.12g} must exceed "
+                    f"alpha_{n + 1} = {a_next:.12g}")
+            top, log_r = _log_power_sum(prep.alpha._floats, p, n, a_next)
+            log_phi = log_profile(a_next) if log_r > -math.inf else -math.inf
+            value = _from_logs("bound", (log_c, log_phi, p * _log_ratio(top, s), log_r),
+                               n, p=p, s=s)
+            phi = _from_logs("phi_value", (log_phi,), p=p, s=s)
+            total = _from_logs("alpha_sum", (p * _log_ratio(top, 1.0), log_r), p=p, s=s)
         except AdmissibilityError as exc:
             if n_rank is not None:
                 raise
@@ -405,7 +403,7 @@ def count_bound_disk(model: OperatorModel | Prepared, p: float, s: float,
     prep = _as_prepared(model)
     return _rank_sweep(
         "disk_phi", prep, p, s, n_rank,
-        lambda n, a_next: phi_p(p, (prep.norm_l0 + a_next) / s))
+        lambda a_next: _log_phi_p(p, (prep.norm_l0 + a_next) / s))
 
 
 def count_bound_disk_simple(model: OperatorModel | Prepared, p: float, s: float,
@@ -415,7 +413,7 @@ def count_bound_disk_simple(model: OperatorModel | Prepared, p: float, s: float,
     prep = _as_prepared(model)
     return _rank_sweep(
         "disk_simple", prep, p, s, n_rank,
-        lambda n, a_next: phi_p_envelope(p, (prep.norm_l0 + a_next) / s))
+        lambda a_next: _log_envelope(p, (prep.norm_l0 + a_next) / s))
 
 
 def count_bound_region(model: OperatorModel | Prepared, p: float, s: float,
@@ -435,27 +433,15 @@ def count_bound_region(model: OperatorModel | Prepared, p: float, s: float,
     if not (t < s):
         raise AdmissibilityError(
             f"need t < s so the target stays strictly outside, got t = {t}, s = {s}")
-    r = t / s  # 1 / r overflows, or r underflows, for t below about 5.6e-309 s
-    log_inv_r = _trusted("log(1/r)", math.log(1.0 / r) if r > 0.0 else math.inf, p, r)
     prep = _as_prepared(model)
-    s_power = _check_exterior(prep, p, s)
     eps = t - prep.norm_l0 if epsilon is None else epsilon
+    log_log_inv_r = math.log(_log_ratio(s, t))  # log(1/r) > 0, as s / t rounds above 1
 
-    def profile(n: int, a_next: float) -> float:
-        a = prep.norm_l0 + a_next
-        if t <= a:
-            raise AdmissibilityError(
-                f"circle radius t = {t} must exceed ||L0|| + alpha_{n + 1} "
-                f"= {a:.12g}")
-        if eps <= a_next:
-            raise AdmissibilityError(
-                f"pseudospectral gap eps = {eps:.12g} must exceed "
-                f"alpha_{n + 1} = {a_next:.12g}")
-        # s^p cancels the sweep's 1 / s^p, which an infinite s^p cannot
-        return _trusted("s^p", s_power, p, r) / (
-            _trusted("(eps - alpha)^p", _power_or_inf(eps - a_next, p), p, r) * log_inv_r)
+    def log_profile(a_next: float) -> float:
+        # log of s^p / ((eps - alpha_{N+1})^p log(1/r)); the sweep checked eps > alpha_{N+1}
+        return p * _log_ratio(s, eps - a_next) - log_log_inv_r
 
-    return _rank_sweep("region", prep, p, s, n_rank, profile, t=t, epsilon=epsilon)
+    return _rank_sweep("region", prep, p, s, n_rank, log_profile, t=t, epsilon=epsilon)
 
 
 def koenig_count_bound(model: OperatorModel | Prepared, p: float,
@@ -470,17 +456,20 @@ def koenig_count_bound(model: OperatorModel | Prepared, p: float,
     alpha_sum is the singular-value power sum.
     """
     prep = _as_prepared(model)
-    s_power = _check_exterior(prep, p, s)
+    _check_exterior(prep, p, s)
     if prep.norm_l0 != 0.0:
         raise AdmissibilityError(
             f"the classical bound needs L0 = 0, got ||L0|| = {prep.norm_l0:.12g}")
     c_p = koenig_constant(p)
-    total = float(np.sum(prep.singular_values ** p))
+    sv = prep.singular_values.tolist()
+    top, log_r = _log_power_sum(sv, p, len(sv))
     return BoundReport(
         kind="koenig_classical", p=p, target=complex(s), n_rank=prep.model.dim,
         t_star=None, eps=None, gamma_p=None, c_p=c_p, phi_value=1.0,
-        alpha_sum=total, alpha_mode=Certainty.EXACT,
-        bound=_finite_bound(c_p / s_power * total, p, s))
+        alpha_sum=_from_logs("alpha_sum", (p * _log_ratio(top, 1.0), log_r), p=p, s=s),
+        alpha_mode=Certainty.EXACT,
+        bound=_from_logs("bound", (math.log(c_p), p * _log_ratio(top, s), log_r),
+                         len(sv), p=p, s=s))
 
 
 def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:
@@ -496,23 +485,29 @@ def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:
     if not math.isfinite(q):
         raise AdmissibilityError(f"moment exponent q must be finite, got {q}")
     prep = _as_prepared(model)
-    norm_l0, norm_k = prep.norm_l0, prep.norm_k
+    norm_l0, dim = prep.norm_l0, prep.model.dim
     gamma = gamma_p_upper(p)
-    envelope = (p + 1.0) ** (p + 1.0) / p ** p
-    alpha_sum = prep.alpha.head_power_sum(p, prep.model.dim)
-
     if norm_l0 == 0.0 and q <= p:
         raise AdmissibilityError(
             f"moment exponent q = {q} must exceed p = {p} when L0 = 0")
     if norm_l0 != 0.0 and q <= p + 1.0:
         raise AdmissibilityError(
             f"moment exponent q = {q} must exceed p + 1 = {p + 1.0} when L0 != 0")
-    if norm_k == 0.0:
-        return 0.0
+    # sum_j alpha_j^p = ||K||^p R, so the moment is q C_p a R times the
+    # bracket times ||K||^{q-1}; log ||K|| is -inf for K = 0, and so is log R
+    norm_k, log_r = _log_power_sum(prep.alpha._floats, p, dim)
+    log_k = _log_ratio(norm_k, 1.0)
     if norm_l0 == 0.0:
-        return q * gamma.c_p * envelope * norm_k ** (q - p) / (q - p) * alpha_sum
-    bracket = norm_l0 / (q - p - 1.0) + norm_k / (q - p)
-    return q * gamma.c_p * envelope * bracket * norm_k ** (q - p - 1.0) * alpha_sum
+        log_rest = q * log_k - math.log(q - p)
+    else:  # past the largest float the bracket's log is inf, and refused
+        log_rest = (q - 1.0) * log_k + _log_ratio(
+            norm_l0 / (q - p - 1.0) + norm_k / (q - p), 1.0)
+    value = _from_logs(
+        "the moment bound",
+        (math.log(q), math.log(gamma.c_p), _log_envelope(p, 0.0), log_rest, log_r),
+        dim, p=p, q=q)
+    # unlike a count, a moment below the smallest float is not 0: round it up
+    return value if value > 0.0 or log_r == -math.inf else math.ulp(0.0)
 
 
 def pseudospectral_epsilon(prep: Prepared, t: float) -> float:

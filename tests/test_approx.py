@@ -104,6 +104,8 @@ def test_head_power_sum_matches_direct_loop():
 
 
 def test_alpha_read_as_floats_matches_the_numpy_arithmetic(corpus):
+    import mpmath
+
     for entry in corpus:
         alpha = prepare(entry.model).alpha
         values = alpha.values
@@ -115,12 +117,19 @@ def test_alpha_read_as_floats_matches_the_numpy_arithmetic(corpus):
         for j in range(1, len(values) + 3):
             got = alpha.value_at(j)
             assert type(got) is float and got == old_value_at(j)
+        # the sum comes from its log, so it is held to a 50-digit sum: within
+        # 4 (n + |log sum|) u of it, u = 2^-53
         for p, n in itertools.product((0.5, 1.0, 2.0), range(len(values) + 2)):
             for offset in (0.0, old_value_at(n + 1)):
-                total = 0.0
-                for j in range(1, n + 1):
-                    total += (offset + old_value_at(j)) ** p
-                assert alpha.head_power_sum(p, n, offset) == total
+                got = alpha.head_power_sum(p, n, offset)
+                with mpmath.workdps(50):
+                    total = mpmath.fsum((mpmath.mpf(offset) + mpmath.mpf(old_value_at(j)))
+                                        ** mpmath.mpf(p) for j in range(1, n + 1))
+                    if total == 0:
+                        assert got == 0.0
+                        continue
+                    allowed = 4 * (n + abs(mpmath.log(total))) * 2.0 ** -53
+                    assert abs(mpmath.mpf(got) / total - 1) <= allowed
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 import math
 import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,13 +115,14 @@ def test_phi_rejects_out_of_range():
 @pytest.mark.parametrize("p", [0.5, 2.0, 12.0, 20.0])
 def test_profiles_refuse_a_denominator_without_digits(p):
     # at x = 1 - 2^-52, 1/p - W cancels to rounding noise (once it came out
-    # negative at p = 12), and (1 - x)^(p+1) underflows at p = 20
+    # negative at p = 12), and the envelope passes the largest float at p = 20
     x = 1.0 / 1.0000000000000002
     with pytest.raises(AdmissibilityError,
                        match=r"1/p - W = .* at p = " + re.escape(f"{p}, x = {x}")):
         phi_p(p, x)
     if p == 20.0:
-        with pytest.raises(AdmissibilityError, match=re.escape("(1 - x)^(p+1) = 0.0")):
+        with pytest.raises(AdmissibilityError, match=re.escape(
+                f"phi_p_envelope = e^760.937047 at p = 20.0, x = {x!r} passes the largest float")):
             phi_p_envelope(p, x)
     else:
         assert 0.0 < phi_p_envelope(p, x) < math.inf
@@ -126,7 +130,9 @@ def test_profiles_refuse_a_denominator_without_digits(p):
 
 def test_envelope_refuses_a_value_that_overflows():
     # (1 - x)^20 = 2^-1020 is still a normal float, the quotient is not
-    with pytest.raises(AdmissibilityError, match=re.escape("the envelope = inf at p = 19.0")):
+    with pytest.raises(AdmissibilityError, match=re.escape(
+            "phi_p_envelope = e^710.980429 at p = 19.0, x = 0.9999999999999996 "
+            "passes the largest float")):
         phi_p_envelope(19.0, 1.0 - 2.0 ** -51)
 
 
@@ -248,18 +254,23 @@ def test_region_rejects_a_circle_outside_zero_to_s(t):
 
 @pytest.mark.parametrize("t", [1e-310, 5e-324])
 def test_region_rejects_a_circle_too_small_for_log_one_over_r(t):
-    # 1 / r overflows at t = 1e-310 and r underflows at 5e-324; log(1/r) = inf
-    # would make the bound 0
+    # 1 / r overflows at t = 1e-310 and r underflows at 5e-324, but log(1/r) is
+    # finite in logs; such a circle lies inside ||L0|| = 1, so every N is refused
     model, _ = shift_example(np.array([2.0 + 0j]), 12)
-    with pytest.raises(AdmissibilityError, match=r"log\(1/r\) = inf at p = 1\.0"):
+    with pytest.raises(AdmissibilityError, match=re.escape(
+            f"no admissible N in [0, 12] for s = 1.6; at N = rank K = 1: circle "
+            f"radius t = {t} must exceed ||L0|| + alpha_2 = 1;")):
         count_bound_region(model, 1.0, 1.6, t)
 
 
 def test_region_rejects_a_gap_whose_power_underflows():
-    # (eps - alpha_{N+1})^p below the smallest normal float: every N is refused
+    # (eps - alpha_{N+1})^p = 1e-400 is below the smallest float, so the bound
+    # passes the largest one: every N is refused
     model, _ = shift_example(np.array([2.0 + 0j]), 12)
     prep = prepare(model)
-    with pytest.raises(AdmissibilityError, match=r"\(eps - alpha\)\^p = "):
+    with pytest.raises(AdmissibilityError, match=re.escape(
+            "at N = rank K = 1: bound = e^954.929939 at p = 20.0, s = 1.6 passes "
+            "the largest float")):
         count_bound_region(prep, 20.0, 1.6, 1.5, epsilon=prep.alpha.value_at(2) + 1e-20)
 
 
@@ -273,21 +284,27 @@ def test_only_a_profile_that_lost_its_digits_is_moot_at_an_empty_alpha_sum():
     assert report.n_rank > 0 and report.bound > 0.0
     with pytest.raises(AdmissibilityError, match=r"circle radius t = 1.3 must exceed"):
         count_bound_region(model, 2.0, 2.0, 1.3, n_rank=0)
-    # an infinite s^p, which the region profile cannot cancel, is moot at N = 0
+    # s^p = 1e400 passes the largest float, which the log route never forms:
+    # N = 0 is empty, and N = 1 reads 1.5^20 / 1e400 as 0.0; the count is 0
     model = OperatorModel(2, NormKind.L2, Zero(), Diagonal(np.array([1.0, 0.5])))
     report = count_bound_region(model, 20.0, 1e20, 5e19)
     assert (report.n_rank, report.bound, report.phi_value) == (0, 0.0, 0.0)
-    with pytest.raises(AdmissibilityError, match=r"s\^p = inf at p = 20.0"):
-        count_bound_region(model, 20.0, 1e20, 5e19, n_rank=1)
+    report = count_bound_region(model, 20.0, 1e20, 5e19, n_rank=1)
+    assert (report.n_rank, report.bound) == (1, 0.0)
+    assert report.alpha_sum == pytest.approx(1.5 ** 20, rel=1e-14)
 
 
 def test_a_rank_with_a_bound_past_the_floats_is_refused():
-    # alpha_1^20 overflows: head_power_sum reads inf and the bound is no finite float
+    # alpha_1^20 = 1e400 passes the largest float: head_power_sum and every
+    # rank that reports it as alpha_sum are refused
     model = OperatorModel(2, NormKind.L2, Zero(), Diagonal(np.array([1e20, 0.5])))
-    assert prepare(model).alpha.head_power_sum(20.0, 1) == math.inf
-    with pytest.raises(AdmissibilityError, match=r"no admissible N .* is not finite"):
+    with pytest.raises(AdmissibilityError, match=re.escape(
+            "alpha_sum = e^921.034037 at p = 20.0, n = 1 passes the largest float")):
+        prepare(model).alpha.head_power_sum(20.0, 1)
+    message = "alpha_sum = e^921.034037 at p = 20.0, s = 1000000000000000.0 passes the largest float"
+    with pytest.raises(AdmissibilityError, match=r"no admissible N .*" + re.escape(message)):
         count_bound_disk(model, 20.0, 1e15)
-    with pytest.raises(AdmissibilityError, match=r"the bound inf at p = 20.0, s = 1000000000000000.0 is not"):
+    with pytest.raises(AdmissibilityError, match=re.escape(message)):
         count_bound_disk(model, 20.0, 1e15, n_rank=1)
 
 
@@ -298,15 +315,17 @@ def test_an_s_power_past_the_largest_float_gives_bound_zero_only_without_a_count
                    count_bound_disk_simple(model, 20.0, 1e20, n_rank=2),
                    koenig_count_bound(model, 20.0, 1e20)):
         assert report.bound == 0.0 and 0.0 < report.alpha_sum < math.inf
-    with pytest.raises(AdmissibilityError, match=r"s\^p = 0.0 at p = 40.0, s = 1e-10"):
+    with pytest.raises(AdmissibilityError, match=re.escape(
+            "bound = e^955.590128 at p = 40.0, s = 1e-10 passes the largest float")):
         koenig_count_bound(model, 40.0, 1e-10)
-    # here the alpha sum (1.5e15)^20 is finite, but the eigenvalue 3.5e15 lies outside
+    # here s^p is past the largest float, but the eigenvalue 3.5e15 lies outside:
+    # the scale-free bound counts it
     model = OperatorModel(2, NormKind.L2, Diagonal(np.array([2e15, 0.0])),
                           Diagonal(np.array([1.5e15, 0.0])))
     assert eigen_count_outside(sum(materialize(model)), 2.7e15) == 1
     for bound in (count_bound_disk, count_bound_disk_simple):
-        with pytest.raises(AdmissibilityError, match=r"s\^p = inf at p = 20.0"):
-            bound(model, 20.0, 2.7e15)
+        report = bound(model, 20.0, 2.7e15)
+        assert report.n_rank == 1 and 2.8e16 < report.bound < 2.9e16
 
 
 def test_compact_case_recovery():
@@ -345,8 +364,15 @@ def test_koenig_count_bound_reports_the_classical_form(corpus):
         "koenig_classical", entry.model.dim, Certainty.EXACT)
     assert report.t_star is report.eps is report.gamma_p is None
     assert report.phi_value == 1.0 and report.target == 2.0
-    assert report.alpha_sum == float(np.sum(sv ** 1.5))
-    assert report.bound == report.c_p / 2.0 ** 1.5 * report.alpha_sum
+    # the log route keeps alpha_sum within 4 (n + |log|) u of the exact sum, and
+    # rounds the bound outward: at or above its linear form, within 1e-13
+    with mpmath.workdps(50):
+        reference = mpmath.fsum(mpmath.mpf(float(v)) ** mpmath.mpf(1.5) for v in sv)
+        error = abs(mpmath.mpf(report.alpha_sum) / reference - 1)
+        allowed = 4 * (len(sv) + abs(mpmath.log(reference))) * 2.0 ** -53
+    assert error <= allowed
+    linear = report.c_p / 2.0 ** 1.5 * report.alpha_sum
+    assert linear <= report.bound <= linear * (1.0 + 1e-13)
     assert report.c_p == 2.0 * (2.0 * np.e) ** 0.75
     assert koenig_count_bound(entry.model, 1.5, 2.0) == report
 
@@ -587,13 +613,13 @@ def test_explicit_circle_skips_inadmissible_ranks(corpus):
 
 def test_auto_rank_stops_at_the_rank_of_k(monkeypatch):
     calls = []
-    phi = bounds.phi_p
+    phi = bounds._log_phi_p
 
     def counting_phi(p, x):
         calls.append(x)
         return phi(p, x)
 
-    monkeypatch.setattr(bounds, "phi_p", counting_phi)
+    monkeypatch.setattr(bounds, "_log_phi_p", counting_phi)
     model, _ = shift_example(np.array([2.0 + 0j]), 64)
     report = count_bound_disk(model, 1.0, 1.5)
     assert report.n_rank <= 1
@@ -649,3 +675,101 @@ def test_scalar_profiles_reject_non_finite_inputs(fn, args, fragment):
     with pytest.raises(AdmissibilityError) as info:
         fn(*args)
     assert str(info.value).endswith(fragment)
+
+
+def test_the_last_float_powers_on_the_bound_path_are_typed():
+    # ||K||^2 = 1e400 raised an untyped OverflowError, as did (p + 1)^(p + 1) at p = 200
+    model = OperatorModel(2, NormKind.L2, Zero(), Diagonal(np.array([1e200, 0.5])))
+    with pytest.raises(AdmissibilityError, match=re.escape(
+            "the moment bound = e^1384.882536 at p = 1.0, q = 3.0 passes the largest float")):
+        moment_bound(model, 1.0, 3.0)
+    value = phi_p_envelope(200.0, 0.5)
+    assert value == pytest.approx(1.7516104890429898e63, rel=1e-13)
+    assert math.log(value) == pytest.approx(145.62339650281592, rel=1e-13)
+
+
+_BIG, _SMALL = 2.0 ** 1000, 2.0 ** -1000
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 20.0, 40.0])
+def test_every_bound_at_extreme_scales_is_a_value_or_refused(p):
+    # s and the alphas at 2^+-1000: each call returns a bound at or above the
+    # count (the eigenvalues are the diagonal sums) or raises AdmissibilityError
+    served = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base, k, s in itertools.product(
+                [(0.0, 0.0), (_SMALL, 0.0), (0.5 * _BIG, 0.0)],
+                [(_BIG, _SMALL), (_SMALL, 0.5 * _SMALL), (_BIG, 0.5 * _BIG)],
+                [1.5 * _SMALL, 3.0 * _SMALL, 1.5 * _BIG, 3.0 * _BIG]):
+            model = OperatorModel(2, NormKind.L2,
+                                  Zero() if base == (0.0, 0.0) else Diagonal(np.array(base)),
+                                  Diagonal(np.array(k)))
+            prep = prepare(model)
+            eigs = [b + a for b, a in zip(base, k)]
+            count = sum(abs(lam) > s for lam in eigs)
+            calls = [lambda: count_bound_disk(prep, p, s),
+                     lambda: count_bound_disk_simple(prep, p, s),
+                     lambda: count_bound_region(prep, p, s, 0.5 * (base[0] + s)),
+                     lambda: koenig_count_bound(prep, p, s)]
+            for call in calls:
+                try:
+                    report = call()
+                except AdmissibilityError:
+                    continue
+                served += 1
+                assert report.bound >= count
+                assert all(math.isfinite(v) for v in (report.bound, report.phi_value,
+                                                      report.alpha_sum))
+            q = p + 1.5
+            try:
+                bound = moment_bound(prep, p, q)
+            except AdmissibilityError:
+                continue
+            served += 1
+            with mpmath.workdps(50):
+                moment = mpmath.fsum((abs(mpmath.mpf(lam)) - mpmath.mpf(base[0])) ** q
+                                     for lam in eigs if abs(lam) > base[0])
+            assert mpmath.mpf(bound) >= moment
+        for x in (0.0, 2.0 ** -1074, _SMALL, 0.5, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -52):
+            for profile in (phi_p, phi_p_envelope):
+                try:
+                    value = profile(p, x)
+                except AdmissibilityError:
+                    continue
+                served += 1
+                assert 0.0 < value < math.inf
+    assert served >= 60
+
+
+def test_l1_and_linf_bounds_are_exact_under_power_of_two_scaling(corpus):
+    # every disk and region row keeps its bound and rank bit for bit when the
+    # model and the radii scale by 2^k; the classical row reads LAPACK's singular
+    # values, which scale exactly only at |k| = 3 here
+    def rows(prep, p, s, exponent):
+        disk = count_bound_disk(prep, p, s)
+        a = prep.norm_l0 + prep.alpha.value_at(disk.n_rank + 1)
+        reports = [disk, count_bound_disk_simple(prep, p, s)] + [
+            count_bound_region(prep, p, s, t)
+            for t in (0.5 * (a + disk.t_star), 0.5 * (disk.t_star + s))]
+        if isinstance(prep.model.base, Zero) and abs(exponent) < 500:
+            reports.append(koenig_count_bound(prep, p, s))
+        return [(r.kind, r.bound, r.n_rank) for r in reports]
+
+    checked = 0
+    for entry in corpus:
+        if entry.model.norm is NormKind.L2:
+            continue
+        base = prepare(entry.model)
+        l0, k = materialize(entry.model)
+        radii = sweep_radii(base.norm_l0, base.norm_k)
+        for exponent in (-1000, -500, -3, 3, 500):
+            scale = 2.0 ** exponent
+            zero = isinstance(entry.model.base, Zero)
+            prep = prepare(OperatorModel(entry.model.dim, entry.model.norm,
+                                         Zero() if zero else Dense(l0 * scale),
+                                         Dense(k * scale)))
+            for p, s in itertools.product((0.5, 1.0, 2.0), radii):
+                assert rows(prep, p, s * scale, exponent) == rows(base, p, s, exponent)
+                checked += 1
+    assert checked == 24 * 5 * 3 * 10

@@ -18,6 +18,8 @@ from eigencount import (
     OperatorModel,
     SuiteResult,
     Zero,
+    count_bound_disk,
+    count_bound_disk_simple,
     koenig_count_bound,
     materialize,
     parse_spec,
@@ -60,6 +62,8 @@ _SPEC = "specs/shift_rank_one.json"
     ("bound_p1_s1.5.csv", ("bound", _SPEC, "--p", "1", "--s", "1.5", "--format", "csv")),
     ("bound_p1_point2.json", ("bound", _SPEC, "--p", "1", "--point", "2,0")),
     ("bound_p2_s1.5.json", ("bound", _SPEC, "--p", "2", "--s", "1.5")),
+    ("bound_wide_scale_p20.json",
+     ("bound", "specs/wide_scale_l2.json", "--p", "20", "--s", "2.7e15")),
     ("gamma_p0.05.txt", ("gamma", "--p", "0.05")),
     ("gamma_p0.5.txt", ("gamma", "--p", "0.5")),
     ("gamma_p2.txt", ("gamma", "--p", "2")),
@@ -162,7 +166,7 @@ _ZERO_BASE = {"dim": 2, "norm": "l2", "base": {"kind": "zero"},
 @pytest.mark.parametrize("doc, p, s, expected", [
     ("shift", "20", "1e20", 0),  # s^p overflows: the true bound is below 1
     ("zero_base", "20", "1e20", 0),
-    ("zero_base", "40", "1e-10", 2),  # s^p underflows to 0
+    ("zero_base", "40", "1e-10", 2),  # the bound, about s^-40, passes the largest float
 ])
 def test_an_s_power_past_the_floats_is_a_zero_bound_or_refused(capsys, tmp_path, mode,
                                                                doc, p, s, expected):
@@ -174,12 +178,63 @@ def test_an_s_power_past_the_floats_is_a_zero_bound_or_refused(capsys, tmp_path,
     code, out, err = _run(capsys, "bound", str(path), "--p", p, "--s", s, "--mode", mode)
     assert code == expected, err
     if code == 2:
-        assert out == "" and err.startswith("error: s^p = 0.0") and "Traceback" not in err
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(
+            "error: no admissible N in [0, 2] for s = 1e-10; at N = rank K = 2: bound = "
+            "e^959.964054 at p = 40.0, s = 1e-10 passes the largest float;")
         return
     results = json.loads(out)["results"]
     assert results["oracle_count"] == 0 and results["best_bound"] == 0.0
     for row in results["bounds"]:
         assert row["bound"] >= results["oracle_count"]
+
+
+def test_a_singular_value_sum_past_the_floats_is_refused_without_a_warning(capsys, tmp_path):
+    # numpy's sigma^20 sum overflowed with a RuntimeWarning and the bound read nan;
+    # the disk rows are 0.0 at N = 0, and the classical row's alpha_sum, 1e400, is refused
+    doc = tmp_path / "big_k.json"
+    doc.write_text(json.dumps({**_ZERO_BASE, "perturbation": {
+        "kind": "diagonal", "values": [[1e20, 0], [0.5, 0]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "bound", str(doc), "--p", "20", "--s", "2e20")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(
+        "error: alpha_sum = e^921.034037 at p = 20.0, s = 2e+20 passes the largest float\n")
+    prep = prepare(parse_spec(doc.read_bytes()))
+    for bound in (count_bound_disk, count_bound_disk_simple):
+        report = bound(prep, 20.0, 2e20)
+        assert (report.n_rank, report.bound, report.phi_value) == (0, 0.0, 0.0)
+
+
+def test_the_wide_scale_example_counts_its_eigenvalue(capsys, monkeypatch):
+    # s^20 passes the largest float, which once refused the whole document
+    monkeypatch.chdir(ROOT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "bound", "specs/wide_scale_l2.json",
+                              "--p", "20", "--s", "2.7e15")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["oracle_count"] == 1
+    for row in results["bounds"]:
+        assert row["certified"] and row["bound"] >= 1
+
+
+def test_a_scaled_document_reports_the_unscaled_bound(capsys, tmp_path, spec_path):
+    # scaled by 2^-1000, s^2 once underflowed and the command exited 2
+    model = parse_spec(spec_path.read_bytes())
+    scale = 2.0 ** -1000
+    l0, k = materialize(model)
+    doc = tmp_path / "scaled.json"
+    doc.write_text(serialize_spec(OperatorModel(
+        model.dim, model.norm, Dense(l0 * scale), Dense(k * scale))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "bound", str(doc), "--p", "2", "--s", repr(1.5 * scale))
+    assert code == 0, err
+    golden = json.loads((ROOT / "tests" / "golden" / "bound_p2_s1.5.json").read_text())
+    assert json.loads(out)["results"]["best_bound"] == golden["results"]["best_bound"]
 
 
 # a spec whose only admissible rank puts x = ||L0|| / s within one ulp of 1
@@ -328,13 +383,13 @@ def test_inadmissible_radius_exits_two_before_the_eigensolve(capsys, spec_path,
 
 def test_koenig_row_is_a_bound_report(capsys, tmp_path, corpus):
     # m07 is a zero-base l2 model; the values were pinned before the row
-    # became a BoundReport
+    # became a BoundReport, and the bounds again once they were rounded outward
     model = corpus[7].model
     assert isinstance(model.base, Zero) and model.norm is NormKind.L2
     doc = tmp_path / "m07.json"
     doc.write_text(serialize_spec(model))
-    pinned = {"0.5": ("0x1.812ef7869f25ep+3", "0x1.34f218f025864p+2"),
-              "1": ("0x1.2e933ee8ec248p+4", "0x1.854e9d8647560p+2")}
+    pinned = {"0.5": ("0x1.812ef7869f377p+3", "0x1.34f218f025864p+2"),
+              "1": ("0x1.2e933ee8ec323p+4", "0x1.854e9d8647560p+2")}
     for p, (bound, alpha_sum) in pinned.items():
         code, out, err = _run(capsys, "bound", str(doc), "--p", p, "--s", "1.5")
         assert code == 0, err
