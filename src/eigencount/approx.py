@@ -227,19 +227,21 @@ def koenig_constant(p: float) -> float:
 def koenig_check(k_matrix, p: float) -> tuple[float, float]:
     """(lhs, rhs) of the eigenvalue/approximation-number power inequality.
 
-    lhs = sum over non-zero eigenvalues of |lambda|^p, rhs =
-    2 (2e)^{p/2} sum_j sigma_j^p. The inequality lhs <= rhs holds for
-    every p > 0. An eigenvalue counts as non-zero when its cluster lies
-    farther than the spectrum's clustering radius from 0.
+    lhs = sum over non-zero eigenvalues of |lambda|^p, rhs = 2 (2e)^{p/2}
+    sum_j sigma_j^p; lhs <= rhs holds for every p > 0. An eigenvalue counts
+    as non-zero when its cluster lies farther than the spectrum's clustering
+    radius from 0. AdmissibilityError when a side overflows a float.
     """
     if not (0.0 < p < math.inf):
         raise ValueError(f"p must be positive and finite, got {p}")
     m = as_matrix(k_matrix)
     spec = eigenvalues(m)
     lhs = 0.0
-    for lam, mult in zip(spec.values, spec.multiplicities):
-        if abs(lam) > spec.radius:
-            lhs += int(mult) * abs(lam) ** p
-    sv = singular_values(m)
-    rhs = koenig_constant(p) * float(np.sum(sv ** p))
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        for lam, mult in zip(spec.values, spec.multiplicities):
+            if abs(lam) > spec.radius:
+                lhs += int(mult) * abs(lam) ** p
+        rhs = koenig_constant(p) * float(np.sum(singular_values(m) ** p))
+    if math.inf in (lhs, rhs):
+        raise AdmissibilityError(f"Koenig p-sums at p = {p!r} overflow a float")
     return lhs, rhs

@@ -40,7 +40,7 @@ from .bounds import (
 from .config import DEFAULT
 from .determinants import GammaProvenance, gamma_p_upper
 from .errors import EigencountError, SpecFormatError
-from .operators import Zero, _decode_json, parse_spec
+from .operators import Zero, _as_complex_array, _decode_json, parse_spec
 from .oracle import (
     count_curve,
     eigen_count_outside,
@@ -322,23 +322,8 @@ def _load_coefficients(path: str) -> np.ndarray:
     data = _decode_json(Path(path).read_bytes(), "coefficient file is not JSON")
     if not isinstance(data, list) or not data:
         raise SpecFormatError("coefficient file must hold a non-empty list")
-    values = []
-    for i, item in enumerate(data):
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            item = [item, 0.0]
-        elif not (isinstance(item, list) and len(item) == 2
-                  and all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                          for c in item)):
-            raise SpecFormatError(
-                "coefficients are numbers or [re, im] pairs", f"[{i}]")
-        try:
-            value = complex(item[0], item[1])
-        except OverflowError as exc:
-            raise SpecFormatError("integer too large for a float", f"[{i}]") from exc
-        if not np.isfinite(value):
-            raise SpecFormatError("coefficients must be finite", f"[{i}]")
-        values.append(value)
-    return np.asarray(values, dtype=complex)
+    # a bare number x is the pair [x, 0]; the block reader checks the rest
+    return _as_complex_array([[x, 0] if type(x) in (int, float) else x for x in data], "", 1)
 
 
 def _cmd_example_shift(args) -> int:

@@ -8,8 +8,8 @@ the dual functional), diagonal, dense, zero.
 Wire format: a JSON object {"dim": N, "norm": "l1"|"l2"|"linf",
 "base": {...}, "perturbation": {...}} where every complex scalar is a
 [re, im] pair. Unknown keys are rejected so typos cannot silently change
-an experiment. Documents are decoded by orjson; stdlib json reads only
-what orjson refuses (see _decode_json).
+an experiment. A document is JSON as RFC 8259 defines it, decoded by
+orjson alone (see _decode_json): NaN and Infinity are not JSON.
 """
 
 from __future__ import annotations
@@ -188,28 +188,22 @@ def materialize(model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
 def _decode_json(raw: str | bytes, what: str = "not valid JSON"):
     """The JSON value in raw; SpecFormatError "<what>: ..." if it has none.
 
-    orjson decodes every document it accepts as stdlib json does, except
-    that it reads an integer outside [-2^63, 2^64) as the nearest float.
-    It refuses some documents the stdlib accepts (NaN and Infinity,
-    numbers that overflow a float, lone surrogates, a BOM, UTF-16 and
-    UTF-32), so only when it raises is raw decoded again by the stdlib:
-    those documents still reach the same validation, and a malformed one
-    gets the stdlib's message. Invalid UTF-8, nesting too deep for the
-    stdlib and integers past its digit limit are malformed documents too.
-    orjson is imported here, so commands that decode no JSON never load it.
-    The cyclic GC is paused while either decoder builds the tree.
+    Bytes with a BOM or in UTF-16 or UTF-32 (json.detect_encoding reads
+    the first four) are decoded to str first. What the codec or orjson
+    refuses, NaN and 1e400 included, gets their message; an integer outside
+    [-2^63, 2^64) becomes the nearest float, so every number fits a float.
+    orjson is imported here, so commands that decode no JSON never load
+    it. The GC is paused while the tree is built.
     """
-    import orjson
+    from orjson import loads
 
-    with _GCPaused():
-        try:
-            return orjson.loads(raw)
-        except orjson.JSONDecodeError:
-            pass
-        try:
-            return json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise SpecFormatError(f"{what}: {exc}") from exc
+    try:
+        if isinstance(raw, bytes) and (encoding := json.detect_encoding(raw)) != "utf-8":
+            raw = raw.decode(encoding)
+        with _GCPaused():
+            return loads(raw)
+    except ValueError as exc:  # orjson's JSONDecodeError or the codec's UnicodeDecodeError
+        raise SpecFormatError(f"{what}: {exc}") from exc
 
 
 class _GCPaused:
@@ -230,14 +224,9 @@ class _GCPaused:
 
 
 def _check_pair(node, where: str) -> None:
-    if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                       for c in node)):
+    if not (isinstance(node, list) and len(node) == 2
+            and all(type(c) in (int, float) for c in node)):
         raise SpecFormatError("complex scalars are [re, im] pairs", where)
-    try:
-        complex(node[0], node[1])
-    except OverflowError as exc:
-        raise SpecFormatError("integer too large for a float", where) from exc
 
 
 def _check_vector(node, where: str) -> None:
@@ -305,13 +294,9 @@ def _as_complex_array(node, where: str, depth: int) -> np.ndarray:
     """
     shape = _block_shape(node, depth)
     if shape is not None and _only_numbers(node, depth):
-        try:
-            flat = np.fromiter(_leaves(node, depth), float, count=math.prod(shape))
-        except OverflowError:  # an integer too large for a float
-            pass
-        else:
-            # the view keeps the sign of a zero imaginary part, re + 1j * im does not
-            return flat.reshape(shape).view(np.complex128)[..., 0]
+        flat = np.fromiter(_leaves(node, depth), float, count=math.prod(shape))
+        # the view keeps the sign of a zero imaginary part, re + 1j * im does not
+        return flat.reshape(shape).view(np.complex128)[..., 0]
     (_check_vector if depth == 1 else _check_matrix)(node, where)
     raise SpecFormatError("expected [re, im] pairs", where)
 

@@ -257,15 +257,18 @@ def _check_moment(base: float, q: float) -> None:
 def moment_sum(m, base: float, q: float) -> float:
     """sum over |lambda| > base of (|lambda| - base)^q, with multiplicity.
 
-    m is a matrix or its Spectrum.
+    m is a matrix or its Spectrum. AdmissibilityError when it overflows a float.
     """
     _check_moment(base, q)
     spec = _spectrum(m)
     total = 0.0
-    for lam, mult in zip(spec.values, spec.multiplicities):
-        excess = abs(lam) - base
-        if excess > 0.0:
-            total += int(mult) * excess ** q
+    with np.errstate(over="ignore"):  # an overflow leaves inf, refused below
+        for lam, mult in zip(spec.values, spec.multiplicities):
+            excess = abs(lam) - base
+            if excess > 0.0:
+                total += int(mult) * excess ** q
+    if total == math.inf:
+        raise AdmissibilityError(f"moment sum at q = {q!r}, base = {base!r} overflows a float")
     return total
 
 

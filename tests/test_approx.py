@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencount import (
+    AdmissibilityError,
     ApproxSequence,
     Certainty,
     NormKind,
@@ -233,6 +236,18 @@ def test_koenig_constant_values():
     assert koenig_constant(1.0) == pytest.approx(2.0 * np.sqrt(2.0 * np.e), rel=1e-14)
     with pytest.raises(ValueError):
         koenig_constant(0.0)
+
+
+def test_koenig_check_past_the_largest_float_raises():
+    # lhs = (1e200)^2 overflowed: a RuntimeWarning and (inf, inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdmissibilityError,
+                           match=r"Koenig p-sums at p = 2.0 overflow a float"):
+            koenig_check(np.diag([1e200, 0.5]), 2.0)
+        # near the top of the floats both sides stay finite
+        lhs, rhs = koenig_check(np.diag([1e150, 0.5]), 2.0)
+    assert lhs == np.float64(1e150) ** 2.0 and lhs <= rhs < math.inf
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import warnings
@@ -81,6 +82,22 @@ def test_stdout_matches_the_golden_file(capsys, monkeypatch, golden, argv):
         code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert out == (ROOT / "tests" / "golden" / golden).read_text()
+
+
+def test_a_utf16_spec_gives_the_golden_report(capsys, monkeypatch):
+    # the committed spec's text as UTF-16 with a BOM: only the path and the
+    # digest of the bytes differ
+    monkeypatch.chdir(ROOT)
+    path = "specs/shift_rank_one.utf16.json"
+    code, out, err = _run(capsys, "bound", path, "--p", "1", "--s", "1.5")
+    assert code == 0, err
+    report = json.loads(out)
+    golden = json.loads((ROOT / "tests" / "golden" / "bound_p1_s1.5.json").read_text())
+    assert report["arguments"].pop("spec") == path
+    assert report.pop("input_digest") == (
+        "sha256:" + hashlib.sha256((ROOT / path).read_bytes()).hexdigest())
+    del golden["arguments"]["spec"], golden["input_digest"]
+    assert report == golden
 
 
 def test_bound_columns_follow_the_report_fields():
@@ -489,6 +506,23 @@ def test_oracle_inadmissible_moment_exponent_still_computes(capsys, spec_path):
     assert json.loads(out)["results"]["moment"]["q"] == 1.1
 
 
+def test_a_moment_past_the_largest_float_exits_two(capsys, tmp_path):
+    # (1e200)^2 overflows: the report read "value": Infinity, which is not
+    # JSON, after a RuntimeWarning
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, "perturbation": '
+                   '{"kind": "diagonal", "values": [[1e200, 0], [0.5, 0]]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "oracle", str(doc), "--q", "2")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == (
+            "error: moment sum at q = 2.0, base = 0.0 overflows a float")
+        code, out, err = _run(capsys, "oracle", str(doc), "--q", "1.5")
+    assert code == 0, err
+    assert json.loads(out)["results"]["moment"]["value"] == np.float64(1e200) ** 1.5 + 0.5 ** 1.5
+
+
 def test_gamma_output(capsys):
     code, out, _ = _run(capsys, "gamma", "--p", "1")
     assert code == 0
@@ -632,46 +666,72 @@ def test_exit_code_malformed_spec(capsys, tmp_path):
                     '"values": [[%d, 0], [1, 0]]}}' % 10 ** 400)
     code, _, err = _run(capsys, "bound", str(huge), "--p", "1", "--s", "2")
     assert code == 3
-    assert "error: perturbation.values[0]: " in err
+    assert err.splitlines()[0] == ("error: not valid JSON: number is infinity when parsed "
+                                   "as double: line 1 column 101 (char 100)")
 
 
 def test_exit_code_malformed_coefficients(capsys, tmp_path):
     bad = tmp_path / "coeffs.json"
     bad.write_text('{"not": "a list"}')
     assert _run(capsys, "example-shift", "--coeffs", str(bad))[0] == 3
-    bad.write_text('[true]')
-    assert _run(capsys, "example-shift", "--coeffs", str(bad))[0] == 3
-    for text, where in (("[1, 1e400]", "[1]"), ("[NaN]", "[0]"),
-                        ("[[0.5, -Infinity]]", "[0]"), ("[0.5, 0.25, %d]" % 10 ** 400, "[2]"),
-                        ("[[0.5, %d]]" % -10 ** 400, "[0]")):
+    infinite = "number is infinity when parsed as double"
+    for text, message in (
+            ("[true]", "[0]: complex scalars are [re, im] pairs"),
+            ('[0.5, "1"]', "[1]: complex scalars are [re, im] pairs"),
+            ("[[0.5, 1, 2]]", "[0]: complex scalars are [re, im] pairs"),
+            ("[1, 1e400]", f"coefficient file is not JSON: {infinite}: line 1 column 5 (char 4)"),
+            ("[NaN]", "coefficient file is not JSON: unexpected character: "
+                      "line 1 column 2 (char 1)"),
+            ("[[0.5, -Infinity]]", "coefficient file is not JSON: no digit after minus "
+                                   "sign: line 1 column 8 (char 7)"),
+            ("[0.5, 0.25, %d]" % 10 ** 400,
+             f"coefficient file is not JSON: {infinite}: line 1 column 13 (char 12)"),
+            ("[[0.5, %d]]" % -10 ** 400,
+             f"coefficient file is not JSON: {infinite}: line 1 column 8 (char 7)")):
         bad.write_text(text)
         code, _, err = _run(capsys, "example-shift", "--coeffs", str(bad), "--dims", "8")
         assert code == 3
-        assert f"error: {where}: " in err
+        assert err.splitlines()[0] == f"error: {message}"
 
 
-@pytest.mark.parametrize("spec, coeffs, fragment", [
-    (b'{"dim": \x80}', b"[0.5, \x80]", "'utf-8' codec can't decode byte 0x80"),
+_ZERO_DIAGONAL = (b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
+                  b'"perturbation": {"kind": "diagonal", "values": [[1, 0], %s]}}')
+
+
+@pytest.mark.parametrize("spec, coeffs, reason, chars", [
+    (b'{"dim": \x80}', b"[0.5, \x80]", "str is not valid UTF-8: surrogates not allowed",
+     (0, 0)),
     (b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
      b'"perturbation": {"kind": "dense", "entries": ' + b"[" * 100_000,
-     b"[" * 100_000, "maximum recursion depth exceeded"),
-    (b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
-     b'"perturbation": {"kind": "diagonal", "values": [[1' + b"0" * 4_400
-     + b', 0], [1, 0]]}}', b"[0.5, 1" + b"0" * 4_400 + b"]",
-     "Exceeds the limit (4300 digits)"),
-], ids=["invalid-utf8", "deep-nesting", "oversized-integer"])
-def test_undecodable_documents_exit_three(capsys, tmp_path, spec, coeffs, fragment):
-    # all were exit 1: a bare codec message, a RecursionError traceback and
-    # a bare integer-conversion message
+     b"[" * 100_000, "unexpected end of data", (100_096, 100_000)),
+    (_ZERO_DIAGONAL % (b"[1" + b"0" * 4_400 + b", 0]"), b"[0.5, 1" + b"0" * 4_400 + b"]",
+     "number is infinity when parsed as double", (108, 6)),
+    (_ZERO_DIAGONAL % b"[NaN, 0]", b"[0.5, NaN]", "unexpected character", (108, 6)),
+    (_ZERO_DIAGONAL % b"[0, -Infinity]", b"[0.5, -Infinity]", "no digit after minus sign",
+     (111, 6)),
+    (_ZERO_DIAGONAL % b"[1e400, 0]", b"[0.5, 1e400]",
+     "number is infinity when parsed as double", (108, 6)),
+    (_ZERO_DIAGONAL % b"[0, 1%s]" % (b"0" * 400), b"[0.5, 1%s]" % (b"0" * 400),
+     "number is infinity when parsed as double", (111, 6)),
+    (b'{"dim": 2, "norm": "\\ud800"}', b'[0.5, "\\ud800"]',
+     "no matched low surrogate in string", (26, 13)),
+], ids=["invalid-utf8", "deep-nesting", "oversized-integer", "nan", "minus-infinity",
+        "float-overflow", "integer-overflow", "lone-surrogate"])
+def test_undecodable_documents_exit_three(capsys, tmp_path, spec, coeffs, reason, chars):
+    # the first three were exit 1 before the decoder's errors were mapped: a
+    # bare codec message, a RecursionError traceback and a bare
+    # integer-conversion message
     doc = tmp_path / "doc.json"
-    doc.write_bytes(spec)
-    code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "2")
-    assert (code, out) == (3, "")
-    assert "error: not valid JSON: " in err and fragment in err
-    doc.write_bytes(coeffs)
-    code, out, err = _run(capsys, "example-shift", "--coeffs", str(doc), "--dims", "8")
-    assert (code, out) == (3, "")
-    assert "error: coefficient file is not JSON: " in err and fragment in err
+    for raw, at, argv, what in (
+            (spec, chars[0], ("bound", str(doc), "--p", "1", "--s", "2"), "not valid JSON"),
+            (coeffs, chars[1], ("example-shift", "--coeffs", str(doc), "--dims", "8"),
+             "coefficient file is not JSON")):
+        doc.write_bytes(raw)
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "Traceback" not in err
+        assert err.splitlines()[0] == (
+            f"error: {what}: {reason}: line 1 column {at + 1} (char {at})")
 
 
 def test_deep_balanced_nesting_exits_three(capsys, tmp_path):

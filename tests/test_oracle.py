@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigencount import (
+    AdmissibilityError,
     ContourError,
     Dense,
     NormKind,
@@ -58,6 +59,16 @@ def test_moment_sum_hand_value():
     assert moment_sum(m, 1.0, 2.0) == pytest.approx(4.25, rel=1e-12)
     with pytest.raises(ValueError):
         moment_sum(m, 1.0, 0.0)
+
+
+def test_a_moment_past_the_largest_float_raises():
+    m = np.diag([1e200, 3.0, 0.5]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdmissibilityError,
+                           match=r"moment sum at q = 2.0, base = 1.0 overflows a float"):
+            moment_sum(m, 1.0, 2.0)
+        assert moment_sum(m, 1.0, 1.5) == (np.float64(1e200) - 1.0) ** 1.5 + 2.0 ** 1.5
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
