@@ -218,10 +218,20 @@ KOENIG_FACTOR = 2.0  # times (2e)^{p/2}; see koenig_check
 
 
 def koenig_constant(p: float) -> float:
-    """2 (2e)^{p/2}: the constant tying eigenvalue p-sums to alpha p-sums."""
+    """2 (2e)^{p/2}: the constant tying eigenvalue p-sums to alpha p-sums.
+
+    AdmissibilityError past the largest float, from p of about 838 on.
+    """
     if not (0.0 < p < math.inf):
         raise ValueError(f"exponent must be positive and finite, got {p}")
-    return KOENIG_FACTOR * (2.0 * math.e) ** (p / 2.0)
+    try:
+        value = KOENIG_FACTOR * (2.0 * math.e) ** (p / 2.0)
+    except OverflowError:  # the float power raises where a product gives inf
+        value = math.inf
+    if value == math.inf:
+        raise AdmissibilityError(f"the Koenig constant 2 (2e)^(p/2) at p = {p!r} "
+                                 f"overflows a float")
+    return value
 
 
 def koenig_check(k_matrix, p: float) -> tuple[float, float]:

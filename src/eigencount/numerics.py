@@ -10,9 +10,13 @@ certified low-rank sketches that stand in for the SVD of a low-rank matrix.
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +42,13 @@ __all__ = [
 ]
 
 _STACK_BYTES = 1 << 20  # one block of stacked dim x dim complex matrices stays under 1 MB
+# the thread-count entries of the OpenBLAS builds numpy bundles: scipy-openblas
+# with 64-bit integers, then plain OpenBLAS with and without the 64_ suffix
+_OPENBLAS_THREAD_ENTRIES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class NormKind(Enum):
@@ -452,3 +463,53 @@ def _solve_block(m: np.ndarray, lams: np.ndarray, rhs: np.ndarray,
             lam=lam,
         )
     return x
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    The wheels keep the library in numpy.libs beside the package (Linux,
+    Windows) or in numpy/.dylibs (macOS); a numpy that links another BLAS
+    has neither, and gets None. Opening the loaded library again returns
+    the handle numpy already holds.
+    """
+    package = Path(np.__file__).parent
+    for libs in (package.parent / "numpy.libs", package / ".dylibs"):
+        for path in sorted(libs.glob("*openblas*")):  # none where libs is missing
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for get_name, set_name in _OPENBLAS_THREAD_ENTRIES:
+                get = getattr(lib, get_name, None)
+                set_ = getattr(lib, set_name, None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread inside the with block, and at the
+    caller's count after it, however the block ends; a no-op where numpy
+    links another BLAS.
+
+    Below a few hundred rows a second BLAS thread shortens no LAPACK call
+    here but spends about as much CPU again spinning beside the first. The
+    count is the process's, so blocks entered from two threads at once can
+    leave it at one.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)

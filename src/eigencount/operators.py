@@ -190,12 +190,14 @@ def _decode_json(raw: str | bytes, what: str = "not valid JSON"):
 
     Bytes with a BOM or in UTF-16 or UTF-32 (json.detect_encoding reads
     the first four) are decoded to str first. What the codec or orjson
-    refuses, NaN and 1e400 included, gets their message; an integer outside
-    [-2^63, 2^64) becomes the nearest float, so every number fits a float.
-    orjson is imported here, so commands that decode no JSON never load
-    it. The GC is paused while the tree is built.
+    refuses, NaN and 1e400 included, gets their message; where orjson
+    refuses UTF-8 bytes, the codec's message names an invalid byte and its
+    position. An integer outside [-2^63, 2^64) becomes the nearest float,
+    so every number fits a float. orjson is imported here, so commands
+    that decode no JSON never load it. The GC is paused while the tree is
+    built.
     """
-    from orjson import loads
+    from orjson import JSONDecodeError, loads
 
     try:
         if isinstance(raw, bytes) and (encoding := json.detect_encoding(raw)) != "utf-8":
@@ -203,6 +205,11 @@ def _decode_json(raw: str | bytes, what: str = "not valid JSON"):
         with _GCPaused():
             return loads(raw)
     except ValueError as exc:  # orjson's JSONDecodeError or the codec's UnicodeDecodeError
+        if isinstance(exc, JSONDecodeError) and isinstance(raw, bytes):
+            try:  # orjson reports invalid UTF-8 at line 1 column 1
+                raw.decode("utf-8")
+            except UnicodeDecodeError as codec_error:
+                exc = codec_error
         raise SpecFormatError(f"{what}: {exc}") from exc
 
 

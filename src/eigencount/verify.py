@@ -42,6 +42,7 @@ from .determinants import (
 from .numerics import (
     NormKind,
     Spectrum,
+    _one_blas_thread,
     eigenvalues,
     induced_norm,
 )
@@ -644,6 +645,8 @@ def run_suites(names: Sequence[str], seed: int = 0,
                tol: Tolerances = DEFAULT) -> list[SuiteResult]:
     """Run the named suites in canonical order; 'all' expands to every suite.
 
+    The suites run on one BLAS thread (numerics._one_blas_thread): their
+    matrices have dim 8-200, where a second thread only doubles the CPU.
     tol is accepted for callers that pass it (bench/traced.py) and must be
     DEFAULT, the only tolerances the suites use; any other value raises
     ValueError instead of being ignored.
@@ -659,4 +662,5 @@ def run_suites(names: Sequence[str], seed: int = 0,
         else:
             raise ValueError(
                 f"unknown suite {name!r}; choose from: all, {', '.join(SUITE_NAMES)}")
-    return [_SUITES[name](seed=seed) for name in expanded]
+    with _one_blas_thread():
+        return [_SUITES[name](seed=seed) for name in expanded]

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigencount import materialize, regression_corpus
+from eigencount import materialize, numerics, regression_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,3 +63,18 @@ def svd_shapes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return shapes
+
+
+@pytest.fixture
+def blas_threads():
+    """get() of numpy's OpenBLAS thread count, set to 2 for the test and
+    put back after it; the test is skipped where numpy bundles no OpenBLAS."""
+    threads = numerics._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS, "
+                    "whose thread count the library does not set")
+    get, set_ = threads
+    before = get()
+    set_(2)
+    yield get
+    set_(before)

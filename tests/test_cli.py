@@ -72,6 +72,8 @@ _SPEC = "specs/shift_rank_one.json"
     ("oracle_s1.2_q2.json", ("oracle", _SPEC, "--s", "1.2", "--q", "2")),
     ("example_shift_lacunary.csv",
      ("example-shift", "--family", "lacunary", "--dims", "8,16,32,64,128")),
+    ("verify_all_seed0.txt", ("verify", "--suite", "all", "--seed", "0")),
+    ("verify_all_seed3.txt", ("verify", "--suite", "all", "--seed", "3")),
 ])
 def test_stdout_matches_the_golden_file(capsys, monkeypatch, golden, argv):
     # a report echoes the spec path, so it runs from the repo root with
@@ -698,29 +700,33 @@ _ZERO_DIAGONAL = (b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
                   b'"perturbation": {"kind": "diagonal", "values": [[1, 0], %s]}}')
 
 
+_AT = ": line 1 column {col} (char {at})"
+
+
 @pytest.mark.parametrize("spec, coeffs, reason, chars", [
-    (b'{"dim": \x80}', b"[0.5, \x80]", "str is not valid UTF-8: surrogates not allowed",
-     (0, 0)),
+    (b'{"dim": \x80}', b"[0.5, \x80]",
+     "'utf-8' codec can't decode byte 0x80 in position {at}: invalid start byte", (8, 6)),
     (b'{"dim": 2, "norm": "l2", "base": {"kind": "zero"}, '
      b'"perturbation": {"kind": "dense", "entries": ' + b"[" * 100_000,
-     b"[" * 100_000, "unexpected end of data", (100_096, 100_000)),
+     b"[" * 100_000, "unexpected end of data" + _AT, (100_096, 100_000)),
     (_ZERO_DIAGONAL % (b"[1" + b"0" * 4_400 + b", 0]"), b"[0.5, 1" + b"0" * 4_400 + b"]",
-     "number is infinity when parsed as double", (108, 6)),
-    (_ZERO_DIAGONAL % b"[NaN, 0]", b"[0.5, NaN]", "unexpected character", (108, 6)),
-    (_ZERO_DIAGONAL % b"[0, -Infinity]", b"[0.5, -Infinity]", "no digit after minus sign",
+     "number is infinity when parsed as double" + _AT, (108, 6)),
+    (_ZERO_DIAGONAL % b"[NaN, 0]", b"[0.5, NaN]", "unexpected character" + _AT, (108, 6)),
+    (_ZERO_DIAGONAL % b"[0, -Infinity]", b"[0.5, -Infinity]", "no digit after minus sign" + _AT,
      (111, 6)),
     (_ZERO_DIAGONAL % b"[1e400, 0]", b"[0.5, 1e400]",
-     "number is infinity when parsed as double", (108, 6)),
+     "number is infinity when parsed as double" + _AT, (108, 6)),
     (_ZERO_DIAGONAL % b"[0, 1%s]" % (b"0" * 400), b"[0.5, 1%s]" % (b"0" * 400),
-     "number is infinity when parsed as double", (111, 6)),
+     "number is infinity when parsed as double" + _AT, (111, 6)),
     (b'{"dim": 2, "norm": "\\ud800"}', b'[0.5, "\\ud800"]',
-     "no matched low surrogate in string", (26, 13)),
+     "no matched low surrogate in string" + _AT, (26, 13)),
 ], ids=["invalid-utf8", "deep-nesting", "oversized-integer", "nan", "minus-infinity",
         "float-overflow", "integer-overflow", "lone-surrogate"])
 def test_undecodable_documents_exit_three(capsys, tmp_path, spec, coeffs, reason, chars):
     # the first three were exit 1 before the decoder's errors were mapped: a
     # bare codec message, a RecursionError traceback and a bare
-    # integer-conversion message
+    # integer-conversion message. Invalid UTF-8 gets the codec's message,
+    # which names the byte and its position
     doc = tmp_path / "doc.json"
     for raw, at, argv, what in (
             (spec, chars[0], ("bound", str(doc), "--p", "1", "--s", "2"), "not valid JSON"),
@@ -730,8 +736,7 @@ def test_undecodable_documents_exit_three(capsys, tmp_path, spec, coeffs, reason
         code, out, err = _run(capsys, *argv)
         assert (code, out) == (3, "")
         assert "Traceback" not in err
-        assert err.splitlines()[0] == (
-            f"error: {what}: {reason}: line 1 column {at + 1} (char {at})")
+        assert err.splitlines()[0] == f"error: {what}: {reason.format(at=at, col=at + 1)}"
 
 
 def test_deep_balanced_nesting_exits_three(capsys, tmp_path):

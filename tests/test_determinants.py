@@ -453,6 +453,19 @@ def test_a_non_finite_p_raises_the_typed_error(call, error, p):
         call(Prepared(model, l0, k), rank_n_factors(k, 1, model.norm), p)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p: koenig_constant(p),
+    lambda p: koenig_check(np.eye(2) * 0.1, p),
+    lambda p: GammaP(p, 1.0, GammaProvenance.ENVELOPE_CERTIFIED).c_p,
+], ids=["koenig_constant", "koenig_check", "GammaP.c_p"])
+@pytest.mark.parametrize("p", [838.0, 900.0])
+def test_a_koenig_constant_past_the_largest_float_raises_the_typed_error(call, p):
+    # (2e)^(p/2) is a float power, which raised an untyped OverflowError from
+    # p of about 838.4 on; just below that, the factor 2 made it inf
+    with pytest.raises(AdmissibilityError, match=rf"at p = {p} overflows a float"):
+        call(p)
+
+
 def test_perturbation_determinant_rejects_mismatched_factors():
     model, _ = shift_example(np.array([2.0 + 0j]), 10)
     l0, k = materialize(model)
