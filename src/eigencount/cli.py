@@ -8,8 +8,13 @@ constant), and example-shift (the shift plus rank-one family sweep).
 
 Reports are JSON with sorted keys so identical invocations produce
 byte-identical output in certified mode; wall time goes to stderr.
-Exit codes: 0 success, 1 I/O or usage, 2 inadmissible parameters,
-3 malformed operator spec, 4 verification counterexample.
+Exit codes: 0 success, 1 I/O, usage or an allocation that fails,
+2 inadmissible parameters, 3 malformed operator spec, 4 verification
+counterexample.
+
+Arguments are parsed before numpy loads, and each subcommand imports only
+the modules it uses; verify starts numpy's OpenBLAS on one thread unless
+the environment already chose a count.
 """
 
 from __future__ import annotations
@@ -20,42 +25,19 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bounds import (
-    BoundReport,
-    count_bound_disk,
-    count_bound_disk_simple,
-    count_bound_region,
-    koenig_count_bound,
-    prepare,
-    pseudospectral_epsilon,
-)
-from .config import DEFAULT
-from .determinants import GammaProvenance, gamma_p_upper
+from .config import DEFAULT, SUITE_NAMES
 from .errors import EigencountError, SpecFormatError
-from .operators import Zero, _as_complex_array, _decode_json, parse_spec
-from .oracle import (
-    count_curve,
-    eigen_count_outside,
-    lacunary_coefficients,
-    moment_sum,
-    shift_example,
-)
-from .verify import SUITE_NAMES, run_suites
-
-# one column per BoundReport field, two (re, im) for the complex target
-_BOUND_COLUMNS = tuple(chain.from_iterable(
-    (f"{f.name}_re", f"{f.name}_im") if f.type == "complex" else (f.name,)
-    for f in dataclasses.fields(BoundReport)))
 
 _EXAMPLE_RADII = (1.0, 1.1, 1.25, 1.5, 2.0)
+# the variables OpenBLAS reads its thread count from, when numpy loads it
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _assemble(command: str, arguments: dict, raw: bytes, results: dict,
               mode: str, alpha_mode: str | None) -> dict:
+    from .determinants import GammaProvenance
     return {
         "command": command,
         "arguments": arguments,
@@ -180,16 +163,17 @@ def _emit_json(report: dict, out: str | None) -> None:
     _write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", out)
 
 
-def _emit_csv(header, rows, out: str | None) -> None:
+def _emit_csv(rows, out: str | None) -> None:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     _write_text(buffer.getvalue(), out)
 
 
-def _bound_csv_rows(rows: list[dict]):
-    # to_dict keeps the field order, so the cells line up with _BOUND_COLUMNS
+def _bound_csv(rows: list[dict]):
+    """The header, then one row per report: a column per BoundReport field in
+    to_dict's order, two (re, im) for the complex target."""
+    yield list(chain.from_iterable((f"{k}_re", f"{k}_im") if isinstance(v, list) else (k,)
+                                   for k, v in rows[0].items()))
     for row in rows:
         cells = chain.from_iterable(v if isinstance(v, list) else (v,) for v in row.values())
         yield ["" if v is None else v for v in cells]
@@ -199,6 +183,9 @@ def _bound_csv_rows(rows: list[dict]):
 
 
 def _cmd_bound(args) -> int:
+    from .bounds import (count_bound_disk, count_bound_disk_simple, count_bound_region,
+                         koenig_count_bound, prepare, pseudospectral_epsilon)
+    from .operators import Zero, parse_spec
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
     prep = prepare(model)
@@ -220,8 +207,8 @@ def _cmd_bound(args) -> int:
         oracle = prep.count_outside(s)
     else:  # the multiplicity of the point, to the spectrum's clustering radius
         spec = prep.spectrum
-        oracle = int(np.sum(spec.multiplicities[np.abs(spec.values - args.point)
-                                                <= spec.radius]))
+        oracle = int(spec.multiplicities[abs(spec.values - args.point)
+                                         <= spec.radius].sum())
     rows = [r.with_oracle(oracle).to_dict() for r in reports]
     results = {
         "dim": model.dim,
@@ -245,13 +232,16 @@ def _cmd_bound(args) -> int:
     if args.format == "json":
         _emit_json(report, args.out)
     else:
-        _emit_csv(_BOUND_COLUMNS, _bound_csv_rows(rows), args.out)
+        _emit_csv(_bound_csv(rows), args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     if args.s is None and not args.curve and args.q is None:
         raise ValueError("nothing to compute: pass --s, --curve, or --q")
+    from .bounds import prepare
+    from .operators import parse_spec
+    from .oracle import count_curve, eigen_count_outside, moment_sum
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
     prep = prepare(model)
@@ -281,8 +271,15 @@ def _cmd_oracle(args) -> int:
     if args.format == "json":
         _emit_json(report, args.out)
     else:
-        _emit_csv(("kind", "x", "value"), csv_rows, args.out)
+        _emit_csv([("kind", "x", "value"), *csv_rows], args.out)
     return 0
+
+
+def run_suites(names, seed=0):
+    """verify.run_suites, which loads verify on the first call; bench/traced.py
+    puts a timed version in this name's place."""
+    from .verify import run_suites
+    return run_suites(names, seed=seed)
 
 
 def _cmd_verify(args) -> int:
@@ -309,6 +306,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
+    from .determinants import gamma_p_upper
     gamma = gamma_p_upper(args.p)
     print(f"p = {gamma.p!r}")
     print(f"gamma_p = {gamma.value!r}")
@@ -318,7 +316,8 @@ def _cmd_gamma(args) -> int:
     return 0
 
 
-def _load_coefficients(path: str) -> np.ndarray:
+def _load_coefficients(path: str):
+    from .operators import _as_complex_array, _decode_json
     data = _decode_json(Path(path).read_bytes(), "coefficient file is not JSON")
     if not isinstance(data, list) or not data:
         raise SpecFormatError("coefficient file must hold a non-empty list")
@@ -327,6 +326,8 @@ def _load_coefficients(path: str) -> np.ndarray:
 
 
 def _cmd_example_shift(args) -> int:
+    from .bounds import prepare
+    from .oracle import eigen_count_outside, lacunary_coefficients, moment_sum, shift_example
     fixed = None if args.coeffs is None else _load_coefficients(args.coeffs)
     header = ["dim", "excess_sum"] + [f"n_above_{s}" for s in _EXAMPLE_RADII]
     rows = []
@@ -335,7 +336,7 @@ def _cmd_example_shift(args) -> int:
         spectrum = prepare(shift_example(b, dim)[0]).spectrum
         rows.append([dim, moment_sum(spectrum, 1.0, 1.0)]
                     + [eigen_count_outside(spectrum, s) for s in _EXAMPLE_RADII])
-    _emit_csv(header, rows, args.out)
+    _emit_csv([header, *rows], args.out)
     return 0
 
 
@@ -348,10 +349,15 @@ def main(argv=None) -> int:
     if args.handler is None:
         parser.print_help(sys.stderr)
         return 1
+    if (args.command == "verify" and "numpy" not in sys.modules
+            and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES)):
+        # OpenBLAS reads the count once, as numpy loads: the suites' matrices
+        # have dim 8-200, where a second thread shortens no call but spins
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     start = time.monotonic()
     try:
         return args.handler(args)
-    except (EigencountError, ValueError, OSError) as exc:
+    except (EigencountError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, SpecFormatError):
             return 3

@@ -1,8 +1,9 @@
-"""The fixed numerical tolerances, in one record.
+"""The fixed numerical tolerances, in one record, and the verify suites' names.
 
 Each function reads its value from DEFAULT where it is used; none takes
 tolerances as an argument except verify.run_suites, whose tol must be
 DEFAULT. Every CLI report echoes DEFAULT under ``config.tolerances``.
+This module loads no numpy, so the CLI can parse its arguments first.
 """
 
 from __future__ import annotations
@@ -52,3 +53,6 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+# the property suites in their canonical run order (verify._SUITES)
+SUITE_NAMES = ("lambert", "phi", "koenig", "det", "bounds", "jensen")

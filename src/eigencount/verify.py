@@ -31,7 +31,7 @@ from .bounds import (
     prepare,
     t_star,
 )
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, SUITE_NAMES, Tolerances
 from .determinants import (
     det_bound_rhs,
     det_regularized,
@@ -42,7 +42,6 @@ from .determinants import (
 from .numerics import (
     NormKind,
     Spectrum,
-    _one_blas_thread,
     eigenvalues,
     induced_norm,
 )
@@ -630,23 +629,17 @@ def suite_jensen(seed: int = 0) -> SuiteResult:
     return log.result("jensen")
 
 
-_SUITES = {
-    "lambert": suite_lambert,
-    "phi": suite_phi,
-    "koenig": suite_koenig,
-    "det": suite_det,
-    "bounds": suite_bounds,
-    "jensen": suite_jensen,
-}
-SUITE_NAMES = tuple(_SUITES)
+_SUITES = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES}
 
 
 def run_suites(names: Sequence[str], seed: int = 0,
                tol: Tolerances = DEFAULT) -> list[SuiteResult]:
     """Run the named suites in canonical order; 'all' expands to every suite.
 
-    The suites run on one BLAS thread (numerics._one_blas_thread): their
-    matrices have dim 8-200, where a second thread only doubles the CPU.
+    BLAS runs at the process's thread count. The CLI's verify starts on
+    one OpenBLAS thread, since the suites' matrices have dim 8-200, where a
+    second thread only spins; a library caller that wants the same sets
+    OPENBLAS_NUM_THREADS=1 before numpy is first imported.
     tol is accepted for callers that pass it (bench/traced.py) and must be
     DEFAULT, the only tolerances the suites use; any other value raises
     ValueError instead of being ignored.
@@ -662,5 +655,4 @@ def run_suites(names: Sequence[str], seed: int = 0,
         else:
             raise ValueError(
                 f"unknown suite {name!r}; choose from: all, {', '.join(SUITE_NAMES)}")
-    with _one_blas_thread():
-        return [_SUITES[name](seed=seed) for name in expanded]
+    return [_SUITES[name](seed=seed) for name in expanded]

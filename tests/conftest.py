@@ -1,9 +1,10 @@
+import ctypes
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigencount import materialize, numerics, regression_corpus
+from eigencount import materialize, regression_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,16 +66,19 @@ def svd_shapes(monkeypatch):
     return shapes
 
 
-@pytest.fixture
-def blas_threads():
-    """get() of numpy's OpenBLAS thread count, set to 2 for the test and
-    put back after it; the test is skipped where numpy bundles no OpenBLAS."""
-    threads = numerics._openblas_threads()
-    if threads is None:
-        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS, "
-                    "whose thread count the library does not set")
-    get, set_ = threads
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
+def openblas_thread_count():
+    """The thread count of numpy's bundled OpenBLAS, read through ctypes, or
+    None where numpy bundles none (a numpy that links another BLAS)."""
+    # the wheels keep the library in numpy.libs beside the package (Linux,
+    # Windows) or in numpy/.dylibs (macOS); opening it again returns numpy's handle
+    package = Path(np.__file__).parent
+    for libs in (package.parent / "numpy.libs", package / ".dylibs"):
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            for name in ("scipy_openblas_get_num_threads64_",
+                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                get = getattr(lib, name, None)
+                if get is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    return get()
+    return None

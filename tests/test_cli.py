@@ -1,8 +1,12 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from itertools import chain
 from pathlib import Path
@@ -27,6 +31,7 @@ from eigencount import (
     prepare,
     serialize_spec,
 )
+import eigencount
 from eigencount import cli
 from eigencount.cli import main
 
@@ -102,9 +107,12 @@ def test_a_utf16_spec_gives_the_golden_report(capsys, monkeypatch):
     assert report == golden
 
 
-def test_bound_columns_follow_the_report_fields():
+def test_bound_columns_follow_the_report_fields(capsys, spec_path):
     names = [f.name for f in dataclasses.fields(BoundReport)]
-    assert cli._BOUND_COLUMNS == tuple(chain.from_iterable(
+    code, out, err = _run(capsys, "bound", str(spec_path), "--p", "1", "--s", "1.5",
+                          "--mode", "empirical", "--format", "csv")
+    assert code == 0, err
+    assert next(csv.reader(io.StringIO(out))) == list(chain.from_iterable(
         (f"{n}_re", f"{n}_im") if n == "target" else (n,) for n in names))
 
 
@@ -603,6 +611,18 @@ def test_exit_code_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_an_allocation_that_fails_exits_one_without_a_traceback(capsys, tmp_path):
+    # a dim-10^7 matrix asks for 1.42 PiB, past any address space, so the
+    # request fails at once and touches no memory
+    doc = tmp_path / "huge.json"
+    doc.write_text('{"dim": 10000000, "norm": "l2", "base": {"kind": "zero"}, '
+                   '"perturbation": {"kind": "zero"}}')
+    code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "2")
+    assert (code, out) == (1, "")
+    error, wall = err.splitlines()
+    assert error.startswith("error: ") and wall.startswith("wall_time_s=")
+
+
 def test_exit_code_inadmissible(capsys, spec_path):
     code, _, err = _run(capsys, "bound", str(spec_path), "--p", "1", "--s", "0.5")
     assert code == 2
@@ -814,3 +834,96 @@ def test_counts_survive_entries_past_the_frobenius_overflow(capsys, tmp_path, co
         code, out, err = _run(capsys, "oracle", str(doc), "--s", s)
         assert code == 0, err
         assert json.loads(out)["results"]["count"]["value"] == 4
+
+
+def _fresh_env(**variables):
+    """The test's environment with src importable, no BLAS thread variable,
+    and the given variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.update(variables)
+    return env
+
+
+def _last_line(code: str, *argv: str, env: dict) -> str:
+    """The last stdout line of `python -c code argv...`, which must exit 0."""
+    run = subprocess.run([sys.executable, "-c", code, *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("code", [
+    "import eigencount",
+    "import eigencount.cli",
+    "from eigencount.cli import main; main(['--help'])",
+], ids=["package", "cli", "help"])
+def test_the_package_and_the_cli_load_neither_numpy_nor_orjson(code):
+    # numpy loads with the first command that computes, orjson with the first decode
+    probe = code + "\nimport sys; print(sorted({'numpy', 'orjson'} & set(sys.modules)))"
+    assert _last_line(probe, env=_fresh_env()) == "[]"
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    assert eigencount.__all__[0] == "__version__"
+    for name in eigencount.__all__[1:]:
+        value = getattr(eigencount, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert set(eigencount.__all__) <= set(dir(eigencount))
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        eigencount.nope
+
+
+# Runs the CLI on argv[2:] in a fresh process, then prints its exit code, the
+# OPENBLAS_NUM_THREADS that numpy loaded under, and the count numpy's
+# OpenBLAS runs at (tests/conftest.py reads it; None without OpenBLAS).
+_THREAD_PROBE = """
+import json, os, sys
+seen = []
+
+class Probe:  # a finder that declines every module and notes numpy's turn
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Probe())
+from eigencount.cli import main
+code = main(sys.argv[2:])
+sys.path.insert(0, sys.argv[1])
+from conftest import openblas_thread_count
+print(json.dumps([code, seen[0], openblas_thread_count()]))
+"""
+_BARE_COUNT = ("import sys; sys.path.insert(0, sys.argv[1]); "
+               "from conftest import openblas_thread_count; print(openblas_thread_count())")
+
+
+@pytest.mark.parametrize("argv, variables, expected", [
+    (["verify", "--suite", "lambert"], {}, "1"),
+    (["bound", _SPEC, "--p", "1", "--s", "1.5"], {}, None),
+    (["verify", "--suite", "lambert"], {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    (["verify", "--suite", "lambert"], {"OMP_NUM_THREADS": "2"}, None),
+], ids=["verify", "bound", "user-openblas", "user-omp"])
+def test_only_verify_starts_numpy_on_one_blas_thread(argv, variables, expected):
+    env = _fresh_env(**variables)
+    tests = str(ROOT / "tests")
+    code, seen, threads = json.loads(_last_line(_THREAD_PROBE, tests, *argv, env=env))
+    assert (code, seen) == (0, expected)
+    if threads is None:
+        pytest.skip("numpy links a BLAS other than its bundled OpenBLAS, "
+                    "whose thread count is not read here")
+    # a bare numpy import under the variable the CLI left gets the same count
+    bare = _last_line(_BARE_COUNT, tests, env=env if expected is None
+                      else {**env, "OPENBLAS_NUM_THREADS": expected})
+    assert threads == int(bare)
+    if expected == "1":
+        assert threads == 1
+
+
+def test_verify_after_numpy_loaded_leaves_the_environment(capsys, monkeypatch):
+    # a library caller that already imported numpy keeps its BLAS as it is
+    for name in cli._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    assert "numpy" in sys.modules
+    before = dict(os.environ)
+    assert _run(capsys, "verify", "--suite", "lambert")[0] == 0
+    assert dict(os.environ) == before

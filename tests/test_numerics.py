@@ -21,7 +21,6 @@ from eigencount import (
     resolvent_norms,
     singular_values,
 )
-from eigencount import numerics
 from eigencount.errors import MatrixError
 
 
@@ -176,26 +175,3 @@ def test_cluster_radius_is_exact_under_power_of_two_scaling():
         assert spec.radius == cluster_radius(scaled)
     assert cluster_radius(np.zeros((3, 3))) == 0.0
     assert cluster_radius(np.full((2, 2), 1e-310)) > 0.0  # subnormal entries
-
-
-def test_one_blas_thread_inside_and_the_callers_count_after(blas_threads):
-    caller = blas_threads()
-    with numerics._one_blas_thread():
-        assert blas_threads() == 1
-    assert blas_threads() == caller
-    with pytest.raises(ZeroDivisionError), numerics._one_blas_thread():
-        assert blas_threads() == 1
-        1 / 0
-    assert blas_threads() == caller
-
-
-def test_one_blas_thread_runs_its_body_where_no_openblas_is_found(monkeypatch):
-    monkeypatch.setattr(numerics, "_OPENBLAS_THREAD_ENTRIES", ())
-    assert numerics._openblas_threads.__wrapped__() is None
-    monkeypatch.setattr(numerics, "_openblas_threads", lambda: None)
-    m = np.random.default_rng(3).standard_normal((40, 40)) + 0j
-    with numerics._one_blas_thread():
-        inside = singular_values(m)
-    assert np.array_equal(inside, singular_values(m))
-    with pytest.raises(ZeroDivisionError), numerics._one_blas_thread():
-        1 / 0

@@ -1,9 +1,5 @@
 import gc
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -573,19 +569,6 @@ def test_decoding_leaves_the_gc_as_the_caller_had_it(enabled):
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
-
-
-def test_importing_the_cli_leaves_orjson_unloaded():
-    # orjson is imported by the first decode, so verify and gamma never load it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
-                      env.get("PYTHONPATH")]))
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, eigencount.cli; print('orjson' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert (probe.returncode, probe.stdout) == (0, "False\n"), probe.stderr
 
 
 def test_dim_past_two_to_the_64_is_not_an_integer():

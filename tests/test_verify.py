@@ -78,22 +78,6 @@ def test_suites_pass_under_alternate_seed():
         assert result.ok, result.failures[:1]
 
 
-def test_suites_run_on_one_blas_thread(blas_threads, monkeypatch):
-    caller = blas_threads()
-    seen = []
-    phi = verify._SUITES["phi"]
-
-    def recording(seed):
-        seen.append(blas_threads())
-        return phi(seed=seed)
-
-    monkeypatch.setitem(verify._SUITES, "phi", recording)
-    (result,) = run_suites(["phi"], seed=0)
-    assert result.ok and result.checks > 0
-    assert seen == [1]
-    assert blas_threads() == caller
-
-
 def test_run_suites_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_suites(["nope"])
