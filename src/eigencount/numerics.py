@@ -239,6 +239,141 @@ def _norm_bound(m: np.ndarray, kind: NormKind):
             * np.sqrt(np.max(np.sum(a, axis=-1), axis=-1)))
 
 
+_LANCZOS_SEED = 20140602  # the fixed start vector of the Lanczos estimate
+_LANCZOS_STEPS = 64       # at most this many Lanczos steps
+_LANCZOS_RTOL = 2.0 ** -40  # stop once the top Ritz value's error estimate is this small
+_LANCZOS_CHECK = 4        # steps between two such estimates
+_CHOLESKY_RUNGS = 4       # factorizations tried before the last rung
+_RUNG_GROWTH = 1.0 + 2.0 ** -20  # a failed factorization multiplies tau^2 by this
+_UNDERFLOW = 2.0 ** -1022  # the smallest normal float: what one underflow can lose
+
+
+def _up(x: float) -> float:
+    # the next float above x: at or above the exact result of the one rounded
+    # operation that gave x
+    return math.nextafter(x, math.inf)
+
+
+def _lanczos_top(gram: np.ndarray) -> tuple[float, float]:
+    # an estimate of lambda_max of the Hermitian gram: its top Ritz value theta
+    # and an estimate of lambda_max - theta, min(r, r^2 / gap), for the residual
+    # norm r of the top Ritz pair and its gap to the next Ritz value (Parlett,
+    # The Symmetric Eigenvalue Problem, 1998, ch. 11). Lanczos from a
+    # fixed-seed start, each three-term step followed by one classical
+    # Gram-Schmidt pass against the whole basis (full reorthogonalization),
+    # stops after _LANCZOS_STEPS steps, on an invariant subspace, or once the
+    # estimate, taken every _LANCZOS_CHECK steps, is at most _LANCZOS_RTOL theta.
+    # _proven_l2_norm certifies what it uses
+    dim = gram.shape[0]
+    steps = min(dim, _LANCZOS_STEPS)
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    basis = np.empty((steps, dim), dtype=complex)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    basis[0] = start / np.linalg.norm(start)
+    diagonal, offdiagonal = [], []
+    for j in range(steps):
+        w = gram @ basis[j]
+        diagonal.append(float(np.vdot(basis[j], w).real))
+        w -= diagonal[-1] * basis[j]
+        if j:
+            w -= offdiagonal[-1] * basis[j - 1]
+        w -= basis[:j + 1].T @ (basis[:j + 1] @ w.conj()).conj()
+        beta = float(np.linalg.norm(w))
+        if j % _LANCZOS_CHECK == _LANCZOS_CHECK - 1 or j + 1 == steps or beta == 0.0:
+            values, vectors = np.linalg.eigh(
+                np.diag(diagonal) + np.diag(offdiagonal, 1) + np.diag(offdiagonal, -1))
+            theta, residual = float(values[-1]), beta * abs(float(vectors[-1, -1]))
+            gap = theta - float(values[-2]) if j else 0.0
+            error = min(residual, residual * residual / gap) if gap > 0.0 else residual
+            if j + 1 == steps or error <= _LANCZOS_RTOL * theta:
+                break
+        offdiagonal.append(beta)
+        basis[j + 1] = w / beta
+    return theta, error
+
+
+def _proven_l2_norm(m: np.ndarray) -> float:
+    """A proven upper bound tau >= ||m||_2 for a square finite complex m.
+
+    m is scaled by the power of two of its largest real or imaginary part
+    (_scaled_by_peak) to A, so that nothing below overflows. G = A^H A is
+    formed once, and _lanczos_top estimates lambda_max(G) as theta plus an
+    error estimate e. The first rung is t = (theta + e)(1 + 2c), for the c
+    below; each time the Cholesky factorization of M = fl(t I - G^) fails, t
+    grows by _RUNG_GROWTH, for at most _CHOLESKY_RUNGS factorizations. Once
+    one completes, lambda_max(G) <= t (1 + c) + 4 n (n + 1)(2 + t) 2^-1022
+    (u = 2^-53, g = sqrt(2) gamma_{2n+2}):
+
+    - Gram rounding (Higham 2002, secs. 3.5-3.6): Re G^ is a real product of
+      inner length 2n and Im G^ = B^ - B^T with B = (Re A)^T Im A of inner
+      length n, so |G^ - G| <= g |A|^H |A| entrywise, and
+      || |A|^H |A| ||_2 <= ||A||_F^2 <= sum_i G^_ii / (1 - g).
+    - Forming M: only the diagonal rounds, M = t I - G^ + D with
+      |D_ii| <= u t, as 0 <= G^_ii < t once the factorization completes (a
+      pivot M_ii <= 0 stops it).
+    - Cholesky backward error (Higham 2002, Thm 10.3, whose bound holds in
+      any summation order, so for a blocked LAPACK factorization too; Rump,
+      BIT 46, 2006): the computed R has R^H R = M + dM with |dM| <= g |R^H| |R|
+      in complex arithmetic, and || |R^H| |R| ||_2 <= sum_i ||r_i||^2 <=
+      sum_i M_ii / (1 - g) over the columns r_i of R. As R^H R is positive
+      semidefinite, G <= t I + D + dM + (G - G^), and sum_i (G^_ii + M_ii)
+      <= n t (1 + u) gives c = u + n g (1 + u) / (1 - g); c is evaluated with
+      a 2^-20 relative margin for its own rounding.
+    - Underflow: gradual (or flushed) underflow adds at most 2^-1022 per
+      multiplication or division to each entry of G^ and R^H R, the absolute
+      term above (Rump 2006 carries one of the same kind).
+
+    tau is the square root of that bound, plus 2n 2^-1022 for what the
+    scaling of m lost to underflow (at most 2^-1022 per part of an entry),
+    with every operation rounded up by one float, and then scaled back by
+    the power of two, rounded up: inf past the largest float. The last rung,
+    taken when no factorization completes (or theta + e is not positive), is
+    sqrt(||A||_1 ||A||_inf) (Higham 2002, sec. 6.3), which _norm_bound
+    computes with relative error below gamma_{n+4}, rounded up the same way.
+    A zero matrix gives exactly 0.
+    """
+    dim = m.shape[0]
+    flat, exponent = _scaled_by_peak(m[None])
+    a, exponent = flat.reshape(m.shape), int(exponent[0])
+    if not a.any():
+        return 0.0
+    # G = A^H A from real BLAS products: Re G = [Re A; Im A]^T [Re A; Im A] (a
+    # symmetric rank-k update), Im G = B - B^T for B = (Re A)^T Im A
+    parts = np.concatenate((a.real, a.imag))
+    gram = np.empty_like(a)
+    gram.real = parts.T @ parts
+    cross = parts[:dim].T @ parts[dim:]
+    gram.imag = cross - cross.T
+    theta, error = _lanczos_top(gram)
+    g = math.sqrt(2.0) * _gamma(2 * dim + 2)
+    c = (_UNIT + dim * g * (1.0 + _UNIT) / (1.0 - g)) * (1.0 + 2.0 ** -20)
+    t = (theta + error) * (1.0 + 2.0 * c)
+    shifted = np.negative(gram, out=gram)
+    diagonal = shifted.diagonal().copy()
+    for _ in range(_CHOLESKY_RUNGS if t > 0.0 else 0):
+        np.fill_diagonal(shifted, diagonal + t)
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            t *= _RUNG_GROWTH
+            continue
+        under = 4.0 * dim * (dim + 1) * (2.0 + t) * _UNDERFLOW
+        bound = _up(_up(t * _up(1.0 + c)) + under)
+        return _scaled_up(_up(_up(math.sqrt(bound)) + 2 * dim * _UNDERFLOW), exponent)
+    last = _up(float(_norm_bound(a, NormKind.L2)) * _up(1.0 + _gamma(dim + 4)))
+    return _scaled_up(_up(last + 2 * dim * _UNDERFLOW), exponent)
+
+
+def _scaled_up(x: float, exponent: int) -> float:
+    # x 2^exponent rounded up: a subnormal result, which ldexp rounds to
+    # nearest, moves up one float where it fell below; inf past the largest float
+    try:
+        value = math.ldexp(x, exponent)
+    except OverflowError:
+        return math.inf
+    return _up(value) if math.ldexp(value, -exponent) < x else value
+
+
 _SKETCH_SEED = 20140601  # the fixed Gaussian test matrix of the sketch
 _SKETCH_MIN_WIDTH = 8
 _SKETCH_TAIL = 4         # singular values of B at or below the rank threshold

@@ -54,6 +54,12 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture
+def cholesky_calls(monkeypatch):
+    """A list that gains one entry per np.linalg.cholesky call in the test."""
+    return _count_calls(monkeypatch, "cholesky")
+
+
+@pytest.fixture
 def svd_shapes(monkeypatch):
     """A list that gains the input shape of each np.linalg.svd call in the test."""
     shapes, original = [], np.linalg.svd

@@ -374,28 +374,29 @@ def _dense_l2_docs(tmp_path):
         doc = tmp_path / "dense.json"
         doc.write_text(serialize_spec(OperatorModel(16, NormKind.L2, base,
                                                     Dense(k))))
-        yield doc, isinstance(base, Zero)
+        yield doc
 
 
 def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
                                                      svd_calls):
-    # on l2, ||L0|| takes one SVD and K one more, which serves alpha and
-    # the koenig_classical row of a zero base; ||0|| = 0 needs none
-    for doc, zero_base in _dense_l2_docs(tmp_path):
+    # on l2, K takes one SVD, which serves alpha and the koenig_classical row
+    # of a zero base; ||0|| = 0 needs none, and a dense ||L0||_2 none either:
+    # a Cholesky factorization certifies it
+    for doc in _dense_l2_docs(tmp_path):
         svd_calls.clear()
         code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "3")
         assert code == 0, err
-        assert len(svd_calls) == (1 if zero_base else 2)
+        assert len(svd_calls) == 1
 
 
-def test_oracle_takes_an_svd_only_for_a_nonzero_base(capsys, tmp_path,
-                                                     svd_calls):
-    # the oracle reads ||L0|| and never K's singular values
-    for doc, zero_base in _dense_l2_docs(tmp_path):
+def test_oracle_takes_no_svd(capsys, tmp_path, svd_calls):
+    # the oracle reads ||L0|| and never K's singular values; on a dense base
+    # ||L0||_2 is certified without an SVD
+    for doc in _dense_l2_docs(tmp_path):
         svd_calls.clear()
         code, _, err = _run(capsys, "oracle", str(doc), "--s", "1.2", "--q", "2")
         assert code == 0, err
-        assert len(svd_calls) == (0 if zero_base else 1)
+        assert svd_calls == []
 
 
 def test_inadmissible_radius_exits_two_before_the_eigensolve(capsys, spec_path,
@@ -786,11 +787,10 @@ def _low_rank_doc(tmp_path, dim=128, norm=NormKind.L2):
     return doc
 
 
-@pytest.mark.parametrize("norm, square_svds", [
-    (NormKind.L2, 1), (NormKind.L1, 0), (NormKind.LINF, 0)])
-def test_bound_takes_no_svd_of_a_low_rank_k(capsys, tmp_path, svd_shapes, norm, square_svds):
-    # the sketch of K gives alpha and the count; only ||L0||_2 takes a dim x dim
-    # SVD (before the sketch, K took one more in every norm)
+@pytest.mark.parametrize("norm", [NormKind.L2, NormKind.L1, NormKind.LINF])
+def test_bound_takes_no_svd_of_a_low_rank_k(capsys, tmp_path, svd_shapes, norm):
+    # the sketch of K gives alpha and the count, and no norm of the dense L0
+    # takes a dim x dim SVD
     doc = _low_rank_doc(tmp_path, norm=norm)
     code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "1.6")
     assert code == 0, err
@@ -799,7 +799,7 @@ def test_bound_takes_no_svd_of_a_low_rank_k(capsys, tmp_path, svd_shapes, norm, 
     assert {row["alpha_mode"] for row in results["bounds"]} == (
         {"exact"} if norm is NormKind.L2 else {"upper_bound"})
     # besides: the B of the width-8 sketch, then of its rank + 4 = 6 re-sketch
-    assert sorted(svd_shapes) == sorted([(128, 128)] * square_svds + [(8, 128), (6, 128)])
+    assert sorted(svd_shapes) == [(6, 128), (8, 128)]
 
 
 def test_bound_counts_a_low_rank_model_without_an_eigensolve(capsys, tmp_path,
@@ -834,6 +834,27 @@ def test_counts_survive_entries_past_the_frobenius_overflow(capsys, tmp_path, co
         code, out, err = _run(capsys, "oracle", str(doc), "--s", s)
         assert code == 0, err
         assert json.loads(out)["results"]["count"]["value"] == 4
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_dense_l2_norm_is_proven_at_extreme_scales(capsys, tmp_path, scale):
+    # dim-8 dense l2 documents with ||L0||_2 = 0.8 scale and a rank-one K that
+    # moves one eigenvalue out to about 3 scale: a Gram matrix L0^H L0 formed
+    # without power-of-two scaling overflows at 1e300 and underflows at 1e-300
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    u = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    l0 = scale * (0.8 * g / np.linalg.norm(g, 2))
+    k = scale * 3.0 * np.outer(u, u.conj()) / np.vdot(u, u).real
+    doc = tmp_path / "extreme.json"
+    doc.write_text(serialize_spec(OperatorModel(8, NormKind.L2, Dense(l0), Dense(k))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", repr(2.0 * scale))
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert results["norm_l0"] >= float(np.linalg.svd(l0, compute_uv=False)[0])
+    assert results["oracle_count"] == 1
 
 
 def _fresh_env(**variables):

@@ -21,6 +21,7 @@ from eigencount import (
     resolvent_norms,
     singular_values,
 )
+from eigencount import numerics
 from eigencount.errors import MatrixError
 
 
@@ -175,3 +176,52 @@ def test_cluster_radius_is_exact_under_power_of_two_scaling():
         assert spec.radius == cluster_radius(scaled)
     assert cluster_radius(np.zeros((3, 3))) == 0.0
     assert cluster_radius(np.full((2, 2), 1e-310)) > 0.0  # subnormal entries
+
+
+def _gaussian(dim):
+    rng = np.random.default_rng(dim)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+_L2_FAMILIES = {
+    **{f"gaussian-{dim}": (lambda dim=dim: _gaussian(dim)) for dim in (1, 2, 8, 64, 600)},
+    "shift": lambda: np.eye(16, k=-1, dtype=complex),
+    "rank-one": lambda: np.outer(_gaussian(16)[0], _gaussian(16)[1]),
+    "unitary": lambda: 3.0 * np.linalg.qr(_gaussian(16))[0],
+    "zero": lambda: np.zeros((16, 16), dtype=complex),
+    "diagonal-1e12": lambda: np.diag(np.logspace(-12.0, 0.0, 16) * np.exp(1j * np.arange(16))),
+}
+
+
+@pytest.mark.parametrize("exponent", [-1070, -1000, -500, 0, 500, 1000])
+@pytest.mark.parametrize("family", sorted(_L2_FAMILIES))
+def test_proven_l2_norm_bounds_the_top_singular_value(family, exponent):
+    # sigma_1 <= tau <= sigma_1 (1 + 2^-20), up to the one float step by which
+    # tau is rounded up: that step is 2^-1074 on the subnormal grid at 2^-1070
+    m = _L2_FAMILIES[family]() * math.ldexp(1.0, exponent)
+    sigma = float(np.linalg.svd(m, compute_uv=False)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = numerics._proven_l2_norm(m)
+    if family == "zero":
+        assert tau == 0.0
+    assert sigma <= tau <= math.nextafter(sigma * (1.0 + 2.0 ** -20), math.inf)
+
+
+@pytest.mark.parametrize("family", ["gaussian-64", "rank-one", "unitary", "diagonal-1e12"])
+def test_proven_l2_norm_survives_a_low_estimate(monkeypatch, family, cholesky_calls):
+    # an estimate of lambda_max(L0^H L0) that is a quarter too low fails every
+    # factorization on its way to the last rung, sqrt(||L0||_1 ||L0||_inf), and
+    # one of 0 goes straight there
+    m = _L2_FAMILIES[family]()
+    sigma = float(np.linalg.svd(m, compute_uv=False)[0])
+    estimate = numerics._lanczos_top
+    monkeypatch.setattr(numerics, "_lanczos_top", lambda gram: (estimate(gram)[0] / 4, 0.0))
+    assert numerics._proven_l2_norm(m) >= sigma
+    assert len(cholesky_calls) == numerics._CHOLESKY_RUNGS
+    cholesky_calls.clear()
+    monkeypatch.setattr(numerics, "_lanczos_top", lambda gram: (0.0, 0.0))
+    last = numerics._proven_l2_norm(m)
+    assert cholesky_calls == []
+    assert sigma <= float(np.sqrt(np.max(np.sum(np.abs(m), axis=0))
+                                  * np.max(np.sum(np.abs(m), axis=1)))) <= last
