@@ -28,9 +28,9 @@ from .approx import (ApproxSequence, Certainty, _from_logs, _log_power_sum,
                      _log_ratio, approx_numbers, koenig_constant)
 from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
-from .numerics import (LowRankSketch, NormKind, Spectrum, _proven_l2_norm, eigenvalues,
-                       induced_norm, low_rank_sketch, resolvent_norms, singular_values)
-from .operators import Dense, OperatorModel, Zero, materialize
+from .numerics import (LowRankSketch, Spectrum, eigenvalues, low_rank_sketch,
+                       resolvent_norms, singular_values)
+from .operators import OperatorModel, materialize
 from .oracle import eigen_count_outside, low_rank_count_outside
 
 __all__ = [
@@ -216,10 +216,8 @@ class Prepared:
     ||L0||, a sketch and the singular values and alpha sequence of K, and the
     spectrum of L.
 
-    ||L0|| is an upper bound wherever it is not exact: on l2 a dense base's
-    norm comes from _proven_l2_norm's Cholesky certificate, not from an SVD
-    (on the benchmark's dim-600 base it lands 1.7e-10 relative above sigma_1),
-    so neither `bound` nor `oracle` takes an SVD of a dense L0.
+    ||L0|| is the base kind's norm (see operators), which takes no SVD, so
+    neither `bound` nor `oracle` takes an SVD of L0.
 
     Every bound accepts a Prepared in place of an OperatorModel, so one
     analysis serves several bounds and the oracle without repeating work,
@@ -240,15 +238,8 @@ class Prepared:
 
     @cached_property
     def norm_l0(self) -> float:
-        """||L0||; a zero base has norm 0 without an SVD. On l2 a dense base
-        takes no SVD either: its norm is _proven_l2_norm's proven upper bound,
-        certified by a Cholesky factorization of tau^2 I - L0^H L0. Diagonal and
-        shift bases take induced_norm."""
-        if isinstance(self.model.base, Zero):
-            return 0.0
-        if isinstance(self.model.base, Dense) and self.model.norm is NormKind.L2:
-            return _proven_l2_norm(self.l0)
-        return induced_norm(self.l0, self.model.norm)
+        """||L0|| as the base kind's norm(dim, kind) gives it (see operators)."""
+        return self.model.base.norm(self.model.dim, self.model.norm)
 
     @cached_property
     def sketch(self) -> LowRankSketch | None:

@@ -185,7 +185,7 @@ def _bound_csv(rows: list[dict]):
 def _cmd_bound(args) -> int:
     from .bounds import (count_bound_disk, count_bound_disk_simple, count_bound_region,
                          koenig_count_bound, prepare, pseudospectral_epsilon)
-    from .operators import Zero, parse_spec
+    from .operators import parse_spec
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
     prep = prepare(model)
@@ -200,7 +200,7 @@ def _cmd_bound(args) -> int:
         t = reports[0].t_star
         reports.append(count_bound_region(prep, args.p, s, t, n_rank=args.n,
                                           epsilon=pseudospectral_epsilon(prep, t)))
-    if isinstance(model.base, Zero):
+    if prep.norm_l0 == 0.0:
         reports.append(koenig_count_bound(prep, args.p, s))
 
     if args.point is None:

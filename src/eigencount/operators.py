@@ -3,7 +3,8 @@
 A model is a base operator plus a perturbation on (C^dim, norm). Bases:
 shift (ones on the subdiagonal), diagonal, dense, zero. Perturbations:
 rank_one (outer product left * right^T, right holding the coefficients of
-the dual functional), diagonal, dense, zero.
+the dual functional), diagonal, dense, zero. A base kind's norm(dim, kind)
+is ||matrix(dim)|| in kind's norm, with no SVD: on l2 exact or proven above.
 
 Wire format: a JSON object {"dim": N, "norm": "l1"|"l2"|"linf",
 "base": {...}, "perturbation": {...}} where every complex scalar is a
@@ -24,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import SpecFormatError
-from .numerics import NormKind
+from .numerics import NormKind, _proven_l2_norm, _up, induced_norm
 
 __all__ = [
     "Shift",
@@ -106,6 +107,10 @@ class Shift(_Block):
     def matrix(self, dim: int) -> np.ndarray:
         return np.eye(dim, k=-1, dtype=complex)
 
+    def norm(self, dim: int, kind: NormKind) -> float:
+        # each row and column holds at most one 1, and some 1 only from dim 2
+        return float(dim > 1)
+
 
 @dataclass(frozen=True, eq=False)
 class Diagonal(_Block):
@@ -114,6 +119,13 @@ class Diagonal(_Block):
 
     def matrix(self, dim: int) -> np.ndarray:
         return np.diag(self.values)
+
+    def norm(self, dim: int, kind: NormKind) -> float:
+        # max |d_j|; on l2 a non-real d_j's math.hypot, under a float off, moves up one
+        if kind is not NormKind.L2:
+            return float(np.max(np.abs(self.values)))
+        return max(_up(math.hypot(d.real, d.imag)) if d.imag else abs(d.real)
+                   for d in self.values.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +136,12 @@ class Dense(_Block):
     def matrix(self, dim: int) -> np.ndarray:
         return self.entries.copy()
 
+    def norm(self, dim: int, kind: NormKind) -> float:
+        # on l2 the Cholesky-certified upper bound, on l1 and linf the abs sums
+        if kind is NormKind.L2:
+            return _proven_l2_norm(self.entries)
+        return induced_norm(self.entries, kind)
+
 
 @dataclass(frozen=True, eq=False)
 class Zero(_Block):
@@ -133,6 +151,9 @@ class Zero(_Block):
 
     def matrix(self, dim: int) -> np.ndarray:
         return np.zeros((dim, dim), dtype=complex)
+
+    def norm(self, dim: int, kind: NormKind) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -492,7 +492,7 @@ def _sweep_one(entry: CorpusEntry, p_values: Sequence[float], log: _Log) -> None
             reports = [phi_report, simple_report] + [
                 count_bound_region(prep, p, s, t)
                 for t in (0.5 * (a + t_opt), 0.5 * (t_opt + s))]
-            if isinstance(entry.model.base, Zero):
+            if prep.norm_l0 == 0.0:
                 reports.append(koenig_count_bound(prep, p, s))
             for report in reports:
                 log.check(oracle <= report.bound,
@@ -572,7 +572,7 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
     for entry in entries:
         prep = entry.prepared
         pairs = [(1.0, 2.5), (0.5, 2.0)]
-        if isinstance(entry.model.base, Zero):
+        if prep.norm_l0 == 0.0:
             pairs.append((1.0, 1.5))
         for p, q in pairs:
             bound = moment_bound(prep, p, q)
@@ -581,10 +581,10 @@ def suite_bounds(seed: int = 0) -> SuiteResult:
                       kind="moment_soundness", model=entry.name, p=p, q=q,
                       direct=direct, bound=bound)
 
-    # zero base: the full-rank disk bound collapses to the classical form
+    # ||L0|| = 0: the full-rank disk bound collapses to the classical form
     for entry in entries:
         prep = entry.prepared
-        if not isinstance(entry.model.base, Zero):
+        if prep.norm_l0 != 0.0:
             continue
         dim = entry.model.dim
         s = 0.5 * (prep.norm_k + 1.0)

@@ -479,19 +479,18 @@ def test_a_full_rank_k_takes_the_svd(svd_calls):
 
 def test_prepare_computes_each_quantity_on_first_use(corpus, svd_calls,
                                                      eigvals_calls):
-    # m07 (zero base) and m01 (diagonal base) are l2: ||L0|| takes an SVD
-    # only for the nonzero base, and one SVD of K serves alpha, ||K|| and
-    # the singular values
-    for index, base_svds in ((7, 0), (1, 1)):
+    # m07 (zero base) and m01 (diagonal base) are l2: ||L0|| takes no SVD on
+    # either base, and one SVD of K serves alpha, ||K|| and the singular values
+    for index, zero_base in ((7, True), (1, False)):
         svd_calls.clear()
         prep = prepare(corpus[index].model)
         assert prep.model.norm is NormKind.L2
         assert (svd_calls, eigvals_calls) == ([], [])
-        assert (prep.norm_l0 == 0.0) == (base_svds == 0)
-        assert len(svd_calls) == base_svds
+        assert (prep.norm_l0 == 0.0) == zero_base
+        assert svd_calls == []
         assert prep.norm_k == prep.alpha.value_at(1) > 0.0
         assert len(prep.singular_values) == prep.model.dim
-        assert len(svd_calls) == base_svds + 1 and eigvals_calls == []
+        assert len(svd_calls) == 1 and eigvals_calls == []
 
 
 def test_moment_bound_dominates_oracle(materialized):

@@ -21,6 +21,8 @@ from eigencount import (
     Diagonal,
     NormKind,
     OperatorModel,
+    RankOne,
+    Shift,
     SuiteResult,
     Zero,
     count_bound_disk,
@@ -75,6 +77,8 @@ _SPEC = "specs/shift_rank_one.json"
     ("gamma_p2.txt", ("gamma", "--p", "2")),
     ("gamma_p3.txt", ("gamma", "--p", "3")),
     ("oracle_s1.2_q2.json", ("oracle", _SPEC, "--s", "1.2", "--q", "2")),
+    ("oracle_wide_scale_s1e15_q2.json",
+     ("oracle", "specs/wide_scale_l2.json", "--s", "1e15", "--q", "2")),
     ("example_shift_lacunary.csv",
      ("example-shift", "--family", "lacunary", "--dims", "8,16,32,64,128")),
     ("verify_all_seed0.txt", ("verify", "--suite", "all", "--seed", "0")),
@@ -366,11 +370,11 @@ def test_bound_empirical_mode_on_corpus_model(capsys, tmp_path, corpus):
 
 
 def _dense_l2_docs(tmp_path):
-    # dim-16 l2 documents with a dense K, on a dense and on a zero base
+    # dim-16 l2 documents with a dense K, on a base of each kind
     rng = np.random.default_rng(3)
     l0, k = (rng.standard_normal((2, 16, 16))
              + 1j * rng.standard_normal((2, 16, 16)))
-    for base in (Dense(0.1 * l0), Zero()):
+    for base in (Dense(0.1 * l0), Zero(), Shift(), Diagonal(0.1 * l0[0])):
         doc = tmp_path / "dense.json"
         doc.write_text(serialize_spec(OperatorModel(16, NormKind.L2, base,
                                                     Dense(k))))
@@ -380,8 +384,8 @@ def _dense_l2_docs(tmp_path):
 def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
                                                      svd_calls):
     # on l2, K takes one SVD, which serves alpha and the koenig_classical row
-    # of a zero base; ||0|| = 0 needs none, and a dense ||L0||_2 none either:
-    # a Cholesky factorization certifies it
+    # of a zero base; ||L0||_2 takes none on any base: a Cholesky factorization
+    # certifies a dense one, and the other kinds have closed forms
     for doc in _dense_l2_docs(tmp_path):
         svd_calls.clear()
         code, _, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "3")
@@ -390,8 +394,8 @@ def test_bound_computes_each_singular_value_set_once(capsys, tmp_path,
 
 
 def test_oracle_takes_no_svd(capsys, tmp_path, svd_calls):
-    # the oracle reads ||L0|| and never K's singular values; on a dense base
-    # ||L0||_2 is certified without an SVD
+    # the oracle reads ||L0|| and never K's singular values, and no base kind
+    # takes an SVD for ||L0||_2
     for doc in _dense_l2_docs(tmp_path):
         svd_calls.clear()
         code, _, err = _run(capsys, "oracle", str(doc), "--s", "1.2", "--q", "2")
@@ -430,6 +434,27 @@ def test_koenig_row_is_a_bound_report(capsys, tmp_path, corpus):
         assert row["t_star"] is row["eps"] is row["gamma_p"] is None
         assert float.hex(row["bound"]) == bound
         assert float.hex(row["alpha_sum"]) == alpha_sum
+
+
+@pytest.mark.parametrize("base, dim, norm", [
+    (Shift(), 1, NormKind.L2),
+    (Diagonal(np.zeros(3)), 3, NormKind.L1),
+    (Dense(np.zeros((3, 3))), 3, NormKind.LINF),
+])
+def test_a_base_of_norm_zero_gets_the_classical_row(capsys, tmp_path, base, dim, norm):
+    # a dim-1 shift and an all-zero diagonal or dense base have ||L0|| = 0 as a
+    # zero base does, so their reports carry the koenig_classical row too
+    e0 = np.eye(dim)[0]
+    doc = tmp_path / "degenerate.json"
+    doc.write_text(serialize_spec(OperatorModel(dim, norm, base, RankOne(1.5 * e0, e0))))
+    code, out, err = _run(capsys, "bound", str(doc), "--p", "1", "--s", "1.2")
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    rows = results["bounds"]
+    assert (results["norm_l0"], results["oracle_count"]) == (0.0, 1)
+    assert [row["kind"] for row in rows] == ["disk_phi", "disk_simple", "koenig_classical"]
+    assert all(results["oracle_count"] <= row["bound"] for row in rows)
+    assert results["best_bound"] == min(row["bound"] for row in rows)
 
 
 def test_oracle_commands_eigensolve_each_matrix_once(capsys, tmp_path,

@@ -1,5 +1,7 @@
 import gc
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from eigencount import (
     serialize_spec,
 )
 from eigencount import operators
+from eigencount.numerics import _proven_l2_norm, induced_norm
 
 
 def _sample_model():
@@ -576,3 +579,77 @@ def test_dim_past_two_to_the_64_is_not_an_integer():
     text = '{"dim": %d, "norm": "l2", "base": {"kind": "zero"}, "perturbation": {"kind": "zero"}}'
     with pytest.raises(SpecFormatError, match="dim must be a positive integer"):
         parse_spec(text % 2 ** 64)
+
+
+# --- the base kinds' norms --------------------------------------------------
+
+
+def _modulus_squared(z: complex) -> Fraction:
+    return Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+
+
+def _low_abs_entry() -> complex | None:
+    # a seeded value of modulus at least 1 whose np.abs rounds below its exact
+    # modulus: the first more than one float below (numpy 2.4's complex abs
+    # errs by up to about 1.6 floats), else the first below at all
+    rng = np.random.default_rng(33)
+    values = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    values = values[np.abs(values) >= 1.0]
+    low = [(z, m) for z, m in zip(values.tolist(), np.abs(values).tolist())
+           if Fraction(m) ** 2 < _modulus_squared(z)]
+    far = [z for z, m in low if Fraction(math.nextafter(m, math.inf)) ** 2 < _modulus_squared(z)]
+    return (far or [z for z, _ in low] or [None])[0]
+
+
+_LOW_ABS = _low_abs_entry()
+
+
+def _norm_table_base(tag: str, dim: int, k: int, real: bool = False):
+    # seeded values times 2^k; a diagonal leads with _LOW_ABS, its largest entry
+    rng = np.random.default_rng([dim, k + 1070])
+    if tag == "diagonal":
+        rest = 0.1 * (rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1))
+        values = np.concatenate(([_LOW_ABS], rest)) * 2.0 ** k
+        return Diagonal(values.real if real else values)
+    if tag == "dense":
+        shape = (dim, dim)
+        return Dense((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 2.0 ** k)
+    return operators.BASE_KINDS[tag]()
+
+
+def test_the_norm_table_has_a_diagonal_entry_whose_numpy_modulus_rounds_low():
+    assert _LOW_ABS is not None
+    assert Fraction(np.abs(np.array([_LOW_ABS]))[0]) ** 2 < _modulus_squared(_LOW_ABS)
+
+
+@pytest.mark.parametrize("k", [-1070, -1000, 0, 1000])
+@pytest.mark.parametrize("dim", [1, 2, 50])
+@pytest.mark.parametrize("kind", list(NormKind))
+@pytest.mark.parametrize("tag", sorted(operators.BASE_KINDS))
+def test_each_base_kind_gives_its_norm(tag, kind, dim, k):
+    base = _norm_table_base(tag, dim, k)
+    norm = base.norm(dim, kind)
+    assert type(norm) is float
+    if tag in ("shift", "zero"):
+        assert norm == (1.0 if tag == "shift" and dim > 1 else 0.0)
+    elif tag == "dense":
+        # the routes ||L0|| took before the base kinds owned it
+        if kind is NormKind.L2:
+            assert norm == _proven_l2_norm(base.entries)
+            half = 2.0 ** (k // 2)  # 2^k in two exact steps, as 2^1070 overflows
+            sigma = np.linalg.svd(base.entries / half / half, compute_uv=False)[0]
+            assert norm >= sigma * half * half
+        else:
+            assert norm == induced_norm(base.entries, kind)
+    elif kind is NormKind.L2:
+        # at or above the exact largest modulus, and at most one float above
+        # the smallest float at or above it
+        exact = max(map(_modulus_squared, base.values.tolist()))
+        below = math.nextafter(math.nextafter(norm, 0.0), 0.0)
+        assert Fraction(below) ** 2 < exact <= Fraction(norm) ** 2
+    else:
+        assert norm == induced_norm(np.diag(base.values), kind)
+    if tag == "diagonal":
+        real = _norm_table_base(tag, dim, k, real=True)
+        assert real.norm(dim, kind) == float(np.max(np.abs(real.values)))
+        assert real.norm(dim, kind) == induced_norm(np.diag(real.values), NormKind.L1)
