@@ -8,7 +8,9 @@ against a brute-force eigenvalue oracle, and the verify module ships
 seeded suites doing exactly that.
 
 Each public name loads its submodule on first access (PEP 562), so
-``import eigencount`` loads no numpy until a name is used.
+``import eigencount`` loads no numpy until a name is used. _SUBMODULE is
+the one declaration of the public API: each submodule's __all__ is
+_exports(__name__).
 """
 
 from importlib import import_module
@@ -28,13 +30,12 @@ _SUBMODULE = {name: module for module, names in {
         "ApproxSequence", "Certainty", "approx_numbers", "rank_n_approximant",
         "rank_n_factors", "koenig_check", "koenig_constant"),
     "determinants": (
-        "GammaP", "GammaProvenance", "DetSample", "det_regularized",
-        "det_regularized_log", "scalar_factor_log", "gamma_p_upper",
-        "perturbation_determinant", "det_bound_rhs"),
+        "GammaP", "DetSample", "det_regularized", "det_regularized_log",
+        "scalar_factor_log", "gamma_p_upper", "perturbation_determinant", "det_bound_rhs"),
     "bounds": (
-        "BoundReport", "Prepared", "prepare", "lambert_w", "phi_p", "phi_p_envelope",
-        "t_star", "count_bound_disk", "count_bound_disk_simple", "count_bound_region",
-        "koenig_count_bound", "moment_bound", "pseudospectral_epsilon"),
+        "BoundReport", "Prepared", "prepare", "lambert_w", "phi_p", "t_star",
+        "count_bound_disk", "count_bound_disk_simple", "count_bound_region",
+        "koenig_count_bound", "certified_rows", "moment_bound", "pseudospectral_epsilon"),
     "oracle": (
         "CountCurve", "eigen_count_outside", "low_rank_count_outside", "count_curve", "moment_sum",
         "moment_from_curve", "winding_count", "winding_from_samples",
@@ -50,6 +51,12 @@ _SUBMODULE = {name: module for module, names in {
 }.items() for name in names}
 
 __all__ = ["__version__", *_SUBMODULE]
+
+
+def _exports(module: str) -> list[str]:
+    """The public names the table gives the submodule named module, in table order."""
+    short = module.rpartition(".")[2]
+    return [name for name, owner in _SUBMODULE.items() if owner == short]
 
 
 def __getattr__(name):

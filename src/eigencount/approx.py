@@ -5,9 +5,9 @@ operators of rank below n. On l2 these are the singular values and exact.
 On l1 and linf the exact values are combinatorial, so certified upper
 bounds are produced instead: zeroing all but the j-1 heaviest columns
 (rows) leaves a rank-(j-1) approximant whose error norm is the j-th
-largest absolute column (row) sum. Entries beyond the numerical rank are
-zero in every mode, because the matrix itself is then an admissible
-approximant.
+largest absolute column (row) sum. Entries beyond the numerical rank read
+zero and exact in every mode, though the true value there can reach
+rank_rtol * alpha_1: on diag(1, 1e-11, 0, 0), alpha_2 reads 0, not 1e-11.
 
 All downstream count bounds are monotone in each alpha_j, so feeding them
 upper bounds keeps them valid.
@@ -23,19 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _exports
 from .errors import AdmissibilityError
 from .numerics import (NormKind, as_matrix, eigenvalues, singular_value_rank,
                        singular_values)
 
-__all__ = [
-    "Certainty",
-    "ApproxSequence",
-    "approx_numbers",
-    "rank_n_factors",
-    "rank_n_approximant",
-    "koenig_check",
-    "KOENIG_FACTOR",
-]
+__all__ = _exports(__name__)
 
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -214,9 +207,6 @@ def rank_n_approximant(m, n: int, kind: NormKind) -> np.ndarray:
     return left @ right.T
 
 
-KOENIG_FACTOR = 2.0  # times (2e)^{p/2}; see koenig_check
-
-
 def koenig_constant(p: float) -> float:
     """2 (2e)^{p/2}: the constant tying eigenvalue p-sums to alpha p-sums.
 
@@ -225,7 +215,7 @@ def koenig_constant(p: float) -> float:
     if not (0.0 < p < math.inf):
         raise ValueError(f"exponent must be positive and finite, got {p}")
     try:
-        value = KOENIG_FACTOR * (2.0 * math.e) ** (p / 2.0)
+        value = 2.0 * (2.0 * math.e) ** (p / 2.0)
     except OverflowError:  # the float power raises where a product gives inf
         value = math.inf
     if value == math.inf:

@@ -24,6 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _exports
 from .approx import (ApproxSequence, Certainty, _from_logs, _log_power_sum,
                      _log_ratio, approx_numbers, koenig_constant)
 from .determinants import gamma_p_upper
@@ -33,21 +34,7 @@ from .numerics import (LowRankSketch, Spectrum, eigenvalues, low_rank_sketch,
 from .operators import OperatorModel, materialize
 from .oracle import eigen_count_outside, low_rank_count_outside
 
-__all__ = [
-    "BoundReport",
-    "Prepared",
-    "prepare",
-    "lambert_w",
-    "phi_p",
-    "phi_p_envelope",
-    "t_star",
-    "count_bound_disk",
-    "count_bound_disk_simple",
-    "count_bound_region",
-    "koenig_count_bound",
-    "moment_bound",
-    "pseudospectral_epsilon",
-]
+__all__ = _exports(__name__)
 
 
 # --- scalar functions -----------------------------------------------------
@@ -132,12 +119,6 @@ def _log_envelope(p: float, x: float) -> float:
         raise AdmissibilityError(
             f"the envelope needs 0 <= x < 1, got x = {x}")
     return (p + 1.0) * (math.log1p(p) - math.log1p(-x)) - p * math.log(p)
-
-
-def phi_p_envelope(p: float, x: float) -> float:
-    """Elementary envelope (p+1)^{p+1} / p^p / (1-x)^{p+1} dominating phi_p;
-    AdmissibilityError past the largest float."""
-    return _from_logs("phi_p_envelope", (_log_envelope(p, x),), p=p, x=x)
 
 
 def t_star(p: float, a: float, s: float) -> float:
@@ -471,6 +452,17 @@ def koenig_count_bound(model: OperatorModel | Prepared, p: float,
         alpha_mode=Certainty.EXACT,
         bound=_from_logs("bound", (math.log(c_p), p * _log_ratio(top, s), log_r),
                          len(sv), p=p, s=s))
+
+
+def certified_rows(prep: Prepared, p: float, s: float,
+                   n_rank: int | None = None) -> list[BoundReport]:
+    """The certified rows of `bound` for the target |lam| > s: disk_phi and
+    disk_simple at n_rank (None sweeps every rank), then koenig_classical
+    where ||L0|| = 0. The soundness sweep checks each of them."""
+    rows = [count_bound_disk(prep, p, s, n_rank), count_bound_disk_simple(prep, p, s, n_rank)]
+    if prep.norm_l0 == 0.0:
+        rows.append(koenig_count_bound(prep, p, s))
+    return rows
 
 
 def moment_bound(model: OperatorModel | Prepared, p: float, q: float) -> float:

@@ -138,16 +138,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _assemble(command: str, arguments: dict, raw: bytes, results: dict,
               mode: str, alpha_mode: str | None) -> dict:
-    from .determinants import GammaProvenance
     return {
         "command": command,
         "arguments": arguments,
         "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
         "library_version": __version__,
         "mode": mode,
-        "config": {"tolerances": dataclasses.asdict(DEFAULT),
-                   "gamma_provenance": GammaProvenance.ENVELOPE_CERTIFIED.value,
-                   "alpha_mode": alpha_mode},
+        "config": {"tolerances": dataclasses.asdict(DEFAULT), "alpha_mode": alpha_mode},
         "results": results,
     }
 
@@ -183,8 +180,7 @@ def _bound_csv(rows: list[dict]):
 
 
 def _cmd_bound(args) -> int:
-    from .bounds import (count_bound_disk, count_bound_disk_simple, count_bound_region,
-                         koenig_count_bound, prepare, pseudospectral_epsilon)
+    from .bounds import certified_rows, count_bound_region, prepare, pseudospectral_epsilon
     from .operators import parse_spec
     raw = Path(args.spec).read_bytes()
     model = parse_spec(raw)
@@ -193,15 +189,13 @@ def _cmd_bound(args) -> int:
     # every bound checks its admissibility before the oracle's eigensolve; a
     # point lam0 reads the rows at s = |lam0|, which also cap the count on the circle
     s = args.s if args.point is None else abs(args.point)
-    reports = [bound(prep, args.p, s, n_rank=args.n)
-               for bound in (count_bound_disk, count_bound_disk_simple)]
+    reports = certified_rows(prep, args.p, s, n_rank=args.n)
     if args.mode == "empirical":
-        # same circle as the certified optimum, gap measured by sampling
+        # same circle as the certified optimum, gap measured by sampling; it
+        # follows the two disk rows
         t = reports[0].t_star
-        reports.append(count_bound_region(prep, args.p, s, t, n_rank=args.n,
-                                          epsilon=pseudospectral_epsilon(prep, t)))
-    if prep.norm_l0 == 0.0:
-        reports.append(koenig_count_bound(prep, args.p, s))
+        reports.insert(2, count_bound_region(prep, args.p, s, t, n_rank=args.n,
+                                             epsilon=pseudospectral_epsilon(prep, t)))
 
     if args.point is None:
         oracle = prep.count_outside(s)
@@ -312,7 +306,6 @@ def _cmd_gamma(args) -> int:
     print(f"gamma_p = {gamma.value!r}")
     print(f"r_star = {gamma.r_star!r}")
     print(f"c_p = {gamma.c_p!r}")
-    print(f"provenance = {gamma.provenance.value}")
     return 0
 
 

@@ -31,31 +31,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
+from . import _exports
 from .approx import koenig_constant
 from .config import DEFAULT
 from .errors import AdmissibilityError, EigenvalueError, MatrixError
 from .numerics import Spectrum, as_matrix, induced_norm, resolvent_norms, shifted_solve
 
-__all__ = [
-    "GammaProvenance",
-    "GammaP",
-    "DetSample",
-    "det_regularized",
-    "det_regularized_log",
-    "gamma_p_upper",
-    "scalar_factor_log",
-    "perturbation_determinant",
-    "det_bound_rhs",
-]
-
-
-class GammaProvenance(Enum):
-    ENVELOPE_CERTIFIED = "envelope_certified"
+__all__ = _exports(__name__)
 
 
 @dataclass(frozen=True)
@@ -64,7 +50,6 @@ class GammaP:
 
     p: float
     value: float
-    provenance: GammaProvenance
     r_star: float = float("nan")  # radius where the envelope ratio peaks
 
     def __post_init__(self):
@@ -190,7 +175,7 @@ def _order_one_gamma(p: float) -> GammaP:
         return softplus, g, g * 2.0 ** -49
 
     if p == 1.0:
-        return GammaP(p, 1.0, GammaProvenance.ENVELOPE_CERTIFIED, r_star=0.0)
+        return GammaP(p, 1.0, r_star=0.0)
     lo, hi = -40.0, 709.78  # e^709.78 stays below the largest float
     _, g, eps = slope(hi)
     if g + eps >= p:
@@ -206,8 +191,7 @@ def _order_one_gamma(p: float) -> GammaP:
     a, b = math.log(softplus), p * y
     tangent = (abs(g - p) + eps) * max(y - lo, hi - y)
     log_gamma = a - b + tangent + 2.0 ** -50 * (1.0 + abs(a) + abs(b) + tangent)
-    return GammaP(p, math.exp(log_gamma) * (1.0 + 2.0 ** -50),
-                  GammaProvenance.ENVELOPE_CERTIFIED, r_star=math.exp(y))
+    return GammaP(p, math.exp(log_gamma) * (1.0 + 2.0 ** -50), r_star=math.exp(y))
 
 
 @lru_cache(maxsize=64)
@@ -258,8 +242,7 @@ def gamma_p_upper(p: float) -> GammaP:
         if value > best:
             best, best_r = value, r
     best *= 1.0 + 1e-12
-    return GammaP(p=p, value=float(best), provenance=GammaProvenance.ENVELOPE_CERTIFIED,
-                  r_star=float(best_r))
+    return GammaP(p=p, value=float(best), r_star=float(best_r))
 
 
 # --- perturbation determinant and its bound ------------------------------

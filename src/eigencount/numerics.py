@@ -16,26 +16,11 @@ from enum import Enum
 
 import numpy as np
 
+from . import _exports
 from .config import DEFAULT
 from .errors import EigenvalueError, MatrixError, SingularResolventError
 
-__all__ = [
-    "NormKind",
-    "Spectrum",
-    "as_matrix",
-    "cluster_radius",
-    "eigenvalues",
-    "singular_values",
-    "numerical_rank",
-    "singular_value_rank",
-    "induced_norm",
-    "resolvent",
-    "resolvent_norms",
-    "shifted_solve",
-    "point_blocks",
-    "LowRankSketch",
-    "low_rank_sketch",
-]
+__all__ = _exports(__name__)
 
 _STACK_BYTES = 1 << 20  # one block of stacked dim x dim complex matrices stays under 1 MB
 

@@ -24,20 +24,11 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _exports
 from .errors import SpecFormatError
 from .numerics import NormKind, _proven_l2_norm, _up, induced_norm
 
-__all__ = [
-    "Shift",
-    "Diagonal",
-    "Dense",
-    "Zero",
-    "RankOne",
-    "OperatorModel",
-    "materialize",
-    "parse_spec",
-    "serialize_spec",
-]
+__all__ = _exports(__name__)
 
 
 class _Block:

@@ -17,26 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _exports
 from .config import DEFAULT
 from .errors import AdmissibilityError, ContourError, NormalizationError
 from .numerics import (LowRankSketch, NormKind, Spectrum, _norm_bound, as_matrix,
                        eigenvalues)
 from .operators import OperatorModel, RankOne, Shift
 
-__all__ = [
-    "CountCurve",
-    "eigen_count_outside",
-    "low_rank_count_outside",
-    "count_curve",
-    "moment_sum",
-    "moment_from_curve",
-    "winding_from_samples",
-    "winding_count",
-    "JensenVerdict",
-    "jensen_check",
-    "shift_example",
-    "lacunary_coefficients",
-]
+__all__ = _exports(__name__)
 
 
 # --- counting --------------------------------------------------------------

@@ -17,17 +17,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _exports
 from .approx import koenig_check, rank_n_factors
 from .bounds import (
     Prepared,
+    certified_rows,
     count_bound_disk,
-    count_bound_disk_simple,
     count_bound_region,
-    koenig_count_bound,
     lambert_w,
     moment_bound,
     phi_p,
-    phi_p_envelope,
     prepare,
     t_star,
 )
@@ -56,21 +55,7 @@ from .oracle import (
     winding_count,
 )
 
-__all__ = [
-    "SuiteResult",
-    "CorpusEntry",
-    "regression_corpus",
-    "sweep_radii",
-    "soundness_sweep",
-    "suite_lambert",
-    "suite_phi",
-    "suite_koenig",
-    "suite_det",
-    "suite_bounds",
-    "suite_jensen",
-    "SUITE_NAMES",
-    "run_suites",
-]
+__all__ = _exports(__name__)
 
 _FAILURE_KEEP = 10
 _SWEEP_P = (0.5, 1.0, 2.0)  # the soundness sweep's exponents
@@ -297,7 +282,8 @@ def suite_phi(seed: int = 0) -> SuiteResult:
             log.check(abs(value - reference) <= 1e-6 * reference,
                       kind="maximization", p=p, x=x, value=value,
                       reference=reference)
-            envelope = phi_p_envelope(p, x)
+            # the envelope (p+1)^{p+1} / p^p / (1-x)^{p+1}, in floats of its own
+            envelope = (p + 1.0) ** (p + 1.0) / p ** p / (1.0 - x) ** (p + 1.0)
             log.check(value <= envelope + 1e-9,
                       kind="envelope", p=p, x=x, value=value, envelope=envelope)
             log.check(value > previous, kind="monotone", p=p, x=x, value=value)
@@ -483,17 +469,14 @@ def _sweep_one(entry: CorpusEntry, p_values: Sequence[float], log: _Log) -> None
     for s in sweep_radii(prep.norm_l0, prep.norm_k):
         oracle = eigen_count_outside(prep.spectrum, s)
         for p in p_values:
-            phi_report = count_bound_disk(prep, p, s)
-            simple_report = count_bound_disk_simple(prep, p, s)
+            reports = certified_rows(prep, p, s)
+            phi_report, simple_report = reports[:2]
             # the region bound at t_star repeats disk_phi, so exercise the
             # general formula on circles on either side of the optimum
             a = prep.norm_l0 + prep.alpha.value_at(phi_report.n_rank + 1)
             t_opt = phi_report.t_star
-            reports = [phi_report, simple_report] + [
-                count_bound_region(prep, p, s, t)
-                for t in (0.5 * (a + t_opt), 0.5 * (t_opt + s))]
-            if prep.norm_l0 == 0.0:
-                reports.append(koenig_count_bound(prep, p, s))
+            reports += [count_bound_region(prep, p, s, t)
+                        for t in (0.5 * (a + t_opt), 0.5 * (t_opt + s))]
             for report in reports:
                 log.check(oracle <= report.bound,
                           kind="soundness", model=entry.name,

@@ -18,6 +18,7 @@ from eigencount import (
     Diagonal,
     NormKind,
     OperatorModel,
+    Shift,
     SingularResolventError,
     Zero,
     approx_numbers,
@@ -33,7 +34,6 @@ from eigencount import (
     moment_sum,
     parse_spec,
     phi_p,
-    phi_p_envelope,
     prepare,
     pseudospectral_epsilon,
     resolvent_norms,
@@ -82,6 +82,11 @@ def test_lambert_w_rejects_infinity():
         lambert_w(math.inf)
 
 
+def _envelope(p: float, x: float) -> float:
+    # (p+1)^{p+1} / p^p / (1-x)^{p+1}, count_bound_disk_simple's profile, from its log
+    return math.exp(bounds._log_envelope(p, x))
+
+
 def _phi_oracle(p: float, x: float) -> float:
     # 1 / max over t in (x, 1) of (t - x)^p log(1/t), on a dense grid
     t = np.linspace(x, 1.0, 200001)[1:-1]
@@ -94,7 +99,7 @@ def test_phi_closed_form_vs_maximization(p):
     for x in (0.1, 0.3, 0.5, 0.7, 0.9):
         value = phi_p(p, x)
         assert value == pytest.approx(_phi_oracle(p, x), rel=1e-5)
-        assert value <= phi_p_envelope(p, x) * (1 + 1e-9)
+        assert value <= _envelope(p, x) * (1 + 1e-9)
 
 
 def test_phi_monotone_in_x():
@@ -112,28 +117,36 @@ def test_phi_rejects_out_of_range():
         phi_p(0.0, 0.5)
 
 
+def _simple_bound_at(p: float, base, s: float) -> BoundReport:
+    # count_bound_disk_simple at N = 1 on dim 2, whose envelope is read at
+    # x = ||base|| / s; alpha_1 = 1e-30 keeps the bound itself a float
+    model = OperatorModel(2, NormKind.L2, base, Diagonal(np.array([0.0, 1e-30])))
+    return count_bound_disk_simple(prepare(model), p, s, n_rank=1)
+
+
 @pytest.mark.parametrize("p", [0.5, 2.0, 12.0, 20.0])
 def test_profiles_refuse_a_denominator_without_digits(p):
     # at x = 1 - 2^-52, 1/p - W cancels to rounding noise (once it came out
     # negative at p = 12), and the envelope passes the largest float at p = 20
-    x = 1.0 / 1.0000000000000002
+    s = 1.0000000000000002
+    x = 1.0 / s
     with pytest.raises(AdmissibilityError,
                        match=r"1/p - W = .* at p = " + re.escape(f"{p}, x = {x}")):
         phi_p(p, x)
     if p == 20.0:
         with pytest.raises(AdmissibilityError, match=re.escape(
-                f"phi_p_envelope = e^760.937047 at p = 20.0, x = {x!r} passes the largest float")):
-            phi_p_envelope(p, x)
+                f"phi_value = e^760.937047 at p = 20.0, s = {s!r} passes the largest float")):
+            _simple_bound_at(p, Shift(), s)
     else:
-        assert 0.0 < phi_p_envelope(p, x) < math.inf
+        assert 0.0 < _envelope(p, x) < math.inf
+        assert 0.0 < _simple_bound_at(p, Shift(), s).phi_value < math.inf
 
 
 def test_envelope_refuses_a_value_that_overflows():
     # (1 - x)^20 = 2^-1020 is still a normal float, the quotient is not
     with pytest.raises(AdmissibilityError, match=re.escape(
-            "phi_p_envelope = e^710.980429 at p = 19.0, x = 0.9999999999999996 "
-            "passes the largest float")):
-        phi_p_envelope(19.0, 1.0 - 2.0 ** -51)
+            "phi_value = e^710.980429 at p = 19.0, s = 1.0 passes the largest float")):
+        _simple_bound_at(19.0, Diagonal(np.array([1.0 - 2.0 ** -51, 0.0])), 1.0)
 
 
 @pytest.mark.parametrize("p", [0.0015, 0.1, 1.0, 3.0, 12.0, 40.0])
@@ -153,7 +166,7 @@ def test_phi_near_one_is_accurate_or_refused(p):
             w = mpmath.lambertw(mpmath.exp(1 / big_p) / big_p * big_x).real
             reference = (w / big_x) ** big_p / (1 / big_p - w) ** (big_p + 1)
         assert abs(value - reference) <= 1e-9 * reference
-        assert value <= phi_p_envelope(p, x)
+        assert value <= _envelope(p, x)
     assert served >= 10
 
 
@@ -659,9 +672,9 @@ _NAN, _INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("fn, args, fragment", [
-    (phi_p_envelope, (_NAN, 0.5), "p must be positive and finite, got nan"),
-    (phi_p_envelope, (_INF, 0.5), "p must be positive and finite, got inf"),
-    (phi_p_envelope, (1.0, _NAN), "got x = nan"),
+    (bounds._log_envelope, (_NAN, 0.5), "p must be positive and finite, got nan"),
+    (bounds._log_envelope, (_INF, 0.5), "p must be positive and finite, got inf"),
+    (bounds._log_envelope, (1.0, _NAN), "got x = nan"),
     (phi_p, (_NAN, 0.5), "p must be positive and finite, got nan"),
     (phi_p, (_INF, 0.5), "p must be positive and finite, got inf"),
     (phi_p, (1.0, _NAN), "got x = nan"),
@@ -682,7 +695,7 @@ def test_the_last_float_powers_on_the_bound_path_are_typed():
     with pytest.raises(AdmissibilityError, match=re.escape(
             "the moment bound = e^1384.882536 at p = 1.0, q = 3.0 passes the largest float")):
         moment_bound(model, 1.0, 3.0)
-    value = phi_p_envelope(200.0, 0.5)
+    value = _envelope(200.0, 0.5)
     assert value == pytest.approx(1.7516104890429898e63, rel=1e-13)
     assert math.log(value) == pytest.approx(145.62339650281592, rel=1e-13)
 
@@ -731,13 +744,14 @@ def test_every_bound_at_extreme_scales_is_a_value_or_refused(p):
                                      for lam in eigs if abs(lam) > base[0])
             assert mpmath.mpf(bound) >= moment
         for x in (0.0, 2.0 ** -1074, _SMALL, 0.5, 1.0 - 2.0 ** -20, 1.0 - 2.0 ** -52):
-            for profile in (phi_p, phi_p_envelope):
-                try:
-                    value = profile(p, x)
-                except AdmissibilityError:
-                    continue
-                served += 1
-                assert 0.0 < value < math.inf
+            assert math.isfinite(bounds._log_envelope(p, x))  # on all of [0, 1)
+            served += 1
+            try:
+                value = phi_p(p, x)
+            except AdmissibilityError:
+                continue
+            served += 1
+            assert 0.0 < value < math.inf
     assert served >= 60
 
 

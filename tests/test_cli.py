@@ -70,6 +70,8 @@ _SPEC = "specs/shift_rank_one.json"
     ("bound_p1_s1.5.csv", ("bound", _SPEC, "--p", "1", "--s", "1.5", "--format", "csv")),
     ("bound_p1_point2.json", ("bound", _SPEC, "--p", "1", "--point", "2,0")),
     ("bound_p2_s1.5.json", ("bound", _SPEC, "--p", "2", "--s", "1.5")),
+    ("bound_p1_s1.5_empirical.json",
+     ("bound", _SPEC, "--p", "1", "--s", "1.5", "--mode", "empirical")),
     ("bound_wide_scale_p20.json",
      ("bound", "specs/wide_scale_l2.json", "--p", "20", "--s", "2.7e15")),
     ("gamma_p0.05.txt", ("gamma", "--p", "0.05")),
@@ -504,7 +506,6 @@ def test_reports_echo_the_fixed_configuration(capsys, tmp_path, spec_path,
         assert code == 0, err
         assert json.loads(out)["config"] == {
             "tolerances": tolerances,
-            "gamma_provenance": "envelope_certified",
             "alpha_mode": alpha_mode,
         }, argv
 
@@ -563,8 +564,8 @@ def test_gamma_output(capsys):
     code, out, _ = _run(capsys, "gamma", "--p", "1")
     assert code == 0
     lines = dict(line.split(" = ") for line in out.strip().splitlines())
+    assert list(lines) == ["p", "gamma_p", "r_star", "c_p"]
     assert float(lines["gamma_p"]) == 1.0
-    assert lines["provenance"] == "envelope_certified"
 
 
 def test_verify_table_and_exit(capsys):
@@ -918,6 +919,21 @@ def test_every_public_name_is_its_defining_modules_object():
     assert set(eigencount.__all__) <= set(dir(eigencount))
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         eigencount.nope
+
+
+def test_each_submodule_exports_exactly_its_names_in_the_package_table():
+    owners = set(eigencount._SUBMODULE.values())
+    assert owners == {"numerics", "operators", "approx", "determinants", "bounds",
+                      "oracle", "verify", "config", "errors"}
+    for owner in owners:
+        module = importlib.import_module(f"eigencount.{owner}")
+        names = [name for name, where in eigencount._SUBMODULE.items() if where == owner]
+        if owner in ("config", "errors"):
+            assert not hasattr(module, "__all__"), owner
+        else:
+            assert module.__all__ == names, owner
+        for name in names:
+            getattr(module, name)
 
 
 # Runs the CLI on argv[2:] in a fresh process, then prints its exit code, the

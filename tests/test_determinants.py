@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from eigencount import (
     AdmissibilityError,
     Dense,
     GammaP,
-    GammaProvenance,
     MatrixError,
     NormKind,
     OperatorModel,
@@ -83,7 +83,9 @@ def test_gamma_dominates_and_is_sharp(p):
     oracle = _gamma_oracle(p, int(np.ceil(p)))
     assert gamma.value >= oracle - 1e-9          # never undercuts the sup
     assert gamma.value <= oracle * 1.02 + 1e-9   # and stays within 2 percent
-    assert gamma.provenance is GammaProvenance.ENVELOPE_CERTIFIED
+    # the constant keeps its p and the finite radius where its ratio peaks
+    assert [f.name for f in dataclasses.fields(gamma)] == ["p", "value", "r_star"]
+    assert gamma.p == p and 0.0 <= gamma.r_star < math.inf
 
 
 def test_gamma_p1_is_exactly_one():
@@ -291,10 +293,10 @@ def test_gamma_envelope_is_computed_once_per_order(monkeypatch):
 
 
 def test_gamma_p_user_supplied_validation():
-    g = GammaP(1.0, 2.0, GammaProvenance.ENVELOPE_CERTIFIED)
+    g = GammaP(1.0, 2.0)
     assert g.c_p == pytest.approx(2.0 * 2.0 * np.sqrt(2.0 * np.e))
     with pytest.raises(AdmissibilityError):
-        GammaP(1.0, 0.0, GammaProvenance.ENVELOPE_CERTIFIED)
+        GammaP(1.0, 0.0)
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, 0.0, -1.0])
@@ -302,7 +304,7 @@ def test_gamma_p_rejects_a_p_that_is_not_positive(p):
     # NaN <= 0 is false, so a NaN p used to construct, with a NaN c_p;
     # an infinite p constructed with an infinite c_p
     with pytest.raises(AdmissibilityError, match="p must be positive"):
-        GammaP(p, 1.0, GammaProvenance.ENVELOPE_CERTIFIED)
+        GammaP(p, 1.0)
 
 
 @pytest.mark.parametrize("p", P_GRID)
@@ -456,7 +458,7 @@ def test_a_non_finite_p_raises_the_typed_error(call, error, p):
 @pytest.mark.parametrize("call", [
     lambda p: koenig_constant(p),
     lambda p: koenig_check(np.eye(2) * 0.1, p),
-    lambda p: GammaP(p, 1.0, GammaProvenance.ENVELOPE_CERTIFIED).c_p,
+    lambda p: GammaP(p, 1.0).c_p,
 ], ids=["koenig_constant", "koenig_check", "GammaP.c_p"])
 @pytest.mark.parametrize("p", [838.0, 900.0])
 def test_a_koenig_constant_past_the_largest_float_raises_the_typed_error(call, p):

@@ -8,6 +8,8 @@ from eigencount import (
     DEFAULT,
     NormKind,
     SuiteResult,
+    certified_rows,
+    eigen_count_outside,
     induced_norm,
     materialize,
     regression_corpus,
@@ -16,7 +18,7 @@ from eigencount import (
     sweep_radii,
 )
 from eigencount.operators import Dense, Diagonal, Shift, Zero
-from eigencount import verify
+from eigencount import bounds, verify
 from eigencount.verify import suite_bounds
 
 
@@ -102,16 +104,33 @@ def test_soundness_sweep_subset_is_clean(corpus):
 
 
 def test_the_sweep_checks_the_classical_row_with_the_others(corpus, monkeypatch):
-    # a failing koenig_count_bound is recorded under its report's own kind
+    # a failing koenig_count_bound, which reaches the sweep through
+    # certified_rows, is recorded under its report's own kind
     entry = next(e for e in corpus if isinstance(e.model.base, Zero))
-    classical = verify.koenig_count_bound
-    monkeypatch.setattr(verify, "koenig_count_bound", lambda *args: dataclasses.replace(
+    classical = bounds.koenig_count_bound
+    monkeypatch.setattr(bounds, "koenig_count_bound", lambda *args: dataclasses.replace(
         classical(*args), bound=-1.0))
     log = soundness_sweep([entry], p_values=(1.0,))
     prep = entry.prepared
     assert log.failure_count == len(sweep_radii(prep.norm_l0, prep.norm_k))
     assert {(f["kind"], f["bound_kind"]) for f in log.kept} == {
         ("soundness", "koenig_classical")}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_certified_rows_at_small_p_are_sound(seed):
+    # the sweep's exponents start at 0.5; the best bounds sit at small p, so
+    # every certified row there must still be a value that the oracle stays under
+    rows = 0
+    for entry in regression_corpus(seed):
+        prep = entry.prepared
+        for s in sweep_radii(prep.norm_l0, prep.norm_k):
+            oracle = eigen_count_outside(prep.spectrum, s)
+            for p in (0.02, 0.05, 0.1, 0.2, 0.3):
+                for report in certified_rows(prep, p, s):
+                    assert oracle <= report.bound, (entry.name, s, p, report.kind)
+                    rows += 1
+    assert rows == 4050  # 2 rows per target, 3 where ||L0|| = 0: none refused
 
 
 def test_suite_bounds_eigensolves_each_model_once(eigvals_calls, monkeypatch):
