@@ -29,9 +29,8 @@ from .approx import (ApproxSequence, Certainty, _from_logs, _log_power_sum,
                      _log_ratio, approx_numbers, koenig_constant)
 from .determinants import gamma_p_upper
 from .errors import AdmissibilityError
-from .numerics import (LowRankSketch, Spectrum, eigenvalues, low_rank_sketch,
-                       resolvent_norms, singular_values)
-from .operators import OperatorModel, materialize
+from .numerics import LowRankSketch, Spectrum, eigenvalues, low_rank_sketch, singular_values
+from .operators import OperatorModel, _resolvent_norms, materialize
 from .oracle import eigen_count_outside, low_rank_count_outside
 
 __all__ = _exports(__name__)
@@ -514,4 +513,4 @@ def pseudospectral_epsilon(prep: Prepared, t: float) -> float:
     """
     circle = np.array([t * complex(math.cos(theta), math.sin(theta))
                        for theta in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)])
-    return 1.0 / float(np.max(resolvent_norms(prep.l0, circle, prep.model.norm)))
+    return 1.0 / float(np.max(_resolvent_norms(prep.model, circle)))

@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 I/O, usage or an allocation that fails,
 counterexample.
 
 Arguments are parsed before numpy loads, and each subcommand imports only
-the modules it uses; verify starts numpy's OpenBLAS on one thread unless
-the environment already chose a count.
+the modules it uses; every command starts numpy's OpenBLAS on one thread
+unless the environment already chose a count or numpy is already loaded.
 """
 
 from __future__ import annotations
@@ -342,10 +342,10 @@ def main(argv=None) -> int:
     if args.handler is None:
         parser.print_help(sys.stderr)
         return 1
-    if (args.command == "verify" and "numpy" not in sys.modules
-            and not any(name in os.environ for name in _BLAS_THREAD_VARIABLES)):
-        # OpenBLAS reads the count once, as numpy loads: the suites' matrices
-        # have dim 8-200, where a second thread shortens no call but spins
+    if "numpy" not in sys.modules and not any(
+            name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        # OpenBLAS reads the count once, as numpy loads; a second thread
+        # spins beside the first and shortens few calls here (see README)
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     start = time.monotonic()
     try:

@@ -39,7 +39,8 @@ from . import _exports
 from .approx import koenig_constant
 from .config import DEFAULT
 from .errors import AdmissibilityError, EigenvalueError, MatrixError
-from .numerics import Spectrum, as_matrix, induced_norm, resolvent_norms, shifted_solve
+from .numerics import Spectrum, as_matrix, induced_norm, shifted_solve
+from .operators import _resolvent_norms
 
 __all__ = _exports(__name__)
 
@@ -345,7 +346,7 @@ def det_bound_rhs(prep, f, lam, p: float, n_rank: int):
             f"||K - F|| = {gap:.6e} exceeds alpha_{n_rank + 1} = {beta:.6e}; "
             "the approximant is not admissible for this N")
 
-    res_norm = resolvent_norms(prep.l0, points, prep.model.norm)
+    res_norm = _resolvent_norms(prep.model, points)
     bad = np.flatnonzero(beta * res_norm >= 1.0)
     if len(bad):
         j = int(bad[0])

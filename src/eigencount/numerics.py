@@ -239,6 +239,33 @@ def _up(x: float) -> float:
     return math.nextafter(x, math.inf)
 
 
+def _modulus_up(m: np.ndarray) -> np.ndarray:
+    # |z| entrywise, at or above the exact modulus: a real entry's |re| exactly,
+    # a non-real one's np.hypot, which errs by under a float, moved up one float
+    h = np.hypot(m.real, m.imag)
+    return np.where(m.imag == 0.0, h, np.nextafter(h, math.inf))
+
+
+def _proven_sum_norm(m: np.ndarray, kind: NormKind) -> float:
+    """An upper bound on ||m|| for a finite complex m, kind L1 or LINF.
+
+    Each column (L1) or row (LINF) sums the _modulus_up of its entries. A
+    sum of k nonzero terms, each at least 0, is at least its exact value
+    times (1 - u)^(k-1) >= 1 / (1 + gamma_{k-1}) in any summation order
+    (Higham 2002, sec. 4.2), so for k >= 2 it is multiplied by 1 +
+    gamma_{k-1} rounded up and the product moved up one float; a sum of one
+    nonzero term is exact and stays. Past the largest float the bound is inf.
+    """
+    a = _modulus_up(m)
+    axis = -2 if kind is NormKind.L1 else -1
+    terms = np.count_nonzero(a, axis=axis)
+    with np.errstate(over="ignore"):
+        sums = np.sum(a, axis=axis)
+        factor = np.nextafter(1.0 + _gamma(np.maximum(terms - 1, 0)), math.inf)
+        moved = np.nextafter(sums * factor, math.inf)
+    return float(np.max(np.where(terms > 1, moved, sums)))
+
+
 def _lanczos_top(gram: np.ndarray) -> tuple[float, float]:
     # an estimate of lambda_max of the Hermitian gram: its top Ritz value theta
     # and an estimate of lambda_max - theta, min(r, r^2 / gap), for the residual
@@ -547,12 +574,30 @@ def _solve_block(m: np.ndarray, lams: np.ndarray, rhs: np.ndarray,
             # some matrix of the block is singular; point by point names the first
             return np.concatenate([_solve_block(m, lams[j:j + 1], rhs, rhs_norm)
                                    for j in range(len(lams))])
-        lam = complex(lams[0])
-        raise SingularResolventError(
-            f"lambda = {lam} is an eigenvalue; resolvent does not exist", lam=lam
-        ) from exc
-    residual, exponent = _frobenius(a @ x - rhs)
-    norm_a, exponent_a = _frobenius(a)
+        raise _singular(complex(lams[0])) from exc
+    return _checked_solution(lams, x, a @ x - rhs, a, rhs_norm)
+
+
+def _singular(lam: complex) -> SingularResolventError:
+    return SingularResolventError(
+        f"lambda = {lam} is an eigenvalue; resolvent does not exist", lam=lam)
+
+
+def _checked_solution(lams: np.ndarray, x: np.ndarray, residual: np.ndarray,
+                      shifted: np.ndarray, rhs_norm: tuple[np.ndarray, np.ndarray],
+                      singular: np.ndarray | None = None) -> np.ndarray:
+    """x, the (k, dim, r) stack solving (lam - m) X = rhs at the k lams, once checked.
+
+    residual is the stack (lam - m) X - rhs, shifted a stack whose j-th
+    item has the Frobenius norm ||lam_j - m||_F (the matrices, or their
+    nonzero entries), rhs_norm is _frobenius(rhs[None]), and singular, if
+    given, marks the lams at which a pivot is exactly zero. The residual
+    must stay below resolvent_rtol times the larger of ||rhs||_F and
+    ||lam - m||_F ||X||_F, and X must be finite; otherwise
+    SingularResolventError names the first lam that fails.
+    """
+    residual, exponent = _frobenius(residual)
+    norm_a, exponent_a = _frobenius(shifted)
     norm_x, exponent_x = _frobenius(x)
     # the allowance in units of 2^exponent: as the fractions lie below 1, a
     # shift clipped to 900 binades decides the same comparison, and no product
@@ -561,10 +606,15 @@ def _solve_block(m: np.ndarray, lams: np.ndarray, rhs: np.ndarray,
         np.ldexp(rhs_norm[0], np.clip(rhs_norm[1] - exponent, -900, 900)),
         np.ldexp(norm_a * norm_x, np.clip(exponent_a + exponent_x - exponent, -900, 900)))
     # a NaN residual or a non-finite X fails too
-    bad = np.flatnonzero(~(residual <= allowed) | ~np.isfinite(norm_x))
+    bad = ~(residual <= allowed) | ~np.isfinite(norm_x)
+    if singular is not None:
+        bad |= singular
+    bad = np.flatnonzero(bad)
     if len(bad):
         j = int(bad[0])
         lam = complex(lams[j])
+        if singular is not None and singular[j]:
+            raise _singular(lam)
         raise SingularResolventError(
             f"lambda = {lam} is within tolerance of the spectrum "
             f"(residual {residual[j]:.3e} vs allowed {allowed[j]:.3e}, "
@@ -572,4 +622,3 @@ def _solve_block(m: np.ndarray, lams: np.ndarray, rhs: np.ndarray,
             lam=lam,
         )
     return x
-

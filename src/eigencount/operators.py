@@ -4,7 +4,10 @@ A model is a base operator plus a perturbation on (C^dim, norm). Bases:
 shift (ones on the subdiagonal), diagonal, dense, zero. Perturbations:
 rank_one (outer product left * right^T, right holding the coefficients of
 the dual functional), diagonal, dense, zero. A base kind's norm(dim, kind)
-is ||matrix(dim)|| in kind's norm, with no SVD: on l2 exact or proven above.
+is ||matrix(dim)|| in kind's norm, with no SVD: exact or proven above. Its
+solve(dim, lams, rhs) solves (lam - matrix(dim)) X = rhs at each lam, by
+forward substitution for a shift, division for a diagonal or zero base and
+LU for a dense one, residual-checked as numerics.shifted_solve checks.
 
 Wire format: a JSON object {"dim": N, "norm": "l1"|"l2"|"linf",
 "base": {...}, "perturbation": {...}} where every complex scalar is a
@@ -26,7 +29,9 @@ import numpy as np
 
 from . import _exports
 from .errors import SpecFormatError
-from .numerics import NormKind, _proven_l2_norm, _up, induced_norm
+from .numerics import (NormKind, _checked_solution, _frobenius, _modulus_up,
+                       _proven_l2_norm, _proven_sum_norm, induced_norm, point_blocks,
+                       shifted_solve)
 
 __all__ = _exports(__name__)
 
@@ -102,6 +107,28 @@ class Shift(_Block):
         # each row and column holds at most one 1, and some 1 only from dim 2
         return float(dim > 1)
 
+    def solve(self, dim: int, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The (k, dim, r) stack X with (lam - S) X = rhs at each of the k lams.
+
+        Row i reads lam X_i - X_{i-1} = rhs_i, solved top down by forward
+        substitution, which is backward stable (Higham 2002, Thm 8.5)."""
+        lams, rhs = _solve_args(lams, rhs)
+        # rows[i] is X_i at every lam; x is rows as a (k, dim, r) stack
+        rows = np.empty((dim, len(lams)) + rhs.shape[1:], dtype=complex)
+        scale = lams[:, None]
+        with np.errstate(all="ignore"):  # a zero or tiny lam fails the check
+            np.divide(rhs[0], scale, out=rows[0])
+            for i in range(1, dim):
+                np.divide(np.add(rhs[i], rows[i - 1], out=rows[i]), scale, out=rows[i])
+            x = np.ascontiguousarray(rows.transpose(1, 0, 2))
+            residual = lams[:, None, None] * x - rhs
+            residual[:, 1:] -= x[:, :-1]
+            # lam - S has dim entries lam and dim - 1 entries -1
+            shifted = np.concatenate((np.repeat(lams[:, None], dim, axis=1),
+                                      np.ones((len(lams), dim - 1))), axis=1)
+            return _checked_solution(lams, x, residual, shifted, _frobenius(rhs[None]),
+                                     lams == 0.0)
+
 
 @dataclass(frozen=True, eq=False)
 class Diagonal(_Block):
@@ -112,11 +139,12 @@ class Diagonal(_Block):
         return np.diag(self.values)
 
     def norm(self, dim: int, kind: NormKind) -> float:
-        # max |d_j|; on l2 a non-real d_j's math.hypot, under a float off, moves up one
-        if kind is not NormKind.L2:
-            return float(np.max(np.abs(self.values)))
-        return max(_up(math.hypot(d.real, d.imag)) if d.imag else abs(d.real)
-                   for d in self.values.tolist())
+        # max |d_j| in every norm, each modulus at or above the exact one
+        return float(np.max(_modulus_up(self.values)))
+
+    def solve(self, dim: int, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The (k, dim, r) stack X with (lam - D) X = rhs at each of the k lams."""
+        return _diagonal_solve(self.values, lams, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +157,15 @@ class Dense(_Block):
 
     def norm(self, dim: int, kind: NormKind) -> float:
         # on l2 the Cholesky-certified upper bound, on l1 and linf the abs sums
+        # rounded up
         if kind is NormKind.L2:
             return _proven_l2_norm(self.entries)
-        return induced_norm(self.entries, kind)
+        return _proven_sum_norm(self.entries, kind)
+
+    def solve(self, dim: int, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The (k, dim, r) stack X with (lam - A) X = rhs at each of the k lams, by LU."""
+        lams, rhs = _solve_args(lams, rhs)
+        return shifted_solve(self.entries, lams, rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +179,28 @@ class Zero(_Block):
 
     def norm(self, dim: int, kind: NormKind) -> float:
         return 0.0
+
+    def solve(self, dim: int, lams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The (k, dim, r) stack X with lam X = rhs at each of the k lams."""
+        return _diagonal_solve(np.zeros(dim, dtype=complex), lams, rhs)
+
+
+def _solve_args(lams, rhs) -> tuple[np.ndarray, np.ndarray]:
+    lams = np.asarray(lams, dtype=complex)
+    if lams.ndim != 1:
+        raise ValueError(f"lams must be a 1-D array, got shape {lams.shape}")
+    return lams, np.asarray(rhs, dtype=complex)
+
+
+def _diagonal_solve(values: np.ndarray, lams, rhs) -> np.ndarray:
+    # X = rhs / (lam - d) row by row, at each lam; a zero lam - d_j is singular
+    lams, rhs = _solve_args(lams, rhs)
+    shifted = lams[:, None] - values
+    with np.errstate(all="ignore"):  # a lam at or near some d_j fails the check
+        x = rhs / shifted[:, :, None]
+        residual = shifted[:, :, None] * x - rhs
+        return _checked_solution(lams, x, residual, shifted, _frobenius(rhs[None]),
+                                 np.any(shifted == 0.0, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +248,19 @@ class OperatorModel:
 def materialize(model: OperatorModel) -> tuple[np.ndarray, np.ndarray]:
     """Concrete (base, perturbation) matrices for the model."""
     return model.base.matrix(model.dim), model.perturbation.matrix(model.dim)
+
+
+def _resolvent_norms(model: OperatorModel, lams: np.ndarray) -> np.ndarray:
+    """||(lam - L0)^{-1}|| in the model's norm at each lam of a 1-D array.
+
+    The base kind solves for the resolvents one point_blocks stack at a
+    time, so in every norm SingularResolventError names the first lam that
+    fails the solve's check."""
+    eye = np.eye(model.dim, dtype=complex)
+    norms = np.empty(len(lams))
+    for block in point_blocks(len(lams), model.dim):
+        norms[block] = induced_norm(model.base.solve(model.dim, lams[block], eye), model.norm)
+    return norms
 
 
 # --- wire format ---------------------------------------------------------

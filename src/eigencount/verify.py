@@ -619,9 +619,9 @@ def run_suites(names: Sequence[str], seed: int = 0,
                tol: Tolerances = DEFAULT) -> list[SuiteResult]:
     """Run the named suites in canonical order; 'all' expands to every suite.
 
-    BLAS runs at the process's thread count. The CLI's verify starts on
-    one OpenBLAS thread, since the suites' matrices have dim 8-200, where a
-    second thread only spins; a library caller that wants the same sets
+    BLAS runs at the process's thread count. Every CLI command starts on
+    one OpenBLAS thread; the suites' matrices have dim 8-200, where a second
+    thread only spins. A library caller that wants the same sets
     OPENBLAS_NUM_THREADS=1 before numpy is first imported.
     tol is accepted for callers that pass it (bench/traced.py) and must be
     DEFAULT, the only tolerances the suites use; any other value raises

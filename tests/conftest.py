@@ -54,6 +54,12 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture
+def solve_calls(monkeypatch):
+    """A list that gains one entry per np.linalg.solve call in the test."""
+    return _count_calls(monkeypatch, "solve")
+
+
+@pytest.fixture
 def cholesky_calls(monkeypatch):
     """A list that gains one entry per np.linalg.cholesky call in the test."""
     return _count_calls(monkeypatch, "cholesky")

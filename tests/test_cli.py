@@ -72,6 +72,10 @@ _SPEC = "specs/shift_rank_one.json"
     ("bound_p2_s1.5.json", ("bound", _SPEC, "--p", "2", "--s", "1.5")),
     ("bound_p1_s1.5_empirical.json",
      ("bound", _SPEC, "--p", "1", "--s", "1.5", "--mode", "empirical")),
+    ("bound_diagonal_p1_s1.5_empirical.json",
+     ("bound", "specs/diagonal_rank_one.json", "--p", "1", "--s", "1.5", "--mode", "empirical")),
+    ("bound_zero_p1_s1.2_empirical.json",
+     ("bound", "specs/zero_rank_one.json", "--p", "1", "--s", "1.2", "--mode", "empirical")),
     ("bound_wide_scale_p20.json",
      ("bound", "specs/wide_scale_l2.json", "--p", "20", "--s", "2.7e15")),
     ("gamma_p0.05.txt", ("gamma", "--p", "0.05")),
@@ -959,13 +963,22 @@ _BARE_COUNT = ("import sys; sys.path.insert(0, sys.argv[1]); "
                "from conftest import openblas_thread_count; print(openblas_thread_count())")
 
 
+_BOUND_ARGV = ["bound", _SPEC, "--p", "1", "--s", "1.5"]
+
+
 @pytest.mark.parametrize("argv, variables, expected", [
+    (_BOUND_ARGV, {}, "1"),
+    (["oracle", _SPEC, "--s", "1.2", "--q", "2"], {}, "1"),
+    (["gamma", "--p", "2"], {}, "1"),
+    (["example-shift", "--family", "lacunary", "--dims", "8,16"], {}, "1"),
     (["verify", "--suite", "lambert"], {}, "1"),
-    (["bound", _SPEC, "--p", "1", "--s", "1.5"], {}, None),
-    (["verify", "--suite", "lambert"], {"OPENBLAS_NUM_THREADS": "2"}, "2"),
-    (["verify", "--suite", "lambert"], {"OMP_NUM_THREADS": "2"}, None),
-], ids=["verify", "bound", "user-openblas", "user-omp"])
-def test_only_verify_starts_numpy_on_one_blas_thread(argv, variables, expected):
+    (_BOUND_ARGV, {"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    (_BOUND_ARGV, {"GOTO_NUM_THREADS": "2"}, None),
+    (_BOUND_ARGV, {"OMP_NUM_THREADS": "2"}, None),
+], ids=["bound", "oracle", "gamma", "example-shift", "verify",
+        "user-openblas", "user-goto", "user-omp"])
+def test_every_command_starts_numpy_on_one_blas_thread(argv, variables, expected):
+    # unless a thread variable of the user's own chose the count
     env = _fresh_env(**variables)
     tests = str(ROOT / "tests")
     code, seen, threads = json.loads(_last_line(_THREAD_PROBE, tests, *argv, env=env))

@@ -25,6 +25,7 @@ from eigencount import (
     materialize,
     perturbation_determinant,
     prepare,
+    pseudospectral_epsilon,
     rank_n_factors,
     resolvent,
     scalar_factor_log,
@@ -548,10 +549,27 @@ def test_batched_det_bound_rhs_equals_the_per_point_values(corpus):
         total = prep.alpha.head_power_sum(p, n_rank, offset=beta)
         for lam, value in zip(lams, batch):
             assert value == det_bound_rhs(prep, f, lam, p, n_rank)
-            # the formula as it was evaluated one lam at a time
-            res_norm = induced_norm(resolvent(prep.l0, lam), NormKind.L2)
+            # the formula evaluated one lam at a time, on the base kind's solve
+            dim = prep.model.dim
+            res_norm = induced_norm(
+                prep.model.base.solve(dim, np.array([lam]), np.eye(dim))[0], NormKind.L2)
             assert value == (gamma_p_upper(p).c_p * res_norm ** p * total
                              / (1.0 - beta * res_norm) ** p)
+
+
+@pytest.mark.parametrize("tag", ["shift", "diagonal", "zero", "dense"])
+def test_only_a_dense_base_solves_its_resolvents_by_lu(corpus, solve_calls, tag):
+    # the sampled gap and the growth bound read ||(lam - L0)^{-1}|| from the
+    # base kind's solve: substitution or division, and LU for a dense L0 alone
+    entry = next(e for e in corpus if e.model.base.tag == tag and e.model.norm is NormKind.L2)
+    prep = prepare(entry.model)
+    n_rank = prep.alpha.rank
+    f = rank_n_factors(prep.k, n_rank, NormKind.L2)
+    t = prep.norm_l0 + prep.norm_k + 0.25
+    solve_calls.clear()
+    assert pseudospectral_epsilon(prep, t) > 0.0
+    assert np.all(det_bound_rhs(prep, f, _circle(0.0, t), 1.0, n_rank) >= 0.0)
+    assert (len(solve_calls) > 0) == (tag == "dense")
 
 
 def test_det_bound_rhs_runs_two_svds_on_a_circle(corpus, svd_calls):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,14 +16,18 @@ from eigencount import (
     OperatorModel,
     RankOne,
     Shift,
+    SingularResolventError,
     SpecFormatError,
     Zero,
     materialize,
     parse_spec,
+    prepare,
+    resolvent_norms,
     serialize_spec,
+    shifted_solve,
 )
 from eigencount import operators
-from eigencount.numerics import _proven_l2_norm, induced_norm
+from eigencount.numerics import _proven_l2_norm
 
 
 def _sample_model():
@@ -632,24 +637,114 @@ def test_each_base_kind_gives_its_norm(tag, kind, dim, k):
     assert type(norm) is float
     if tag in ("shift", "zero"):
         assert norm == (1.0 if tag == "shift" and dim > 1 else 0.0)
+    elif tag == "dense" and kind is NormKind.L2:
+        # the route ||L0|| took before the base kinds owned it
+        assert norm == _proven_l2_norm(base.entries)
+        half = 2.0 ** (k // 2)  # 2^k in two exact steps, as 2^1070 overflows
+        sigma = np.linalg.svd(base.entries / half / half, compute_uv=False)[0]
+        assert norm >= sigma * half * half
     elif tag == "dense":
-        # the routes ||L0|| took before the base kinds owned it
-        if kind is NormKind.L2:
-            assert norm == _proven_l2_norm(base.entries)
-            half = 2.0 ** (k // 2)  # 2^k in two exact steps, as 2^1070 overflows
-            sigma = np.linalg.svd(base.entries / half / half, compute_uv=False)[0]
-            assert norm >= sigma * half * half
-        else:
-            assert norm == induced_norm(base.entries, kind)
-    elif kind is NormKind.L2:
+        # at or above the exact norm, and above it by at most the rounding of
+        # the sums and one float per modulus
+        low, high = _exact_sum_norm_between(base.entries, kind)
+        assert high <= Fraction(norm) <= (low * (1 + Fraction(dim + 3, 2 ** 52))
+                                          + Fraction(2 * dim, 2 ** 1074))
+    else:
         # at or above the exact largest modulus, and at most one float above
-        # the smallest float at or above it
+        # the smallest float at or above it; on l1 and linf the dense twin's bits
         exact = max(map(_modulus_squared, base.values.tolist()))
         below = math.nextafter(math.nextafter(norm, 0.0), 0.0)
         assert Fraction(below) ** 2 < exact <= Fraction(norm) ** 2
-    else:
-        assert norm == induced_norm(np.diag(base.values), kind)
+        if kind is not NormKind.L2:
+            assert norm == Dense(np.diag(base.values)).norm(dim, kind)
     if tag == "diagonal":
         real = _norm_table_base(tag, dim, k, real=True)
         assert real.norm(dim, kind) == float(np.max(np.abs(real.values)))
-        assert real.norm(dim, kind) == induced_norm(np.diag(real.values), NormKind.L1)
+
+
+def _modulus_between(z: complex) -> tuple[Fraction, Fraction]:
+    # rationals l <= |z| <= u, 2^-1300 apart, far below the smallest float 2^-1074
+    root = math.isqrt(math.floor(_modulus_squared(z) * 4 ** 1300))
+    return Fraction(root, 2 ** 1300), Fraction(root + 1, 2 ** 1300)
+
+
+def _exact_sum_norm_between(m: np.ndarray, kind: NormKind) -> tuple[Fraction, Fraction]:
+    # rationals below and above ||m||_1 (kind L1) or ||m||_inf (LINF), exactly
+    lines = [[_modulus_between(z) for z in line]
+             for line in (m.T if kind is NormKind.L1 else m).tolist()]
+    return (max(sum(low for low, _ in line) for line in lines),
+            max(sum(high for _, high in line) for line in lines))
+
+
+@pytest.mark.parametrize("kind", [NormKind.L1, NormKind.LINF])
+def test_complex_base_norms_are_at_or_above_the_exact_norm(kind):
+    # numpy's complex abs rounds some moduli low, _LOW_ABS by more than a
+    # float, so its abs sums could sit below ||L0||
+    rng = np.random.default_rng(35)
+    for dim in (1, 3, 40):
+        entries = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        entries[0, 0] = 4.0 * _LOW_ABS
+        for base in (Dense(entries), Diagonal(np.diag(entries).copy())):
+            norm_l0 = prepare(OperatorModel(dim, kind, base, Zero())).norm_l0
+            assert _exact_sum_norm_between(base.matrix(dim), kind)[1] <= Fraction(norm_l0)
+
+
+# --- the base kinds' solves -------------------------------------------------
+
+
+def _circle(t: float) -> np.ndarray:
+    return t * np.exp(2j * np.pi * np.arange(64) / 64)
+
+
+def test_each_base_kind_solves_as_lu_does(corpus):
+    # the base kind's route against the dense LU of numerics, on circles
+    # inside, near and far outside the base's norm, in every norm
+    seen = set()
+    for entry in corpus:
+        model = entry.model
+        prep = prepare(model)
+        rhs = np.random.default_rng(model.dim).standard_normal((model.dim, 3)) + 0j
+        for t in (0.5 * prep.norm_l0 + 0.01, prep.norm_l0 + 0.25,
+                  prep.norm_l0 + prep.norm_k + 1.0):
+            circle = _circle(t)
+            norms = operators._resolvent_norms(model, circle)
+            lu = resolvent_norms(prep.l0, circle, model.norm)
+            assert np.allclose(norms, lu, rtol=1e-12, atol=0.0), entry.name
+            x, x_lu = model.base.solve(model.dim, circle, rhs), shifted_solve(prep.l0, circle, rhs)
+            assert x.shape == (64, model.dim, 3)
+            assert np.all(np.linalg.norm(x - x_lu, axis=(1, 2))
+                          <= 1e-12 * np.linalg.norm(x_lu, axis=(1, 2))), entry.name
+        seen.add((model.base.tag, model.norm))
+    assert len(seen) == 12
+
+
+@pytest.mark.parametrize("base, lam", [
+    (Diagonal(np.array([0.5, 1.2j, -0.3, 1.2j])), 1.2j),
+    (Shift(), 0j),
+    (Zero(), 0j),
+], ids=["diagonal", "shift", "zero"])
+def test_a_lam_on_the_base_spectrum_is_named(base, lam):
+    # the first offending lam of the stack, as LAPACK's singular LU is named
+    model = OperatorModel(4, NormKind.L1, base, Zero())
+    lams = np.array([2.0, lam, -0.3, lam])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularResolventError, match="is an eigenvalue") as info:
+            base.solve(4, lams, np.eye(4))
+        assert info.value.lam == lam
+        for kind in NormKind:
+            with pytest.raises(SingularResolventError) as info:
+                operators._resolvent_norms(OperatorModel(4, kind, base, Zero()), lams)
+            assert info.value.lam == lam
+    with pytest.raises(SingularResolventError, match="is an eigenvalue"):
+        shifted_solve(model.base.matrix(4), lam, np.eye(4))
+
+
+def test_a_shift_resolvent_that_overflows_names_lambda():
+    # 1e-3^-400 passes the largest float: forward substitution leaves inf and NaN
+    lams = np.array([2.0, 1e-3j, 1e-3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularResolventError, match="within tolerance") as info:
+            Shift().solve(400, lams, np.eye(400))
+    assert info.value.lam == 1e-3j
